@@ -183,7 +183,6 @@ _KEY_TABLE = {
     "time.trivial_gauge": (_parse_bool, False),
     "monitors.k_list": (_parse_k_list, (0, 1, 2)),
     "monitors.c_e_budget": (float, 100.0),
-    "monitors.c_lin_budget": (float, 10.0),
     "oracle.t_end": (float, 0.1),
     "oracle.dt_gauge": (float, 0.0125),
     "oracle.dt_immersion": (float, 0.002),
@@ -834,7 +833,8 @@ def main(argv=None) -> int:
     except CheckpointError as exc:
         return _fail("checkpoint-io", str(exc), EXIT_IO)
     except (ge.SmallnessViolatedError, ge.LostPositivityError,
-            geo.NotContractingError, im.DegenerateImmersionError) as exc:
+            geo.NotContractingError, geo.SingularMetricError,
+            im.DegenerateImmersionError) as exc:
         return _fail("solver", str(exc), EXIT_SOLVER)
     except RuntimeError as exc:
         return _fail("evolution", str(exc), EXIT_SOLVER)

@@ -20,6 +20,7 @@ e^{-it Delta} psi(t) whose Cauchy differences detect scattering.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field
 
@@ -49,6 +50,10 @@ __all__ = [
 ]
 
 _SCHEMES = ("split_step", "imex_rk2")
+
+# solver failures that ``evolve`` re-raises with their own type
+_TYPED_STEP_ERRORS = (geo.NotContractingError, ge.SmallnessViolatedError,
+                      ge.LostPositivityError, geo.SingularMetricError)
 
 
 @dataclass(frozen=True)
@@ -257,7 +262,10 @@ def evolve(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig) -> TrajectoryRepo
     """Run the flow from psi0 to t_end, recording every monitor.
 
     The step count is rounded so the final sample lands exactly on
-    t_end; the actually-used dt is recorded in the diagnostics.
+    t_end; the actually-used dt is recorded in the diagnostics.  A
+    failing step raises with the step time in the message: typed solver
+    errors (not contracting, smallness, positivity, singular metric)
+    keep their type, anything else becomes a ``RuntimeError``.
     """
     table = nrm.exponents(grid.d)
     dt_req = cfg.effective_dt(grid)
@@ -298,6 +306,10 @@ def evolve(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig) -> TrajectoryRepo
         try:
             psi, state = step(grid, psi, state, cfg, dt=dt, t=t,
                               resolve=resolve or cfg.trivial_gauge)
+        except _TYPED_STEP_ERRORS as exc:
+            typed = copy.copy(exc)  # keeps attributes such as ``residual``
+            typed.args = (f"step failed at t = {t:.6g}: {exc}",)
+            raise typed from exc
         except Exception as exc:
             raise RuntimeError(f"step failed at t = {t:.6g}: {exc}") from exc
         t = (i + 1) * dt

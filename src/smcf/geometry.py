@@ -382,30 +382,53 @@ def trig_interp(grid, f, points, chunk=4096):
     """Evaluate the trigonometric interpolant of f at arbitrary points.
 
     ``points`` has shape (d, m); leading tensor axes of f broadcast.
-    Direct mode summation, chunked over points to bound memory.
+    Separable evaluation over the ``Grid.wavenumbers`` modes (Nyquist
+    included): one phase table exp(i x_a k) per axis, then one
+    contraction per axis, so a chunk of p points costs d*n*p
+    exponentials and O(N*p) multiply-adds, not N*p exponentials.
     """
     f = np.asarray(f)
     fh = grid.fft(f) / grid.n**grid.d
-    lead = f.shape[: f.ndim - grid.d]
-    fh_flat = fh.reshape(lead + (-1,))
-    K = grid.wavenumbers().reshape(grid.d, -1)
+    k = grid.wavenumbers()[0].reshape(grid.n, -1)[:, 0]  # the 1-D wavenumber set
     m = points.shape[1]
-    out = np.empty(lead + (m,), dtype=complex)
+    out = np.empty(f.shape[: f.ndim - grid.d] + (m,), dtype=complex)
     for start in range(0, m, chunk):
         pts = points[:, start : start + chunk]
-        phase = np.exp(1j * pts.T @ K)  # (chunk, modes)
-        out[..., start : start + chunk] = np.einsum("pm,...m->...p", phase, fh_flat)
+        acc = fh.reshape(-1, grid.n) @ np.exp(1j * np.outer(k, pts[-1]))  # last axis
+        acc = acc.reshape(fh.shape[:-1] + (pts.shape[1],))
+        for a in range(grid.d - 2, -1, -1):
+            acc = np.einsum("...kp,kp->...p", acc, np.exp(1j * np.outer(k, pts[a])))
+        out[..., start : start + chunk] = acc
     return out
 
 
-def harmonic_coordinate_fix(metric, tol=1e-10, max_iter=200, smallness=0.1):
-    """Find y = x + phi(x) so the pulled-back metric is harmonic.
+def _invert_coordinates(grid, phi):
+    """Grid preimages x(y), shape (d, N), of y = x + phi(x) by fixed point,
+    and the inverse Jacobian d x^a / d y^c there, shape (N, d, d).
+    Raises ``NotContractingError`` if 50 sweeps do not reach 1e-13."""
+    y = grid.coords().reshape(grid.d, -1)
+    x = y.copy()
+    for _ in range(50):
+        x_new = y - trig_interp(grid, phi, x).real
+        shift = float(np.max(np.abs(x_new - x)))
+        x = x_new
+        if shift <= 1e-13:
+            break
+    else:
+        raise NotContractingError(
+            f"coordinate inversion did not converge (last shift {shift:.3e})",
+            residual=shift,
+        )
+    dphi = sp.gradient(grid, phi).real  # dphi[a, c] = d_a phi^c
+    jac = np.einsum("acm->mca", trig_interp(grid, dphi, x).real)
+    jac += np.eye(grid.d)  # J[m, c, a] = d y^c / d x^a
+    return x, np.linalg.inv(jac)
 
-    Solves Delta_g phi^c = g^{ab} Gamma^c_{ab} by Picard iteration with
-    the flat Laplacian as preconditioner (the coordinate functions
-    y^c = x^c + phi^c are then g-harmonic), inverts the coordinate
-    change on the grid, and returns (phi, pulled-back MetricField).
-    """
+
+def _harmonic_chart(metric, tol=1e-10, max_iter=200, smallness=0.1):
+    """``harmonic_coordinate_fix`` returning the whole chart:
+    (phi, x, inv_jac, pulled-back MetricField), x and inv_jac as from
+    ``_invert_coordinates``, for callers pulling more fields back."""
     grid = metric.grid
     dh = sp.gradient(grid, metric.h).real
     if sp.l2_norm(grid, dh) > smallness * np.sqrt(grid.volume):
@@ -437,30 +460,22 @@ def harmonic_coordinate_fix(metric, tol=1e-10, max_iter=200, smallness=0.1):
         raise NotContractingError("harmonic coordinate iteration did not converge",
                                   residual=last_update)
 
-    # Invert y = x + phi(x) on the grid: x(y) by fixed point with
-    # trigonometric interpolation of phi.
-    y = grid.coords().reshape(grid.d, -1)
-    x = y.copy()
-    for _ in range(50):
-        phi_at_x = trig_interp(grid, phi, x).real
-        x_new = y - phi_at_x
-        shift = np.max(np.abs(x_new - x))
-        x = x_new
-        if shift <= 1e-13:
-            break
-
-    dphi = sp.gradient(grid, phi).real  # dphi[a, c] = d_a phi^c
-    jac_flat = trig_interp(grid, dphi, x).real  # (a, c, m)
-    m = x.shape[1]
-    jac = np.zeros((m, grid.d, grid.d))
-    for a in range(grid.d):
-        for c in range(grid.d):
-            jac[:, c, a] = jac_flat[a, c]  # J[c, a] = d y^c / d x^a
-    for c in range(grid.d):
-        jac[:, c, c] += 1.0
-    inv_jac = np.linalg.inv(jac)  # (m, a, c): d x^a / d y^c
-
+    x, inv_jac = _invert_coordinates(grid, phi)
     g_at_x = trig_interp(grid, metric.g, x).real  # (a, b, m)
     g_new = np.einsum("mac,mbd,abm->cdm", inv_jac, inv_jac, g_at_x)
     g_new = g_new.reshape((grid.d, grid.d) + grid.shape)
-    return phi, MetricField(grid, g_new)
+    return phi, x, inv_jac, MetricField(grid, g_new)
+
+
+def harmonic_coordinate_fix(metric, tol=1e-10, max_iter=200, smallness=0.1):
+    """Find y = x + phi(x) so the pulled-back metric is harmonic.
+
+    Solves Delta_g phi^c = g^{ab} Gamma^c_{ab} by Picard iteration with
+    the flat Laplacian as preconditioner (the coordinate functions
+    y^c = x^c + phi^c are then g-harmonic), inverts the coordinate
+    change on the grid, and returns (phi, pulled-back MetricField).
+    Raises ``NotContractingError`` if either iteration fails;
+    ``immersion.align_extracted`` shares the chart via ``_harmonic_chart``.
+    """
+    phi, _, _, pulled = _harmonic_chart(metric, tol, max_iter, smallness)
+    return phi, pulled

@@ -309,19 +309,6 @@ def graph_state(grid: Grid, w: np.ndarray) -> ImmersionState:
 # alignment and the oracle comparison
 
 
-def _invert_map(grid: Grid, phi: np.ndarray) -> np.ndarray:
-    """Grid preimages x(y) of the coordinate change y = x + phi(x)."""
-    y = grid.coords().reshape(grid.d, -1)
-    x = y.copy()
-    for _ in range(50):
-        x_new = y - geo.trig_interp(grid, phi, x).real
-        shift = np.max(np.abs(x_new - x))
-        x = x_new
-        if shift <= 1e-13:
-            break
-    return x
-
-
 def _translate(grid: Grid, f: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """f(. + shift) evaluated spectrally (exact for band-limited f)."""
     k = grid.wavenumbers()
@@ -375,28 +362,17 @@ def align_extracted(grid: Grid, ex: ExtractedGauge, psi_ref: np.ndarray):
     the Coulomb frame there, (iii) fix the leftover constant phase and
     coordinate translation against the reference field.  Returns the
     aligned psi and a diagnostics dict.
+
+    Step (i) takes the whole chart from ``geometry._harmonic_chart``:
+    the grid preimages x, the inverse Jacobian there and the
+    pulled-back metric are computed once, as in
+    ``harmonic_coordinate_fix``, and psi and A are interpolated at the
+    same x.
     """
-    phi, _metric_h = geo.harmonic_coordinate_fix(ex.metric)
-    x = _invert_map(grid, phi)
-
+    phi, x, inv_jac, metric_y = geo._harmonic_chart(ex.metric)
     psi_y = geo.trig_interp(grid, ex.psi, x).reshape(grid.shape)
-
-    dphi = sp.gradient(grid, phi).real  # (a, c) = d_a phi^c
-    jac_flat = geo.trig_interp(grid, dphi, x).real
-    m = x.shape[1]
-    jac = np.zeros((m, grid.d, grid.d))
-    for a in range(grid.d):
-        for c in range(grid.d):
-            jac[:, c, a] = jac_flat[a, c]
-    for c in range(grid.d):
-        jac[:, c, c] += 1.0
-    inv_jac = np.linalg.inv(jac)  # (m, a, c) = d x^a / d y^c
     A_at_x = geo.trig_interp(grid, ex.A, x).real  # (a, m)
     A_y = np.einsum("mac,am->cm", inv_jac, A_at_x).reshape((grid.d,) + grid.shape)
-
-    g_at_x = geo.trig_interp(grid, ex.metric.g, x).real
-    g_y = np.einsum("mac,mbd,abm->cdm", inv_jac, inv_jac, g_at_x)
-    metric_y = MetricField(grid, g_y.reshape((grid.d, grid.d) + grid.shape))
 
     theta = _coulomb_angle(grid, metric_y, A_y)
     psi_y = np.exp(-1j * theta) * psi_y

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from smcf import cli
+from smcf import geometry as geo
+from smcf import immersion as im
 from smcf.spectral import Grid
 
 
@@ -210,6 +212,16 @@ class TestOracle:
                        "--elliptic.smallness_threshold=0.5")
         assert code == 3
         assert '"status": "alignment_failed"' in capsys.readouterr().out
+
+    def test_singular_metric_exits_3(self, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise geo.SingularMetricError("metric not positive definite")
+
+        monkeypatch.setattr(im, "oracle_compare", singular)
+        code = run_cli("oracle", "--config", "/dev/null", "--grid.n=16",
+                       "--elliptic.smallness_threshold=0.5")
+        assert code == 3
+        assert "metric not positive definite" in capsys.readouterr().err
 
 
 class TestCheckPairs:

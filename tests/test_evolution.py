@@ -3,6 +3,7 @@ import pytest
 
 from smcf import evolution as ev
 from smcf import gauge_elliptic as ge
+from smcf import geometry as geo
 from smcf import spectral as sp
 from smcf.spectral import Grid
 
@@ -131,6 +132,27 @@ class TestStep:
 
 
 class TestEvolve:
+    def test_typed_step_error_keeps_type_and_time(self, grid2, monkeypatch):
+        def failing_step(*args, **kwargs):
+            raise geo.NotContractingError("inner solve stalled", residual=0.5)
+
+        monkeypatch.setattr(ev, "step", failing_step)
+        cfg = make_cfg(trivial_gauge=True, dt=0.05, t_end=0.1)
+        with pytest.raises(geo.NotContractingError) as info:
+            ev.evolve(grid2, gaussian_psi(grid2), cfg)
+        assert "t = " in str(info.value)
+        assert "inner solve stalled" in str(info.value)
+        assert info.value.residual == 0.5
+
+    def test_untyped_step_error_becomes_runtime_error(self, grid2, monkeypatch):
+        def failing_step(*args, **kwargs):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(ev, "step", failing_step)
+        cfg = make_cfg(trivial_gauge=True, dt=0.05, t_end=0.1)
+        with pytest.raises(RuntimeError, match="t = "):
+            ev.evolve(grid2, gaussian_psi(grid2), cfg)
+
     def test_zero_data(self, grid2):
         cfg = make_cfg(dt=0.05, t_end=0.1)
         traj = ev.evolve(grid2, np.zeros(grid2.shape, complex), cfg)

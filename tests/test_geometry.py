@@ -221,7 +221,29 @@ class TestConstraintResiduals:
         assert abs(rep.nondecay["trace"] - 0.5) <= 1e-12  # ...and reported
 
 
+def direct_trig_sum(grid, f, points):
+    """The interpolant as a direct sum over all N = n^d modes (O(N) per point)."""
+    fh = grid.fft(np.asarray(f)) / grid.n**grid.d
+    lead = fh.shape[: fh.ndim - grid.d]
+    K = grid.wavenumbers().reshape(grid.d, -1)
+    phase = np.exp(1j * points.T @ K)  # (points, modes)
+    return np.einsum("pm,...m->...p", phase, fh.reshape(lead + (-1,)))
+
+
 class TestTrigInterp:
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 2)])
+    @pytest.mark.parametrize("d, n", [(1, 16), (2, 12), (3, 8)])
+    def test_matches_direct_mode_sum(self, d, n, lead):
+        grid = Grid(d=d, n=n)
+        rng = np.random.default_rng(40 + d)
+        f = (rng.standard_normal(lead + grid.shape)
+             + 1j * rng.standard_normal(lead + grid.shape))
+        pts = rng.uniform(-1.0, 2 * np.pi + 1.0, size=(d, 53))  # 53 = 7*7 + 4
+        vals = geo.trig_interp(grid, f, pts, chunk=7)
+        expect = direct_trig_sum(grid, f, pts)
+        assert vals.shape == lead + (53,)
+        assert np.max(np.abs(vals - expect)) <= 1e-13 * np.max(np.abs(expect))
+
     def test_reproduces_grid_values(self, grid2):
         f = smooth_scalar(grid2, seed=35, complex_valued=True)
         pts = grid2.coords().reshape(2, -1)
@@ -258,3 +280,22 @@ class TestHarmonicFix:
         m = small_metric(grid2, seed=38, amp=0.5)
         with pytest.raises(ValueError):
             geo.harmonic_coordinate_fix(m)
+
+
+class TestInvertCoordinates:
+    def test_inverts_small_shift(self, grid2):
+        x = grid2.coords()
+        phi = 0.1 * np.stack([np.sin(x[1]), np.cos(x[0] + x[1])])
+        pre, inv_jac = geo._invert_coordinates(grid2, phi)
+        # the preimages map back onto the grid: x + phi(x) = y
+        y = pre + geo.trig_interp(grid2, phi, pre).real
+        assert np.max(np.abs(y - grid2.coords().reshape(2, -1))) <= 1e-12
+        assert inv_jac.shape == (grid2.n**2, 2, 2)
+
+    def test_non_contracting_map_raises(self, grid2):
+        # slope 1.5 > 1: x = y - phi(x) has no contracting fixed point
+        x = grid2.coords()
+        phi = np.stack([1.5 * np.sin(x[0]), np.zeros(grid2.shape)])
+        with pytest.raises(geo.NotContractingError) as info:
+            geo._invert_coordinates(grid2, phi)
+        assert info.value.residual > 1e-13
