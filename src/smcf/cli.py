@@ -374,7 +374,11 @@ def _pack_complex(arr: np.ndarray) -> bytes:
 def save_checkpoint(path: str, grid: Grid, t: float, step: int,
                     psi: np.ndarray, state=None, extras: dict | None = None):
     """Binary snapshot: header, interleaved psi payload, optional gauge
-    blob with the running accumulators, trailing 64-bit digest."""
+    blob with the running accumulators, trailing 64-bit digest.
+
+    Written to a temporary file in the same directory, fsynced, then
+    renamed over ``path``, so an interrupted write leaves the previous
+    checkpoint intact."""
     has_blob = state is not None
     parts = [_pack_complex(psi)]
     if has_blob:
@@ -394,10 +398,19 @@ def save_checkpoint(path: str, grid: Grid, t: float, step: int,
     payload = b"".join(parts)
     header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, grid.d, grid.n,
                           grid.length, t, step, 1 if has_blob else 0)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload)
-        f.write(_digest(payload))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(header)
+            f.write(payload)
+            f.write(_digest(payload))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> dict:
@@ -702,9 +715,10 @@ def _cmd_oracle(args, extras) -> int:
     try:
         rep = im.oracle_compare(grid, psi0, ocfg)
     except geo.NotContractingError as exc:
+        gauge_side = isinstance(exc, im.GaugeEvolutionError)
         _emit(dump_json({
             "schema": "smcf-json-1",
-            "status": "alignment_failed",
+            "status": "gauge_failed" if gauge_side else "alignment_failed",
             "message": str(exc),
             "config": cfg.echo(),
         }), cfg["output.json"] or None)

@@ -246,7 +246,8 @@ def step(grid: Grid, psi: np.ndarray, state: GaugeState, cfg: EvolutionConfig,
     if resolve:
         state_new = resolve_gauge(grid, psi_new, cfg, warm)
     else:
-        state_new = dataclasses.replace(state, psi=psi_new)
+        # a fresh diagnostics dict: the stored constraint report is psi's
+        state_new = dataclasses.replace(state, psi=psi_new, diagnostics={})
     return psi_new, state_new
 
 

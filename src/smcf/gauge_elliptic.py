@@ -84,9 +84,19 @@ class GaugeState:
     diagnostics: dict = field(default_factory=dict)
 
     def constraint_report(self, mean_project: bool = True) -> geo.ConstraintReport:
-        return geo.constraint_residuals(
-            self.grid, self.psi, self.metric, self.lam, self.A, mean_project
-        )
+        """The constraint residuals of this state; the mean-projected
+        report is computed once and kept in ``diagnostics["residuals"]``."""
+        if not mean_project:
+            return geo.constraint_residuals(
+                self.grid, self.psi, self.metric, self.lam, self.A, False
+            )
+        report = self.diagnostics.get("residuals")
+        if report is None:
+            report = geo.constraint_residuals(
+                self.grid, self.psi, self.metric, self.lam, self.A
+            )
+            self.diagnostics["residuals"] = report
+        return report
 
 
 def _raise1(metric, T):
@@ -176,9 +186,10 @@ def recover_lambda(grid, psi, metric, A, cfg: EllipticConfig) -> np.ndarray:
             + 1j * np.einsum("b...,ag...->abg...", A, lam)
         # flat divergence data: move the non-flat part of the gauged
         # covariant divergence to the right-hand side
-        dlam = geo.covariant_derivative(grid, lam, 0, 2, metric, A)  # (c, a, b)
+        dlam = sp.gradient(grid, lam)  # (c, a, b), flat
+        flat_div = np.einsum("aab...->b...", dlam)
+        dlam = geo._add_connection(grid, lam, dlam, 0, 2, metric, A)
         cov_div = np.einsum("ca...,cab...->b...", metric.inv, dlam)
-        flat_div = np.einsum("aab...->b...", sp.gradient(grid, lam))
         D = dpsi - cov_div + flat_div
         lam_new = np.empty_like(lam)
         for g in range(grid.d):
@@ -255,39 +266,47 @@ def solve_metric(grid, lam, psi, cfg: EllipticConfig, g0: MetricField | None = N
         raise LostPositivityError(str(exc)) from exc
 
 
-def _vector_laplacian(grid, V, metric):
-    d1 = geo.covariant_derivative(grid, V, 1, 0, metric)        # (g, c)
-    d2 = geo.covariant_derivative(grid, d1, 1, 1, metric)       # (g, c2, c1)
+def _vector_laplacian(grid, metric, dV):
+    """Covariant vector Laplacian of V, from dV = nabla V, index order (g, c)."""
+    d2 = geo.covariant_derivative(grid, dV, 1, 1, metric)       # (g, c2, c1)
     return np.einsum("bc...,gbc...->g...", metric.inv, d2)
 
 
-def _grad_up(grid, metric, V):
-    """nabla^a V^b for a vector field V."""
-    gradV = geo.covariant_derivative(grid, V, 1, 0, metric).real  # (b, c)
-    return np.einsum("ac...,bc...->ab...", metric.inv, gradV)
+def _grad_up(metric, dV):
+    """nabla^a V^b, from dV = nabla V, index order (b, c)."""
+    return np.einsum("ac...,bc...->ab...", metric.inv, dV.real)
 
 
-def _advection_rhs(grid, metric, lam, psi, V):
-    """Right-hand side of the advection-field equation, at the given V."""
+def _advection_source(grid, metric, lam, psi):
+    """The V-independent parts of the advection right-hand side:
+    (rhs at V = 0, W with rhs linear in V through -W V)."""
     lam_up1 = _raise1(metric, lam)
     lam_up2 = _raise2(metric, lam)
     M = (lam_up2 * np.conj(psi)).imag                     # Im(lam^{ag} psi-bar)
     dM = geo.covariant_derivative(grid, M, 2, 0, metric)  # (a, g, c)
-    rhs = 2.0 * np.einsum("aga...->g...", dM).real
+    rhs0 = 2.0 * np.einsum("aga...->g...", dM).real
     W = (lam_up1 * np.conj(psi)).real \
         - np.einsum("as...,ag...->gs...", lam, np.conj(lam_up2)).real
-    rhs -= np.einsum("gs...,s...->g...", W, V)
     lam_psi_up = (psi * np.conj(lam_up2)).imag            # Im(psi lam-bar^{ab})
-    rhs += 2.0 * np.einsum("ab...,gab...->g...",
-                           lam_psi_up + _grad_up(grid, metric, V),
+    rhs0 += 2.0 * np.einsum("ab...,gab...->g...", lam_psi_up, metric.christoffel)
+    return rhs0, W
+
+
+def _advection_rhs(metric, source, V, dV):
+    """Right-hand side of the advection-field equation at V (with
+    dV = nabla V), from ``_advection_source``."""
+    rhs0, W = source
+    rhs = rhs0 - np.einsum("gs...,s...->g...", W, V)
+    rhs += 2.0 * np.einsum("ab...,gab...->g...", _grad_up(metric, dV),
                            metric.christoffel)
     return rhs
 
 
 def advection_equation_residual(grid, metric, lam, psi, V):
     """Literal left-minus-right of the advection equation (mean-projected)."""
-    res = _vector_laplacian(grid, V, metric).real \
-        - _advection_rhs(grid, metric, lam, psi, V)
+    dV = geo.covariant_derivative(grid, V, 1, 0, metric)
+    res = _vector_laplacian(grid, metric, dV).real \
+        - _advection_rhs(metric, _advection_source(grid, metric, lam, psi), V, dV)
     return _mean_zero(grid, res)
 
 
@@ -304,7 +323,7 @@ def _temporal_rhs(grid, metric, lam, psi, V, A):
     u = np.einsum("sg...,sb...,b...->g...", lam_up1, np.conj(lam), V).imag
     du = geo.covariant_derivative(grid, u, 0, 1, metric).real
     rhs += np.einsum("cg...,cg...->...", metric.inv, du)
-    gradV_up = _grad_up(grid, metric, V)
+    gradV_up = _grad_up(metric, geo.covariant_derivative(grid, V, 1, 0, metric))
     sym = 2.0 * (psi * np.conj(lam_up2)).imag \
         + gradV_up + np.einsum("ab...->ba...", gradV_up)
     rhs += np.einsum("bg...,bg...->...", sym, sp.gradient(grid, A).real)
@@ -318,41 +337,40 @@ def temporal_equation_residual(grid, metric, lam, psi, V, A, B):
     return _mean_zero(grid, res)
 
 
-def solve_VAB(grid, lam, psi, metric, cfg: EllipticConfig, warm=None):
-    """Solve the three remaining elliptic equations: V, A, then B."""
+def _solve_A(grid, lam, metric, cfg, A0):
+    """Coulomb connection A: the div-curl system with the Coulomb
+    condition built in; reads (lambda, g) only."""
     d = grid.d
-    if warm is None:
-        V0 = np.zeros((d,) + grid.shape)
-        A0 = np.zeros((d,) + grid.shape)
-    else:
-        V0, A0 = warm[0], warm[1]
-    lam_up1 = _raise1(metric, lam)
-    defect = metric.harmonic_defect()
-
-    # --- advection field V: covariant vector Laplace equation ---------
-    def update_V(V):
-        rhs = _advection_rhs(grid, metric, lam, psi, V)
-        V_new = V + sp.inverse_laplacian(
-            grid, rhs - _vector_laplacian(grid, V, metric).real
-        ).real
-        return _mean_zero(grid, V_new)
-
-    V, _ = _iterate(update_V, V0, cfg, "advection field")
-
-    # --- connection A: div-curl with the Coulomb condition ------------
-    F = np.einsum("ga...,bg...->ab...", lam_up1, np.conj(lam)).imag
+    F = np.einsum("ga...,bg...->ab...", _raise1(metric, lam), np.conj(lam)).imag
     w = metric.inv - np.eye(d).reshape((d, d) + (1,) * d)
+    defect = metric.harmonic_defect()
 
     def update_A(A):
         dA = sp.gradient(grid, A).real  # (c, b) = d_c A_b
         div_data = -np.einsum("cb...,cb...->...", w, dA) \
             + np.einsum("c...,c...->...", defect, A)
-        A_new = _hodge_solve(grid, F, div_data).real
-        return A_new
+        return _hodge_solve(grid, F, div_data).real
 
     A, _ = _iterate(update_A, A0, cfg, "Coulomb connection")
+    return A
 
-    # --- temporal connection B: Laplace-Beltrami equation -------------
+
+def _solve_VB(grid, lam, psi, metric, A, cfg, V0):
+    """Advection field V (covariant vector Laplace equation), then the
+    temporal connection B (Laplace-Beltrami equation); nothing else in
+    the system reads either."""
+    source = _advection_source(grid, metric, lam, psi)
+
+    def update_V(V):
+        dV = geo.covariant_derivative(grid, V, 1, 0, metric)
+        rhs = _advection_rhs(metric, source, V, dV)
+        V_new = V + sp.inverse_laplacian(
+            grid, rhs - _vector_laplacian(grid, metric, dV).real
+        ).real
+        return _mean_zero(grid, V_new)
+
+    V, _ = _iterate(update_V, V0, cfg, "advection field")
+
     rhs_B = _temporal_rhs(grid, metric, lam, psi, V, A)
 
     def update_B(B):
@@ -362,16 +380,32 @@ def solve_VAB(grid, lam, psi, metric, cfg: EllipticConfig, warm=None):
         return _mean_zero(grid, B_new)
 
     B, _ = _iterate(update_B, np.zeros(grid.shape), cfg, "temporal connection")
+    return V, B
+
+
+def solve_VAB(grid, lam, psi, metric, cfg: EllipticConfig, warm=None):
+    """Solve the three remaining elliptic equations: A, then V and B.
+
+    ``warm`` is an optional (V, A, ...) tuple of starting iterates.
+    """
+    zero = np.zeros((grid.d,) + grid.shape)
+    V0, A0 = (zero, zero) if warm is None else (warm[0], warm[1])
+    A = _solve_A(grid, lam, metric, cfg, A0)
+    V, B = _solve_VB(grid, lam, psi, metric, A, cfg, V0)
     return V, A, B
 
 
 def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
                           warm: GaugeState | None = None) -> GaugeState:
-    """Outer contraction over lambda -> g -> (V, A, B) to a joint fixed point.
+    """Outer contraction over lambda -> g -> A to a joint fixed point,
+    then V and B once on the converged (lambda, g, A).
 
-    ``warm`` seeds the iteration from a previously converged state
-    (e.g. the previous time step); the result is still iterated to the
-    same joint fixed-point tolerance.
+    lambda reads (g, A), g reads lambda and A reads (lambda, g); none of
+    them reads V or B, so the outer sweep is triangular in them and
+    ``final_update`` is the last sweep's largest change of (lambda, g, A).
+    ``warm`` seeds the iteration (and the V solve) from a previously
+    converged state (e.g. the previous time step); the result is still
+    iterated to the same joint fixed-point tolerance.
     """
     cfg = cfg or EllipticConfig()
     if grid.d < 2:
@@ -385,41 +419,37 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
         )
 
     if warm is not None:
-        metric, V, A, B, lam = warm.metric, warm.V, warm.A, warm.B, warm.lam
+        metric, V, A, lam = warm.metric, warm.V, warm.A, warm.lam
     else:
         metric = MetricField.identity(grid)
         V = np.zeros((grid.d,) + grid.shape)
         A = np.zeros((grid.d,) + grid.shape)
-        B = np.zeros(grid.shape)
         lam = np.zeros((grid.d, grid.d) + grid.shape, dtype=complex)
     final_update = 0.0
     sweeps = 0
     for sweep in range(cfg.max_iter):
         lam_new = recover_lambda(grid, psi, metric, A, cfg)
         metric_new = solve_metric(grid, lam_new, psi, cfg, g0=metric)
-        V_new, A_new, B_new = solve_VAB(grid, lam_new, psi, metric_new, cfg,
-                                        warm=(V, A, B))
+        A_new = _solve_A(grid, lam_new, metric_new, cfg, A)
         final_update = max(
             float(np.max(np.abs(lam_new - lam))),
             float(np.max(np.abs(metric_new.g - metric.g))),
-            float(np.max(np.abs(V_new - V))),
             float(np.max(np.abs(A_new - A))),
-            float(np.max(np.abs(B_new - B))),
         )
-        lam, metric, V, A, B = lam_new, metric_new, V_new, A_new, B_new
+        lam, metric, A = lam_new, metric_new, A_new
         sweeps = sweep + 1
         if final_update <= cfg.tol:
             break
     else:
         raise NotContractingError("outer elliptic sweep did not converge",
                                   residual=final_update)
+    V, B = _solve_VB(grid, lam, psi, metric, A, cfg, V)
 
     state = GaugeState(grid=grid, psi=psi, metric=metric, lam=lam, V=V, A=A, B=B)
-    report = state.constraint_report()
     state.diagnostics.update(
         outer_iterations=sweeps,
         final_update=final_update,
-        residuals=report,
+        residuals=state.constraint_report(),
         psi_sobolev_norm=size,
     )
     return state

@@ -12,6 +12,7 @@ grid trailing, upper indices first.  A rank-(r, s) tensor has shape
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +51,71 @@ class NotContractingError(RuntimeError):
         self.residual = residual
 
 
+def _ldl_inverse(g):
+    """Inverse and determinant of a symmetric matrix field, shape (d, d) + grid.
+
+    One LDL^T factorisation vectorised over the grid: the loops run over
+    the d x d index entries, each an array over the points.  Raises
+    ``SingularMetricError`` at the first pivot that is not > 0 (so the
+    field is positive definite by Sylvester's criterion; NaN fails the
+    comparison too).  Returns (inv, det), inv C-contiguous with the index
+    axes first.
+    """
+    d = g.shape[0]
+    L = [[None] * d for _ in range(d)]  # strictly lower unit-triangular part
+    D = []
+    for j in range(d):
+        piv = g[j, j].copy()
+        for k in range(j):
+            piv -= L[j][k] * L[j][k] * D[k]
+        bad = ~(piv > 0)
+        if np.any(bad):
+            raise SingularMetricError(
+                f"metric not positive definite (pivot {j} is "
+                f"{float(piv[bad].min()):.3e} at {int(np.count_nonzero(bad))} points)"
+            )
+        D.append(piv)
+        for i in range(j + 1, d):
+            lij = g[i, j].copy()
+            for k in range(j):
+                lij -= L[i][k] * L[j][k] * D[k]
+            L[i][j] = lij / piv
+    # forward solve: X = L^{-1}, unit lower triangular
+    X = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i):
+            acc = -L[i][j]
+            for k in range(j + 1, i):
+                acc = acc - L[i][k] * X[k][j]
+            X[i][j] = acc
+    # back solve: g^{-1} = X^T D^{-1} X, symmetric
+    inv = np.empty(g.shape)
+    det = D[0].copy()
+    for k in range(1, d):
+        det *= D[k]
+    rD = [1.0 / p for p in D]
+    for a in range(d):
+        for b in range(a, d):
+            acc = rD[b] if a == b else X[b][a] * rD[b]
+            for k in range(b + 1, d):
+                acc = acc + X[k][a] * X[k][b] * rD[k]
+            inv[a, b] = acc
+            inv[b, a] = acc
+    return inv, det
+
+
+def _min_eigenvalue(g):
+    """Smallest eigenvalue of a symmetric matrix field over the grid."""
+    return float(np.linalg.eigvalsh(np.moveaxis(g, (0, 1), (-2, -1))).min())
+
+
 class MetricField:
     """Riemannian metric g = I + h on the grid, with cached derived data.
 
-    The inverse, Christoffel symbols and volume density are computed
-    once at construction; instances are treated as immutable.
+    The inverse (C-contiguous, from one field-wise LDL^T pass),
+    Christoffel symbols and volume density are computed once at
+    construction; instances are treated as immutable.
+    ``min_eigenvalue`` is computed on first access.
     """
 
     def __init__(self, grid: Grid, g: np.ndarray):
@@ -66,17 +127,13 @@ class MetricField:
             raise ValueError(f"metric not symmetric (defect {asym:.3e})")
         self.grid = grid
         self.g = 0.5 * (g + np.swapaxes(g, 0, 1))  # exact symmetry by storage
-
-        gm = np.moveaxis(self.g, (0, 1), (-2, -1))
-        eig = np.linalg.eigvalsh(gm)
-        self.min_eigenvalue = float(eig.min())
-        if self.min_eigenvalue <= 0:
-            raise SingularMetricError(
-                f"metric not positive definite (min eigenvalue {self.min_eigenvalue:.3e})"
-            )
-        self.inv = np.moveaxis(np.linalg.inv(gm), (-2, -1), (0, 1))
-        self.sqrt_det = np.sqrt(np.linalg.det(gm))
+        self.inv, det = _ldl_inverse(self.g)
+        self.sqrt_det = np.sqrt(det)
         self.christoffel = self._christoffel()
+
+    @functools.cached_property
+    def min_eigenvalue(self) -> float:
+        return _min_eigenvalue(self.g)
 
     @classmethod
     def identity(cls, grid: Grid) -> "MetricField":
@@ -142,7 +199,13 @@ def covariant_derivative(grid, T, nup, nlow, metric=None, A=None):
         raise ValueError(
             f"tensor rank mismatch: ndim {T.ndim} vs {nup} upper + {nlow} lower indices"
         )
-    out = sp.gradient(grid, T)  # derivative index leading
+    return _add_connection(grid, T, sp.gradient(grid, T), nup, nlow, metric, A)
+
+
+def _add_connection(grid, T, out, nup, nlow, metric, A):
+    """``covariant_derivative`` from the plain gradient ``out`` of T
+    (derivative index leading, updated in place): adds the Christoffel
+    and gauge terms and moves the derivative index to position ``nup``."""
     if metric is not None:
         Gam = metric.christoffel.astype(out.dtype)
         for i in range(nup):

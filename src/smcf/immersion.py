@@ -29,6 +29,7 @@ from smcf.spectral import Grid
 
 __all__ = [
     "DegenerateImmersionError",
+    "GaugeEvolutionError",
     "ImmersionState",
     "ExtractedGauge",
     "induced_geometry",
@@ -52,6 +53,11 @@ _FRAME_TOL = 1e-10
 
 class DegenerateImmersionError(RuntimeError):
     """The map stopped being an immersion (singular induced metric)."""
+
+
+class GaugeEvolutionError(geo.NotContractingError):
+    """The oracle's gauge-side evolution stopped contracting; construction
+    and alignment failures stay plain ``NotContractingError``."""
 
 
 @dataclass(frozen=True)
@@ -135,11 +141,10 @@ def _frame_project(grid: Grid, F: np.ndarray, nu1: np.ndarray, nu2: np.ndarray,
     normal space of F and re-orthonormalize."""
     dF = _tangents(grid, F, linear)
     g = np.einsum("ai...,bi...->ab...", dF, dF)
-    gm = np.moveaxis(g, (0, 1), (-2, -1))
     try:
-        ginv = np.moveaxis(np.linalg.inv(gm), (-2, -1), (0, 1))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateImmersionError("singular induced metric") from exc
+        ginv, _ = geo._ldl_inverse(g)
+    except geo.SingularMetricError as exc:
+        raise DegenerateImmersionError(f"singular induced metric: {exc}") from exc
 
     def normal_part(v):
         c = np.einsum("ai...,i...->a...", dF, v)
@@ -481,6 +486,8 @@ def oracle_compare(grid: Grid, psi0: np.ndarray, cfg: OracleConfig) -> OracleRep
     truncation error of the two integrators: the construction residual
     and the zero-mode drift (see ``OracleReport``).  To see convergence
     in the steps, compare ``psi_aligned - psi_gauge`` across runs.
+    A gauge-side evolution that stops contracting raises
+    ``GaugeEvolutionError``.
     """
     from smcf import evolution as ev
 
@@ -494,7 +501,11 @@ def oracle_compare(grid: Grid, psi0: np.ndarray, cfg: OracleConfig) -> OracleRep
     else:
         ecfg = ev.EvolutionConfig(dt=cfg.dt_gauge, t_end=cfg.t_end,
                                   elliptic=cfg.elliptic)
-        psi_g = ev.evolve(grid, psi0, ecfg).psis[-1]
+        try:
+            psi_g = ev.evolve(grid, psi0, ecfg).psis[-1]
+        except geo.NotContractingError as exc:
+            raise GaugeEvolutionError(f"gauge evolution: {exc}",
+                                      residual=exc.residual) from exc
 
     n_steps = max(1, int(round(cfg.t_end / cfg.dt_immersion)))
     dt = cfg.t_end / n_steps if cfg.t_end > 0 else 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smcf import cli
+from smcf import evolution as ev
 from smcf import geometry as geo
 from smcf import immersion as im
 from smcf.spectral import Grid
@@ -91,6 +92,24 @@ class TestCheckpoint:
         open(path, "wb").write(bytes(raw))
         with pytest.raises(cli.CheckpointError):
             cli.load_checkpoint(path)
+
+    def test_failed_write_keeps_previous(self, tmp_path, monkeypatch):
+        grid = Grid(d=2, n=16)
+        path = str(tmp_path / "e.ckpt")
+        psi = np.full(grid.shape, 0.5 + 0.25j)
+        cli.save_checkpoint(path, grid, 0.25, 5, psi)
+
+        def broken_digest(payload):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_digest", broken_digest)
+        with pytest.raises(OSError):
+            cli.save_checkpoint(path, grid, 0.5, 10, 2.0 * psi)
+        monkeypatch.undo()
+        loaded = cli.load_checkpoint(path)  # checks the digest
+        assert (loaded["t"], loaded["step"]) == (0.25, 5)
+        assert loaded["psi"].tobytes() == psi.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.ckpt"]
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
@@ -212,6 +231,18 @@ class TestOracle:
                        "--elliptic.smallness_threshold=0.5")
         assert code == 3
         assert '"status": "alignment_failed"' in capsys.readouterr().out
+
+    def test_gauge_failure_exits_3(self, monkeypatch, capsys):
+        def stalled(*args, **kwargs):
+            raise geo.NotContractingError("outer elliptic sweep did not converge")
+
+        monkeypatch.setattr(ev, "step", stalled)
+        code = run_cli("oracle", "--config", "/dev/null", "--grid.n=16",
+                       "--elliptic.smallness_threshold=0.5")
+        assert code == 3
+        out = capsys.readouterr().out
+        assert '"status": "gauge_failed"' in out
+        assert "outer elliptic sweep did not converge" in out
 
     def test_singular_metric_exits_3(self, monkeypatch, capsys):
         def singular(*args, **kwargs):

@@ -130,6 +130,16 @@ class TestStep:
         with pytest.raises(RuntimeError):
             ev.step(grid2, psi, st, cfg, dt=0.05)
 
+    def test_reused_state_gets_fresh_constraint_report(self, grid2):
+        psi = gaussian_psi(grid2)
+        cfg = make_cfg(dt=0.025, t_end=0.25)
+        st = ev.resolve_gauge(grid2, psi, cfg)
+        assert st.constraint_report() is st.diagnostics["residuals"]
+        psi_new, st_new = ev.step(grid2, psi, st, cfg, resolve=False)
+        expect = geo.constraint_residuals(grid2, psi_new, st.metric, st.lam, st.A)
+        assert st_new.constraint_report() == expect
+        assert st.constraint_report() != expect
+
 
 class TestEvolve:
     def test_typed_step_error_keeps_type_and_time(self, grid2, monkeypatch):

@@ -189,6 +189,14 @@ class TestSolveEllipticSystem:
                              g0=converged.metric)
         assert np.max(np.abs(m2.g - converged.metric.g)) <= 10 * CFG.tol
 
+    def test_vab_self_consistency(self, grid2, converged):
+        V, A, B = ge.solve_VAB(grid2, converged.lam, converged.psi,
+                               converged.metric, CFG,
+                               warm=(converged.V, converged.A))
+        assert np.max(np.abs(V - converged.V)) <= 10 * CFG.tol
+        assert np.max(np.abs(A - converged.A)) <= 10 * CFG.tol
+        assert np.max(np.abs(B - converged.B)) <= 10 * CFG.tol
+
     def test_dimension_one_rejected(self):
         grid = Grid(d=1, n=16)
         with pytest.raises(ValueError):

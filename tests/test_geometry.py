@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,42 @@ class TestMetricField:
         prod = np.einsum("ab...,bc...->ac...", m.inv, m.g)
         eye = geo.MetricField.identity(grid2).g
         assert np.max(np.abs(prod - eye)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_ldl_inverse_matches_linalg(self, d):
+        rng = np.random.default_rng(d)
+        pts = (5, 7)
+        B = rng.standard_normal((d, d) + pts)
+        g = np.einsum("ac...,bc...->ab...", B, B) + 0.5 * np.eye(d).reshape(
+            (d, d) + (1,) * len(pts))  # SPD field with O(1) condition numbers
+        inv, det = geo._ldl_inverse(g)
+        gm = np.moveaxis(g, (0, 1), (-2, -1))
+        ref_inv = np.moveaxis(np.linalg.inv(gm), (-2, -1), (0, 1))
+        scale = np.max(np.abs(ref_inv))
+        assert np.max(np.abs(inv - ref_inv)) <= 1e-13 * scale
+        ref_det = np.linalg.det(gm)
+        assert np.max(np.abs(det - ref_det) / ref_det) <= 1e-13
+        assert inv.flags.c_contiguous
+
+    def test_rejects_indefinite_positive_diagonal(self, grid2):
+        g = np.zeros((2, 2) + grid2.shape)
+        g[0, 0] = g[1, 1] = 1.0
+        g[0, 1] = g[1, 0] = 2.0  # eigenvalues 3 and -1
+        with pytest.raises(geo.SingularMetricError):
+            geo.MetricField(grid2, g)
+
+    def test_rejects_nan_without_warning(self, grid2):
+        g = geo.MetricField.identity(grid2).g.copy()
+        g[1, 1, 3, 4] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(geo.SingularMetricError):
+                geo.MetricField(grid2, g)
+
+    def test_inverse_is_c_contiguous(self, grid2):
+        m = small_metric(grid2, seed=4)
+        assert m.inv.flags.c_contiguous
+        assert m.christoffel.flags.c_contiguous
 
     def test_laplace_beltrami_flat_reduction(self, grid2):
         m = geo.MetricField.identity(grid2)
