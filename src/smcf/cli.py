@@ -57,7 +57,7 @@ EXIT_IO = 4
 
 CSV_SCHEMA = "smcf-csv-1"
 CHECKPOINT_MAGIC = b"SMCF"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -158,7 +158,6 @@ def _parse_k_list(v: str) -> tuple:
 
 
 _DATA_KINDS = ("gaussian", "single_mode", "file")
-_SCHEMES = ("split_step", "imex_rk2")
 
 # every accepted key: parser and default
 _KEY_TABLE = {
@@ -254,28 +253,14 @@ class RunConfig:
             raise ConfigError("data.amplitude must be nonnegative")
         if v["data.width"] <= 0:
             raise ConfigError("data.width must be positive")
-        if v["time.scheme"] not in _SCHEMES:
-            raise ConfigError(f"time.scheme must be one of {_SCHEMES}")
-        if v["time.t_end"] <= 0:
-            raise ConfigError("time.t_end must be positive")
-        if v["time.dt"] is not None and v["time.dt"] <= 0:
-            raise ConfigError("time.dt must be positive (or auto)")
-        if v["time.resolve_every"] < 1:
-            raise ConfigError("time.resolve_every must be >= 1")
         if v["output.checkpoint_every"] < 0:
             raise ConfigError("output.checkpoint_every must be >= 0")
-        if v["oracle.t_end"] < 0:
-            raise ConfigError("oracle.t_end must be nonnegative")
-        if v["oracle.dt_gauge"] <= 0 or v["oracle.dt_immersion"] <= 0:
-            raise ConfigError("oracle time steps must be positive")
-        try:
-            Grid(d=v["dimension"], n=v["grid.n"], length=v["grid.length"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        try:
-            self.elliptic()
-        except ValueError as exc:
-            raise ConfigError(f"bad elliptic settings: {exc}") from exc
+        for name, build in (("grid", self.grid), ("elliptic", self.elliptic),
+                            ("time", self.evolution), ("oracle", self.oracle)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"bad {name} settings: {exc}") from exc
         for key in ("output.csv", "output.checkpoint", "output.json"):
             path = v[key]
             if path and path != "-":
@@ -307,6 +292,16 @@ class RunConfig:
             c_e_budget=v["monitors.c_e_budget"],
             force_v_zero=v["time.force_v_zero"],
             trivial_gauge=v["time.trivial_gauge"],
+            elliptic=self.elliptic(),
+        )
+
+    def oracle(self) -> im.OracleConfig:
+        v = self.values
+        return im.OracleConfig(
+            t_end=v["oracle.t_end"],
+            dt_gauge=v["oracle.dt_gauge"],
+            dt_immersion=v["oracle.dt_immersion"],
+            construction_tol=v["oracle.construction_tol"],
             elliptic=self.elliptic(),
         )
 
@@ -371,10 +366,17 @@ def _pack_complex(arr: np.ndarray) -> bytes:
     return _pack_array(inter)
 
 
+def _pack_entry(arr) -> bytes:
+    arr = np.asarray(arr, dtype=float)
+    return (struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
+            + _pack_array(arr))
+
+
 def save_checkpoint(path: str, grid: Grid, t: float, step: int,
-                    psi: np.ndarray, state=None, extras: dict | None = None):
+                    psi: np.ndarray, state=None, carry: dict | None = None):
     """Binary snapshot: header, interleaved psi payload, optional gauge
-    blob with the running accumulators, trailing 64-bit digest.
+    blob followed by the monitor carry (``evolution.CARRY_KEYS``, each
+    entry with its shape), trailing 64-bit digest.
 
     Written to a temporary file in the same directory, fsynced, then
     renamed over ``path``, so an interrupted write leaves the previous
@@ -387,14 +389,7 @@ def save_checkpoint(path: str, grid: Grid, t: float, step: int,
         parts.append(_pack_array(state.V))
         parts.append(_pack_array(state.A))
         parts.append(_pack_array(state.B))
-        extras = extras or {}
-        parts.append(_pack_array(extras["metric_integral"]))
-        parts.append(_pack_array(extras["g_tensor_prev"]))
-        sq_prev = np.asarray(extras["strichartz_prev"], dtype=float)
-        sq_run = np.asarray(extras["strichartz_run"], dtype=float)
-        parts.append(struct.pack("<I", sq_prev.size))
-        parts.append(_pack_array(sq_prev))
-        parts.append(_pack_array(sq_run))
+        parts.extend(_pack_entry(carry[key]) for key in ev.CARRY_KEYS)
     payload = b"".join(parts)
     header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, grid.d, grid.n,
                           grid.length, t, step, 1 if has_blob else 0)
@@ -434,40 +429,39 @@ def load_checkpoint(path: str) -> dict:
 
     grid = Grid(d=d, n=n, length=length)
     shape = grid.shape
-    npts = n**d
     offset = 0
 
-    def take(count):
+    def take(shape_t):
         nonlocal offset
+        count = int(np.prod(shape_t))
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
         offset += count * 8
-        return arr.astype(float)
+        return arr.astype(float).reshape(shape_t)
 
     def take_complex(shape_t):
-        count = 2 * int(np.prod(shape_t))
-        flat = take(count).reshape(shape_t + (2,))
-        return (flat[..., 0] + 1j * flat[..., 1]).reshape(shape_t)
+        flat = take(shape_t + (2,))
+        return flat[..., 0] + 1j * flat[..., 1]
+
+    def take_entry():
+        nonlocal offset
+        (ndim,) = struct.unpack_from("<I", payload, offset)
+        entry_shape = struct.unpack_from(f"<{ndim}I", payload, offset + 4)
+        offset += 4 * (ndim + 1)
+        return take(entry_shape)
 
     psi = take_complex(shape)
     out = {"grid": grid, "d": d, "n": n, "length": length, "t": t,
            "step": step, "psi": psi, "state": None, "extras": None}
     if flags & 1:
-        g = take(d * d * npts).reshape((d, d) + shape)
+        g = take((d, d) + shape)
         lam = take_complex((d, d) + shape)
-        V = take(d * npts).reshape((d,) + shape)
-        A = take(d * npts).reshape((d,) + shape)
-        B = take(npts).reshape(shape)
-        integ = take(d * d * npts).reshape((d, d) + shape)
-        G_prev = take(d * d * npts).reshape((d, d) + shape)
-        (ncomp,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        sq_prev = take(ncomp)
-        sq_run = take(ncomp)
+        V = take((d,) + shape)
+        A = take((d,) + shape)
+        B = take(shape)
+        out["extras"] = {key: take_entry() for key in ev.CARRY_KEYS}
         out["state"] = ge.GaugeState(grid=grid, psi=psi,
                                      metric=MetricField(grid, g), lam=lam,
                                      V=V, A=A, B=B)
-        out["extras"] = {"metric_integral": integ, "g_tensor_prev": G_prev,
-                         "strichartz_prev": sq_prev, "strichartz_run": sq_run}
     if offset != len(payload):
         raise CheckpointError("trailing bytes in checkpoint payload")
     return out
@@ -496,17 +490,14 @@ def csv_columns(ks) -> list:
     return cols
 
 
-def spatial_row(grid: Grid, psi: np.ndarray, state, ks, table) -> dict:
-    """Per-time spatial quantities; shared by the run CSV and the
-    ``norms`` subcommand so the two always agree."""
-    row = {}
-    for k in ks:
-        row[f"E{k}"] = geo.energy(grid, psi, state.metric, state.A, k)
-    row["h_sd_norm"] = sp.hs_norm(grid, psi, table.s_d)
-    row["lambda_linf"] = sp.linf_norm(grid, state.lam)
-    rep = state.constraint_report()
+def spatial_row(sample: ev.Sample, ks) -> dict:
+    """Per-time spatial quantities of one monitor sample; shared by the
+    run CSV and the ``norms`` subcommand so the two always agree."""
+    row = {f"E{k}": sample.energies[k] for k in ks}
+    row["h_sd_norm"] = sample.hs_norm
+    row["lambda_linf"] = sample.lam_linf
     for name, attr in _RESIDUAL_COLUMNS:
-        row[name] = getattr(rep, attr).l2
+        row[name] = getattr(sample.report, attr).l2
     return row
 
 
@@ -518,147 +509,66 @@ def _cmd_run(args, extras) -> int:
     cfg = load_config(args, extras)
     grid = cfg.grid()
     ecfg = cfg.evolution()
-    table = nrm.exponents(grid.d)
-    ks = cfg["monitors.k_list"]
-
-    dt_req = ecfg.effective_dt(grid)
-    n_steps = max(1, int(round(ecfg.t_end / dt_req)))
-    dt = ecfg.t_end / n_steps
+    ks = ecfg.monitor_ks
+    n_steps, dt = ev.step_count(grid, ecfg)
 
     csv_path = cfg["output.csv"] or None
     ckpt_path = cfg["output.checkpoint"] or None
     ckpt_every = cfg["output.checkpoint_every"]
 
+    start, state, carry = 0, None, None
     if args.resume:
         loaded = load_checkpoint(args.resume)
         if (loaded["d"], loaded["n"]) != (grid.d, grid.n) or not math.isclose(
             loaded["length"], grid.length, rel_tol=0, abs_tol=1e-12
         ):
             raise ConfigError("resume checkpoint grid mismatch")
-        if loaded["state"] is None or loaded["extras"] is None:
+        if loaded["state"] is None:
             raise ConfigError("resume checkpoint has no gauge/accumulator blob")
-        psi, state = loaded["psi"], loaded["state"]
+        psi, state, carry = loaded["psi"], loaded["state"], loaded["extras"]
         start = int(loaded["step"])
         if start > n_steps:
             raise ConfigError("resume checkpoint is past time.t_end")
-        extras_state = loaded["extras"]
-        integ = extras_state["metric_integral"].copy()
-        G_prev = extras_state["g_tensor_prev"].copy()
-        sq_prev = extras_state["strichartz_prev"].copy()
-        sq_run = extras_state["strichartz_run"].copy()
-        csv_file = open(csv_path, "a", newline="") if csv_path else None
+        if not math.isclose(loaded["t"], start * dt, rel_tol=1e-9, abs_tol=1e-12):
+            raise ConfigError("resume checkpoint was written with another dt")
+        if tuple(carry["ks"]) != ks:
+            raise ConfigError("resume checkpoint monitors another k_list")
     else:
-        psi0 = cfg.initial_data(grid).astype(complex)
-        state = ev.resolve_gauge(grid, psi0, ecfg)
-        psi = state.psi
-        start = 0
-        integ = state.metric.g.copy()
-        G_prev = ev.g_tensor(grid, state)
-        sq_prev = ev.strichartz_entries(grid, psi, table)
-        sq_run = np.zeros_like(sq_prev)
-        csv_file = open(csv_path, "w", newline="") if csv_path else None
-        if csv_file:
-            csv_file.write(f"# schema={CSV_SCHEMA}\n")
-            csv_file.write(",".join(csv_columns(ks)) + "\n")
-
-    def write_row(t, metric_dev):
-        if not csv_file:
-            return
-        row = spatial_row(grid, psi, state, ks, table)
-        row["t"] = t
-        row["strichartz_acc"] = float(np.sum(np.sqrt(sq_run)))
-        row["metric_dev"] = metric_dev
-        row["dt_used"] = dt
-        csv_file.write(",".join(g17(row[c]) for c in csv_columns(ks)) + "\n")
-
-    def checkpoint(t, step_index):
-        if not ckpt_path:
-            return
-        save_checkpoint(ckpt_path, grid, t, step_index, psi, state, {
-            "metric_integral": integ,
-            "g_tensor_prev": G_prev,
-            "strichartz_prev": sq_prev,
-            "strichartz_run": sq_run,
-        })
-
-    energies = {k: [] for k in ks}
-    lam_hk = {k: [] for k in ks}
-    lam_linf = []
-    hs_norms = []
-    max_res = 0.0
-
-    def record():
-        nonlocal max_res
-        for k in ks:
-            energies[k].append(geo.energy(grid, psi, state.metric, state.A, k))
-            lam_hk[k].append(
-                geo.intrinsic_norm(grid, state.lam, 0, 2, state.metric,
-                                   state.A, k)
-            )
-        hs_norms.append(sp.hs_norm(grid, psi, table.s_d))
-        lam_linf.append(sp.linf_norm(grid, state.lam))
-        max_res = max(max_res, state.constraint_report().max_l2())
-
+        psi = cfg.initial_data(grid)
+    monitor = ev.Monitor(grid, ecfg, carry)
+    csv_file = None
     try:
-        record()
-        if start == 0:
-            write_row(0.0, 0.0)
-            if ckpt_every and ckpt_path:
-                checkpoint(0.0, 0)
-        for i in range(start, n_steps):
-            resolve = not ecfg.trivial_gauge and (
-                (i + 1) % ecfg.resolve_every == 0
-            )
-            psi, state = ev.step(grid, psi, state, ecfg, dt=dt, t=i * dt,
-                                 resolve=resolve or ecfg.trivial_gauge)
-            t = (i + 1) * dt
-            sq = ev.strichartz_entries(grid, psi, table)
-            sq_run = sq_run + 0.5 * dt * (sq + sq_prev)
-            sq_prev = sq
-            G = ev.g_tensor(grid, state)
-            integ = integ + dt * (G_prev + G)
-            G_prev = G
-            record()
-            write_row(t, float(np.max(np.abs(integ - state.metric.g))))
-            if ckpt_path and (
-                (ckpt_every and (i + 1) % ckpt_every == 0) or i + 1 == n_steps
-            ):
-                checkpoint(t, i + 1)
+        for i, t, psi, state in ev.stepper(grid, psi, ecfg, state, start):
+            sample = monitor.record(psi, state)
+            if csv_path and csv_file is None:  # no file if the first solve fails
+                csv_file = open(csv_path, "a" if args.resume else "w", newline="")
+                if not args.resume:
+                    csv_file.write(f"# schema={CSV_SCHEMA}\n")
+                    csv_file.write(",".join(csv_columns(ks)) + "\n")
+            if csv_file:
+                row = spatial_row(sample, ks)
+                row.update(t=t, strichartz_acc=sample.strichartz,
+                           metric_dev=sample.metric_dev, dt_used=dt)
+                csv_file.write(",".join(g17(row[c]) for c in csv_columns(ks))
+                               + "\n")
+            if ckpt_path and ((ckpt_every and i % ckpt_every == 0)
+                              or i == n_steps):
+                save_checkpoint(ckpt_path, grid, t, i, psi, state,
+                                monitor.carry)
     finally:
         if csv_file:
             csv_file.close()
 
-    rho_max = {}
-    for k in ks:
-        E = np.array(energies[k])
-        denom = dt * np.array(lam_linf[:-1]) ** 2 * np.array(lam_hk[k][:-1]) ** 2
-        finite = denom > ecfg.rho_floor
-        if len(E) > 1 and np.any(finite):
-            rho_max[f"k{k}"] = float(
-                np.max(np.abs(np.diff(E)[finite] / denom[finite]))
-            )
-        else:
-            rho_max[f"k{k}"] = 0.0
-
+    totals = monitor.summary()
     summary = {
         "schema": "smcf-json-1",
         "t_end": ecfg.t_end,
         "dt": dt,
         "n_steps": n_steps,
         "resumed_from_step": start,
-        "sup_hs_norm": float(np.max(hs_norms)),
-        "final_hs_norm": float(hs_norms[-1]),
-        "sup_hs_ratio": (float(np.max(hs_norms) / hs_norms[0])
-                         if hs_norms[0] > 0 else 0.0),
-        "sup_lambda_linf": float(np.max(lam_linf)),
-        "strichartz_total": float(np.sum(np.sqrt(sq_run))),
-        "max_constraint_l2": max_res,
-        "final_energies": {f"k{k}": energies[k][-1] for k in ks},
-        "sup_energies": {f"k{k}": float(np.max(energies[k])) for k in ks},
-        "rho_max": rho_max,
+        **totals,
         "rho_within_budget": all(
-            r <= cfg["monitors.c_e_budget"] for r in rho_max.values()
-        ),
+            r <= ecfg.c_e_budget for r in totals["rho_max"].values()),
         "config": cfg.echo(),
     }
     _emit(dump_json(summary), cfg["output.json"] or None)
@@ -705,15 +615,8 @@ def _cmd_oracle(args, extras) -> int:
     cfg = load_config(args, extras)
     grid = cfg.grid()
     psi0 = cfg.initial_data(grid).astype(complex)
-    ocfg = im.OracleConfig(
-        t_end=cfg["oracle.t_end"],
-        dt_gauge=cfg["oracle.dt_gauge"],
-        dt_immersion=cfg["oracle.dt_immersion"],
-        construction_tol=cfg["oracle.construction_tol"],
-        elliptic=cfg.elliptic(),
-    )
     try:
-        rep = im.oracle_compare(grid, psi0, ocfg)
+        rep = im.oracle_compare(grid, psi0, cfg.oracle())
     except geo.NotContractingError as exc:
         gauge_side = isinstance(exc, im.GaugeEvolutionError)
         _emit(dump_json({
@@ -741,11 +644,7 @@ def _cmd_oracle(args, extras) -> int:
 
 
 def _cmd_norms(args, extras) -> int:
-    overrides = parse_overrides(extras)
-    for key in overrides:
-        if key not in _KEY_TABLE:
-            raise ConfigError(f"unknown configuration key {key!r}")
-    cfg_items = dict(overrides)
+    cfg_items = parse_overrides(extras)  # RunConfig.build rejects unknown keys
     loaded = load_checkpoint(args.checkpoint)
     grid = loaded["grid"]
     cfg_items.setdefault("dimension", str(grid.d))
@@ -753,12 +652,11 @@ def _cmd_norms(args, extras) -> int:
     cfg_items["grid.length"] = repr(grid.length)
     cfg = RunConfig.build(cfg_items)
     ks = cfg["monitors.k_list"]
-    table = nrm.exponents(grid.d)
     psi = loaded["psi"]
     state = loaded["state"]
     if state is None:
         state = ge.solve_elliptic_system(grid, psi, cfg.elliptic())
-    row = spatial_row(grid, psi, state, ks, table)
+    row = spatial_row(ev.Monitor(grid, cfg.evolution()).record(psi, state), ks)
     summary = {
         "schema": "smcf-json-1",
         "t": loaded["t"],

@@ -11,11 +11,16 @@ integrated exactly in Fourier space; the remaining terms are advanced
 by an explicit second-order rule (Strang splitting with a midpoint
 stage, or a Lawson-Heun exponential integrator).
 
-Alongside the trajectory the module tracks the quantities the analysis
-runs on: covariant energies E^k, the dispersive space-time accumulator,
-constraint residuals, the metric evolution law d_t g = 2G, linearized
-difference stability in flat H^{-1}, and the free-flow profile
-e^{-it Delta} psi(t) whose Cauchy differences detect scattering.
+Every run goes through one generator, ``stepper``, which yields (step
+index, t, psi, gauge state) for the initial data and after each step.
+Everything that accumulates along a run (energies E^k, constraint
+residuals, the dispersive space-time accumulator, the integrated metric
+law d_t g = 2G, the energy-growth ratios rho and the running maxima)
+lives in one ``Monitor``, whose running state is the ``carry`` that
+checkpoints save.  ``evolve`` and ``smcf run`` monitor every sample;
+the immersion oracle and ``difference_stability`` read psi only.  Also
+here: the free-flow profile e^{-it Delta} psi(t), whose Cauchy
+differences detect scattering.
 """
 
 from __future__ import annotations
@@ -37,12 +42,17 @@ from smcf.spectral import Grid
 __all__ = [
     "EvolutionConfig",
     "TrajectoryReport",
+    "Sample",
+    "Monitor",
+    "CARRY_KEYS",
     "trivial_state",
     "resolve_gauge",
     "strichartz_entries",
     "g_tensor",
     "schrodinger_rhs",
     "step",
+    "step_count",
+    "stepper",
     "evolve",
     "metric_consistency",
     "difference_stability",
@@ -51,7 +61,7 @@ __all__ = [
 
 _SCHEMES = ("split_step", "imex_rk2")
 
-# solver failures that ``evolve`` re-raises with their own type
+# solver failures that ``stepper`` re-raises with their own type
 _TYPED_STEP_ERRORS = (geo.NotContractingError, ge.SmallnessViolatedError,
                       ge.LostPositivityError, geo.SingularMetricError)
 
@@ -108,7 +118,8 @@ class TrajectoryReport:
     energy-growth ratios (E^k(t+dt)-E^k(t)) / (dt |lam|^2_{Linf}
     |lam|^2_{intrinsic-k}) between consecutive samples, NaN where the
     denominator sits below the configured floor.  ``strichartz`` is
-    the running space-time accumulator S[0, t_i].
+    the running space-time accumulator S[0, t_i]; ``metric_dev`` is as
+    in ``Monitor``.
     """
 
     grid: Grid
@@ -123,6 +134,7 @@ class TrajectoryReport:
     g_snapshots: list
     G_snapshots: list
     rho: dict
+    metric_dev: np.ndarray
     final_state: GaugeState
     diagnostics: dict = field(default_factory=dict)
 
@@ -253,122 +265,198 @@ def step(grid: Grid, psi: np.ndarray, state: GaugeState, cfg: EvolutionConfig,
 
 def strichartz_entries(grid: Grid, psi: np.ndarray, table) -> np.ndarray:
     """Squared spatial norms of the dispersive components at one time."""
-    comps = [(table.sigma_d, float(table.r_d))]
-    if table.d == 4:
-        comps.append((1.0, 4.0))
-    return np.array([nrm.wsp_norm(grid, psi, s, p) ** 2 for s, p in comps])
+    return np.array([nrm.wsp_norm(grid, psi, s, p) ** 2
+                     for s, p in nrm.strichartz_components(table)])
 
 
-def evolve(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig) -> TrajectoryReport:
-    """Run the flow from psi0 to t_end, recording every monitor.
+def step_count(grid: Grid, cfg: EvolutionConfig) -> tuple:
+    """(n_steps, dt): the configured step rounded so n_steps * dt = t_end."""
+    n_steps = max(1, int(round(cfg.t_end / cfg.effective_dt(grid))))
+    return n_steps, cfg.t_end / n_steps
 
-    The step count is rounded so the final sample lands exactly on
-    t_end; the actually-used dt is recorded in the diagnostics.  A
-    failing step raises with the step time in the message: typed solver
-    errors (not contracting, smallness, positivity, singular metric)
-    keep their type, anything else becomes a ``RuntimeError``.
+
+def stepper(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig,
+            state: GaugeState | None = None, start: int = 0):
+    """Yield (i, t_i, psi_i, state_i) along a run to t_end.
+
+    Without ``state`` the gauge of psi0 is solved and yielded as step 0;
+    with psi0's state at step ``start`` (from a checkpoint) the first
+    yield is step start + 1.  Steps follow ``step_count`` and re-solve
+    the gauge every ``resolve_every`` steps.  A failing step raises with
+    its time in the message: typed solver errors keep their type, others
+    become ``RuntimeError``.
     """
-    table = nrm.exponents(grid.d)
-    dt_req = cfg.effective_dt(grid)
-    n_steps = max(1, int(round(cfg.t_end / dt_req)))
-    dt = cfg.t_end / n_steps
-
-    state = resolve_gauge(grid, psi0.astype(complex), cfg)
-    psi = state.psi
-
-    times = [0.0]
-    psis = [psi.copy()]
-    energies = {k: [] for k in cfg.monitor_ks}
-    hs_norms = []
-    lam_linf = []
-    reports = []
-    g_snaps = []
-    G_snaps = []
-    lam_hk = {k: [] for k in cfg.monitor_ks}
-    sq_entries = []
-
-    def record(p, st):
-        for k in cfg.monitor_ks:
-            energies[k].append(geo.energy(grid, p, st.metric, st.A, k))
-            lam_hk[k].append(
-                geo.intrinsic_norm(grid, st.lam, 0, 2, st.metric, st.A, k)
-            )
-        hs_norms.append(sp.hs_norm(grid, p, table.s_d))
-        lam_linf.append(sp.linf_norm(grid, st.lam))
-        reports.append(st.constraint_report())
-        g_snaps.append(st.metric.g.copy())
-        G_snaps.append(g_tensor(grid, st))
-        sq_entries.append(strichartz_entries(grid, p, table))
-
-    record(psi, state)
-    t = 0.0
-    for i in range(n_steps):
-        resolve = not cfg.trivial_gauge and ((i + 1) % cfg.resolve_every == 0)
+    n_steps, dt = step_count(grid, cfg)
+    psi = psi0
+    if state is None:
+        state = resolve_gauge(grid, psi0.astype(complex), cfg)
+        psi = state.psi
+        yield 0, 0.0, psi, state
+    for i in range(start, n_steps):
+        t = i * dt
+        resolve = cfg.trivial_gauge or (i + 1) % cfg.resolve_every == 0
         try:
-            psi, state = step(grid, psi, state, cfg, dt=dt, t=t,
-                              resolve=resolve or cfg.trivial_gauge)
+            psi, state = step(grid, psi, state, cfg, dt=dt, t=t, resolve=resolve)
         except _TYPED_STEP_ERRORS as exc:
             typed = copy.copy(exc)  # keeps attributes such as ``residual``
             typed.args = (f"step failed at t = {t:.6g}: {exc}",)
             raise typed from exc
         except Exception as exc:
             raise RuntimeError(f"step failed at t = {t:.6g}: {exc}") from exc
-        t = (i + 1) * dt
-        times.append(t)
+        yield i + 1, (i + 1) * dt, psi, state
+
+
+@dataclass
+class Sample:
+    """The monitors at one sample time; ``rho`` is empty at the first."""
+
+    energies: dict
+    lam_norms: dict
+    hs_norm: float
+    lam_linf: float
+    report: geo.ConstraintReport
+    G: np.ndarray
+    strichartz: float = 0.0
+    metric_dev: float = 0.0
+    rho: dict = field(default_factory=dict)
+
+
+#: the entries of ``Monitor.carry``, in checkpoint order
+CARRY_KEYS = ("ks", "metric_integral", "g_tensor_prev", "strichartz_prev",
+              "strichartz_run", "energies", "lam_norms", "lam_linf", "hs_norm",
+              "hs_norm0", "sup_hs_norm", "sup_lam_linf", "sup_energies",
+              "max_constraint", "rho_max")
+
+
+class Monitor:
+    """Running monitors of one run, fed the stepper's samples in order.
+
+    ``record`` takes the spatial monitors of a sample (E^k and the lam
+    k-norms in one derivative pass each) and, with the run's dt, the
+    Strichartz sums S += dt/2 (sq + sq_prev), the trapezoid integral of
+    d_t g = 2G with ``metric_dev``, and rho^k = (E^k - E^k_prev) /
+    (dt |lam_prev|^2_{Linf} |lam_prev|^2_{intrinsic-k}), NaN below
+    ``rho_floor``.  ``carry`` (float arrays keyed by ``CARRY_KEYS``) is
+    the whole running state: None before the first sample, restored
+    from a checkpoint on resume.
+    """
+
+    def __init__(self, grid: Grid, cfg: EvolutionConfig, carry: dict | None = None):
+        self.grid = grid
+        self.ks, self.rho_floor = tuple(cfg.monitor_ks), cfg.rho_floor
+        self.dt = step_count(grid, cfg)[1]
+        self.table = nrm.exponents(grid.d)
+        self.carry = carry
+
+    def record(self, psi: np.ndarray, state: GaugeState) -> Sample:
+        grid, ks, dt, m = self.grid, self.ks, self.dt, state.metric
+        psi_norms = geo.intrinsic_norms(grid, psi, 0, 0, m, state.A, ks)
+        smp = Sample(
+            energies={k: psi_norms[k] ** 2 for k in ks},
+            lam_norms=geo.intrinsic_norms(grid, state.lam, 0, 2, m, state.A, ks),
+            hs_norm=sp.hs_norm(grid, psi, self.table.s_d),
+            lam_linf=sp.linf_norm(grid, state.lam),
+            report=state.constraint_report(),
+            G=g_tensor(grid, state),
+        )
+        sq = strichartz_entries(grid, psi, self.table)
+        E = np.array([smp.energies[k] for k in ks])
+        H = np.array([smp.lam_norms[k] for k in ks])
+        c = self.carry
+        if c is None:  # norms are >= 0, so 0 starts the running maxima
+            c = self.carry = {
+                "ks": np.array(ks, dtype=float),
+                "metric_integral": m.g.copy(), "strichartz_run": np.zeros_like(sq),
+                "hs_norm0": smp.hs_norm, "sup_hs_norm": 0.0, "sup_lam_linf": 0.0,
+                "sup_energies": np.zeros(len(ks)), "max_constraint": 0.0,
+                "rho_max": np.zeros(len(ks)),
+            }
+        else:
+            c["strichartz_run"] = (c["strichartz_run"]
+                                   + 0.5 * dt * (sq + c["strichartz_prev"]))
+            c["metric_integral"] = (c["metric_integral"]
+                                    + dt * (c["g_tensor_prev"] + smp.G))
+            smp.metric_dev = float(np.max(np.abs(c["metric_integral"] - m.g)))
+            denom = (dt * (c["lam_linf"] * c["lam_linf"])
+                     * (c["lam_norms"] * c["lam_norms"]))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rho = np.where(denom > self.rho_floor,
+                               (E - c["energies"]) / denom, np.nan)
+            c["rho_max"] = np.fmax(c["rho_max"], np.abs(rho))
+            smp.rho = dict(zip(ks, rho.tolist()))
+        c["sup_hs_norm"] = np.maximum(c["sup_hs_norm"], smp.hs_norm)
+        c["sup_lam_linf"] = np.maximum(c["sup_lam_linf"], smp.lam_linf)
+        c["sup_energies"] = np.maximum(c["sup_energies"], E)
+        c["max_constraint"] = max(c["max_constraint"], smp.report.max_l2())
+        c.update(g_tensor_prev=smp.G, strichartz_prev=sq, energies=E,
+                 lam_norms=H, lam_linf=smp.lam_linf, hs_norm=smp.hs_norm)
+        smp.strichartz = float(np.sum(np.sqrt(c["strichartz_run"])))
+        return smp
+
+    def summary(self) -> dict:
+        """Run-level results read off the carry, keyed as in the JSON
+        summary of ``smcf run``."""
+        c = self.carry
+
+        def per_k(values):
+            return {f"k{k}": float(v) for k, v in zip(self.ks, values)}
+
+        return {
+            "sup_hs_norm": float(c["sup_hs_norm"]),
+            "final_hs_norm": float(c["hs_norm"]),
+            "sup_hs_ratio": (float(c["sup_hs_norm"] / c["hs_norm0"])
+                             if c["hs_norm0"] > 0 else 0.0),
+            "sup_lambda_linf": float(c["sup_lam_linf"]),
+            "strichartz_total": float(np.sum(np.sqrt(c["strichartz_run"]))),
+            "max_constraint_l2": float(c["max_constraint"]),
+            "final_energies": per_k(c["energies"]),
+            "sup_energies": per_k(c["sup_energies"]),
+            "rho_max": per_k(c["rho_max"]),
+        }
+
+
+def evolve(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig) -> TrajectoryReport:
+    """Run the flow from psi0 to t_end, keeping every sample of every
+    monitor.  Step count, dt (recorded in the diagnostics) and step
+    failures are as in ``stepper``."""
+    monitor = Monitor(grid, cfg)
+    samples, psis, g_snaps = [], [], []
+    for _, _, psi, state in stepper(grid, psi0, cfg):
+        samples.append(monitor.record(psi, state))
         psis.append(psi.copy())
-        record(psi, state)
+        g_snaps.append(state.metric.g.copy())
 
-    times = np.array(times)
-    # running dispersive accumulator by cumulative trapezoid per component
-    sq = np.array(sq_entries)  # (samples, components)
-    acc = np.zeros(len(times))
-    run = np.zeros(sq.shape[1])
-    for i in range(1, len(times)):
-        run = run + 0.5 * (times[i] - times[i - 1]) * (sq[i] + sq[i - 1])
-        acc[i] = float(np.sum(np.sqrt(run)))
+    def series(attr):
+        return np.array([getattr(s, attr) for s in samples])
 
-    rho = {}
-    for k in cfg.monitor_ks:
-        E = np.array(energies[k])
-        denom = dt * np.array(lam_linf[:-1]) ** 2 * np.array(lam_hk[k][:-1]) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(denom > cfg.rho_floor, np.diff(E) / denom, np.nan)
-        rho[k] = r
-
+    totals = monitor.summary()
     return TrajectoryReport(
         grid=grid,
         config=cfg,
-        times=times,
+        times=np.arange(len(samples)) * monitor.dt,
         psis=psis,
-        energies={k: np.array(v) for k, v in energies.items()},
-        hs_norms=np.array(hs_norms),
-        lam_linf=np.array(lam_linf),
-        strichartz=acc,
-        reports=reports,
+        energies={k: np.array([s.energies[k] for s in samples])
+                  for k in cfg.monitor_ks},
+        hs_norms=series("hs_norm"),
+        lam_linf=series("lam_linf"),
+        strichartz=series("strichartz"),
+        reports=[s.report for s in samples],
         g_snapshots=g_snaps,
-        G_snapshots=G_snaps,
-        rho=rho,
+        G_snapshots=[s.G for s in samples],
+        rho={k: np.array([s.rho[k] for s in samples[1:]])
+             for k in cfg.monitor_ks},
+        metric_dev=series("metric_dev"),
         final_state=state,
-        diagnostics={
-            "dt": dt,
-            "n_steps": n_steps,
-            "sup_hs_norm": float(np.max(hs_norms)),
-            "strichartz_total": float(acc[-1]),
-            "max_constraint_l2": max(r.max_l2() for r in reports),
-        },
+        diagnostics={"dt": monitor.dt, "n_steps": len(samples) - 1, **{
+            key: totals[key] for key in ("sup_hs_norm", "strichartz_total",
+                                         "max_constraint_l2")}},
     )
 
 
 def metric_consistency(traj: TrajectoryReport) -> np.ndarray:
-    """Deviation of the trapezoid integral of d_t g = 2G from the
-    elliptically re-solved metric, in L-infinity, per sample time."""
-    integ = traj.g_snapshots[0].copy()
-    devs = [0.0]
-    for i in range(1, len(traj.times)):
-        h = traj.times[i] - traj.times[i - 1]
-        integ = integ + h * (traj.G_snapshots[i - 1] + traj.G_snapshots[i])
-        devs.append(float(np.max(np.abs(integ - traj.g_snapshots[i]))))
-    return np.array(devs)
+    """L-infinity deviation of the integrated d_t g = 2G from the solved
+    metric per sample time (``Monitor`` integrates with weight dt)."""
+    return traj.metric_dev
 
 
 def difference_stability(grid: Grid, psi0: np.ndarray, dpsi0: np.ndarray,
@@ -381,18 +469,16 @@ def difference_stability(grid: Grid, psi0: np.ndarray, dpsi0: np.ndarray,
     exceeds the stability budget.
     """
     base = sp.hs_norm(grid, dpsi0, -1.0)
-    traj1 = evolve(grid, psi0, cfg)
-    traj2 = evolve(grid, psi0 + dpsi0, cfg)
-    if base == 0.0:
-        diffs = [sp.hs_norm(grid, b - a, -1.0)
-                 for a, b in zip(traj1.psis, traj2.psis)]
-        if max(diffs) != 0.0:
-            raise RuntimeError("identical data produced distinct trajectories")
-        return np.zeros(len(traj1.times))
-    r = np.array([
-        sp.hs_norm(grid, b - a, -1.0) / base
-        for a, b in zip(traj1.psis, traj2.psis)
+    diffs = np.array([
+        sp.hs_norm(grid, b - a, -1.0)
+        for (_, _, a, _), (_, _, b, _) in zip(stepper(grid, psi0, cfg),
+                                              stepper(grid, psi0 + dpsi0, cfg))
     ])
+    if base == 0.0:
+        if np.max(diffs) != 0.0:
+            raise RuntimeError("identical data produced distinct trajectories")
+        return diffs
+    r = diffs / base
     if np.max(r) > budget:
         raise RuntimeError(
             f"difference growth {np.max(r):.3g} exceeds the budget {budget:g}"

@@ -28,6 +28,7 @@ __all__ = [
     "curvature",
     "tensor_norm_sq_field",
     "intrinsic_norm",
+    "intrinsic_norms",
     "flat_sobolev_norm",
     "energy",
     "Residual",
@@ -281,23 +282,28 @@ def intrinsic_norm(grid, T, nup, nlow, metric=None, A=None, k=0):
     Derivative indices count as lower indices; dmu = sqrt(det g) dx.
     Negative k is out of scope (the duality definition is test-only).
     """
-    if k < 0:
+    return intrinsic_norms(grid, T, nup, nlow, metric, A, (k,))[k]
+
+
+def intrinsic_norms(grid, T, nup, nlow, metric=None, A=None, ks=(0,)):
+    """``intrinsic_norm`` for every order in ``ks``, keyed by order, from
+    one pass over the derivative levels (bit-identical to per-k calls)."""
+    if any(k < 0 for k in ks):
         raise ValueError("negative intrinsic norms are not a runtime operation")
-    if metric is None:
-        metric_for_int = None
-        sqrt_det = 1.0
-    else:
-        metric_for_int = metric
-        sqrt_det = metric.sqrt_det
+    sqrt_det = 1.0 if metric is None else metric.sqrt_det
+    top = max(ks, default=-1)
+    norms = {}
     total = 0.0
     cur, up, low = np.asarray(T), nup, nlow
-    for level in range(k + 1):
-        dens = tensor_norm_sq_field(grid, cur, up, low, metric_for_int)
+    for level in range(top + 1):
+        dens = tensor_norm_sq_field(grid, cur, up, low, metric)
         total += float(np.sum(dens * sqrt_det) * grid.cell_volume)
-        if level < k:
-            cur = covariant_derivative(grid, cur, up, low, metric_for_int, A)
+        if level in ks:
+            norms[level] = float(np.sqrt(total))
+        if level < top:
+            cur = covariant_derivative(grid, cur, up, low, metric, A)
             low += 1
-    return float(np.sqrt(total))
+    return norms
 
 
 def flat_sobolev_norm(grid, T, k):

@@ -502,7 +502,8 @@ def oracle_compare(grid: Grid, psi0: np.ndarray, cfg: OracleConfig) -> OracleRep
         ecfg = ev.EvolutionConfig(dt=cfg.dt_gauge, t_end=cfg.t_end,
                                   elliptic=cfg.elliptic)
         try:
-            psi_g = ev.evolve(grid, psi0, ecfg).psis[-1]
+            for _, _, psi_g, _ in ev.stepper(grid, psi0, ecfg):
+                pass
         except geo.NotContractingError as exc:
             raise GaugeEvolutionError(f"gauge evolution: {exc}",
                                       residual=exc.residual) from exc

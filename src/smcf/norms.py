@@ -21,6 +21,7 @@ __all__ = [
     "ExponentTable",
     "exponents",
     "wsp_norm",
+    "strichartz_components",
     "strichartz_accumulate",
     "PairReport",
     "pair_check",
@@ -88,25 +89,30 @@ def wsp_norm(grid: Grid, f: np.ndarray, s: float, p: float) -> float:
     return float(np.sqrt(total))
 
 
+def strichartz_components(table: ExponentTable) -> list:
+    """(s, p) of the spatial W^{s,p} norms in the space-time dispersive
+    norm: W^{sigma_d, r_d}, plus W^{1,4} in dimension 4."""
+    components = [(table.sigma_d, float(table.r_d))]
+    if table.d == 4:
+        components.append((1.0, 4.0))
+    return components
+
+
 def strichartz_accumulate(grid: Grid, samples, table: ExponentTable) -> float:
     """Space-time dispersive norm from time samples of a field.
 
     ``samples`` is an increasing sequence of (t, field).  Each
-    component is an L^2-in-time norm of a spatial W^{s,p} norm,
-    evaluated by trapezoid quadrature of the squared spatial norms.
-    Dimension 4 sums the W^{1,4} and W^{sigma_d, r_d} components; all
-    other dimensions use the single W^{sigma_d, r_d} component.
+    component of ``strichartz_components`` is an L^2-in-time norm of a
+    spatial W^{s,p} norm, evaluated by trapezoid quadrature of the
+    squared spatial norms, and the components are summed.
     """
     if len(samples) < 2:
         raise ValueError("need at least two time samples")
     times = np.array([t for t, _ in samples], dtype=float)
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample times must be strictly increasing")
-    components = [(table.sigma_d, float(table.r_d))]
-    if table.d == 4:
-        components.append((1.0, 4.0))
     total = 0.0
-    for s, p in components:
+    for s, p in strichartz_components(table):
         vals = np.array([wsp_norm(grid, f, s, p) ** 2 for _, f in samples])
         total += float(np.sqrt(np.trapezoid(vals, times)))
     return total

@@ -1,10 +1,15 @@
+import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smcf import cli
 from smcf import evolution as ev
+from smcf import gauge_elliptic as ge
 from smcf import geometry as geo
 from smcf import immersion as im
 from smcf.spectral import Grid
@@ -65,6 +70,10 @@ class TestConfigParsing:
         assert run_cli("run", "--config", "/dev/null", "--bogus=1") == 2
         assert run_cli("run", "--config", "/dev/null", "--grid.n=7") == 2
 
+    def test_t_end_below_one_step_exits_2(self):
+        assert run_cli("run", "--config", "/dev/null", "--time.dt=0.5",
+                       "--time.t_end=0.1") == 2
+
     def test_g17_roundtrip(self):
         for x in (0.1, math.pi, 1e-300, -3.5537e-10):
             assert float(cli.g17(x)) == x
@@ -110,6 +119,56 @@ class TestCheckpoint:
         assert (loaded["t"], loaded["step"]) == (0.25, 5)
         assert loaded["psi"].tobytes() == psi.tobytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["e.ckpt"]
+
+    def test_version_1_rejected(self, tmp_path):
+        grid = Grid(d=2, n=16)
+        path = tmp_path / "v1.ckpt"
+        cli.save_checkpoint(str(path), grid, 0.0, 0, np.zeros(grid.shape, complex))
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (1).to_bytes(4, "little")  # the digest covers the payload only
+        path.write_bytes(bytes(raw))
+        with pytest.raises(cli.CheckpointError, match="unsupported checkpoint version 1"):
+            cli.load_checkpoint(str(path))
+
+    @settings(max_examples=12, deadline=None)
+    @given(d=st.sampled_from([2, 3]), n=st.sampled_from([8, 10, 12]),
+           nk=st.integers(1, 3), ncomp=st.integers(1, 2),
+           seed=st.integers(0, 2**32 - 1),
+           t=st.floats(0.0, 1e3, allow_nan=False), step=st.integers(0, 2**40))
+    def test_roundtrip_gauge_blob_and_carry(self, d, n, nk, ncomp, seed, t, step):
+        grid = Grid(d=d, n=n)
+        rng = np.random.default_rng(seed)
+
+        def real(*lead):
+            return rng.standard_normal(lead + grid.shape)
+
+        g = np.eye(d).reshape((d, d) + (1,) * d) + 0.05 * real(d, d)
+        g = 0.5 * (g + np.swapaxes(g, 0, 1))
+        psi = real() + 1j * real()
+        state = ge.GaugeState(grid=grid, psi=psi, metric=geo.MetricField(grid, g),
+                              lam=real(d, d) + 1j * real(d, d), V=real(d),
+                              A=real(d), B=real())
+        shapes = {"ks": (nk,), "metric_integral": (d, d) + grid.shape,
+                  "g_tensor_prev": (d, d) + grid.shape,
+                  "strichartz_prev": (ncomp,), "strichartz_run": (ncomp,),
+                  "energies": (nk,), "lam_norms": (nk,), "sup_energies": (nk,),
+                  "rho_max": (nk,)}
+        carry = {key: rng.standard_normal(shapes.get(key, ()))
+                 for key in ev.CARRY_KEYS}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/p.ckpt"
+            cli.save_checkpoint(path, grid, t, step, psi, state, carry)
+            loaded = cli.load_checkpoint(path)
+        assert (loaded["t"], loaded["step"]) == (t, step)
+        got = loaded["state"]
+        for a, b in ((psi, loaded["psi"]), (g, got.metric.g),
+                     (state.lam, got.lam), (state.V, got.V),
+                     (state.A, got.A), (state.B, got.B)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert list(loaded["extras"]) == list(ev.CARRY_KEYS)
+        for key, value in carry.items():
+            back = loaded["extras"][key]
+            assert back.shape == value.shape and back.tobytes() == value.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
@@ -178,6 +237,33 @@ class TestRun:
         assert a["state"].metric.g.tobytes() == b["state"].metric.g.tobytes()
         assert np.array_equal(a["extras"]["strichartz_run"],
                               b["extras"]["strichartz_run"])
+
+    def test_resumed_summary_matches_uninterrupted(self, tmp_path):
+        args = [*BASE, "--data.amplitude=3e-2"]
+        full_js = tmp_path / "full.json"
+        half_ck = tmp_path / "half.ckpt"
+        res_js = tmp_path / "res.json"
+        assert run_cli("run", *args, "--time.t_end=0.4",
+                       f"--output.json={full_js}") == 0
+        assert run_cli("run", *args, "--time.t_end=0.2",
+                       f"--output.checkpoint={half_ck}",
+                       "--output.json=/dev/null") == 0
+        assert run_cli("run", *args, "--time.t_end=0.4", f"--resume={half_ck}",
+                       f"--output.json={res_js}") == 0
+        full = json.loads(full_js.read_text())
+        res = json.loads(res_js.read_text())
+        assert (full["resumed_from_step"], res["resumed_from_step"]) == (0, 4)
+        for key in ("resumed_from_step", "config"):
+            del full[key], res[key]
+        assert res == full
+
+    def test_resume_with_other_dt_exits_2(self, tmp_path):
+        ck = tmp_path / "h.ckpt"
+        assert run_cli("run", *BASE, "--time.t_end=0.2",
+                       f"--output.checkpoint={ck}",
+                       "--output.json=/dev/null") == 0
+        assert run_cli("run", *BASE, "--time.dt=0.025", "--time.t_end=0.2",
+                       f"--resume={ck}", "--output.json=/dev/null") == 2
 
     def test_resume_grid_mismatch(self, tmp_path):
         ck = tmp_path / "m.ckpt"

@@ -203,6 +203,20 @@ class TestEvolve:
         assert np.max(np.abs(G - np.einsum("ab...->ba...", G))) <= 1e-12
 
 
+class TestMonitor:
+    @pytest.mark.parametrize("ks", [(0, 1, 2), (0, 2)])
+    def test_one_pass_norms_match_per_order_calls(self, grid2, ks):
+        st = ge.solve_elliptic_system(grid2, gaussian_psi(grid2, amp=3e-2), ECFG)
+        m, A = st.metric, st.A
+        assert np.max(np.abs(m.h)) > 0 and np.max(np.abs(A)) > 0
+        smp = ev.Monitor(grid2, make_cfg(monitor_ks=ks)).record(st.psi, st)
+        assert sorted(smp.energies) == sorted(smp.lam_norms) == sorted(ks)
+        for k in ks:
+            assert smp.energies[k] == geo.energy(grid2, st.psi, m, A, k)
+            assert smp.lam_norms[k] == geo.intrinsic_norm(grid2, st.lam, 0, 2,
+                                                          m, A, k)
+
+
 class TestMetricConsistency:
     def test_zero_data(self, grid2):
         cfg = make_cfg(dt=0.05, t_end=0.1)
