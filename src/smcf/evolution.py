@@ -131,7 +131,6 @@ class TrajectoryReport:
     lam_linf: np.ndarray
     strichartz: np.ndarray
     reports: list
-    g_snapshots: list
     G_snapshots: list
     rho: dict
     metric_dev: np.ndarray
@@ -420,11 +419,10 @@ def evolve(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig) -> TrajectoryRepo
     monitor.  Step count, dt (recorded in the diagnostics) and step
     failures are as in ``stepper``."""
     monitor = Monitor(grid, cfg)
-    samples, psis, g_snaps = [], [], []
+    samples, psis = [], []
     for _, _, psi, state in stepper(grid, psi0, cfg):
         samples.append(monitor.record(psi, state))
         psis.append(psi.copy())
-        g_snaps.append(state.metric.g.copy())
 
     def series(attr):
         return np.array([getattr(s, attr) for s in samples])
@@ -441,7 +439,6 @@ def evolve(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig) -> TrajectoryRepo
         lam_linf=series("lam_linf"),
         strichartz=series("strichartz"),
         reports=[s.report for s in samples],
-        g_snapshots=g_snaps,
         G_snapshots=[s.G for s in samples],
         rho={k: np.array([s.rho[k] for s in samples[1:]])
              for k in cfg.monitor_ks},

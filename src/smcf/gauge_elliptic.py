@@ -143,17 +143,19 @@ def _iterate(update, x0, cfg, name, tol=None):
 def _hodge_solve(grid, curl, div):
     """Flat div-curl solve: d_a u_b - d_b u_a = curl_ab, d_a u_a = div.
 
-    Frequency-wise u_b = (xi_b div + xi_a curl_ab) / (i |xi|^2); the
-    zero mode is dropped (torus kernel).
+    Frequency-wise u_b = (xi_b div + xi_a curl_ab) / (i |xi|^2), i.e.
+    -(i xi_b div + i xi_a curl_ab) / |xi|^2; the zero mode is dropped
+    (torus kernel).  Axes of curl after (a, b), and the matching leading
+    axes of div, are solved side by side.  Real data is solved on the
+    half spectrum.
     """
-    Ch = grid.fft(curl)
-    Dh = grid.fft(div)
-    k = grid.wavenumbers()
-    k2 = grid.k_squared()
-    num = k * Dh[np.newaxis] + np.einsum("a...,ab...->b...", k, Ch)
-    denom = np.where(k2 > 0, k2, 1.0)
-    uh = np.where(k2 > 0, num / (1j * denom), 0.0)
-    return grid.ifft(uh)
+    if np.iscomplexobj(curl) or np.iscomplexobj(div):
+        curl, div = curl.astype(complex, copy=False), div.astype(complex, copy=False)
+    Ch, mult, inverse = sp.spectrum(grid, curl)
+    Dh = sp.spectrum(grid, div)[0]
+    num = np.einsum("b...,...->b...", mult.ik, Dh) \
+        + np.einsum("a...,ab...->b...", mult.ik, Ch)
+    return inverse(mult.inv_lap * num)
 
 
 def flat_lambda(grid: Grid, psi: np.ndarray) -> np.ndarray:
@@ -179,21 +181,17 @@ def recover_lambda(grid, psi, metric, A, cfg: EllipticConfig) -> np.ndarray:
     dpsi = sp.gradient(grid, psi) + 1j * A * psi  # gauged gradient of psi
 
     def update(lam):
-        # flat curl data: Gamma and A corrections of the covariant curl
-        gl = np.einsum("sag...,bs...->abg...", Gam, lam)
+        # flat curl data (a, b, g): Gamma and A corrections of the covariant curl
+        gl = np.einsum("sag...,bs...->abg...", Gam, lam) \
+            - 1j * np.einsum("a...,bg...->abg...", A, lam)
         C = gl - np.einsum("abg...->bag...", gl)
-        C = C - 1j * np.einsum("a...,bg...->abg...", A, lam) \
-            + 1j * np.einsum("b...,ag...->abg...", A, lam)
         # flat divergence data: move the non-flat part of the gauged
         # covariant divergence to the right-hand side
         dlam = sp.gradient(grid, lam)  # (c, a, b), flat
         flat_div = np.einsum("aab...->b...", dlam)
         dlam = geo._add_connection(grid, lam, dlam, 0, 2, metric, A)
-        cov_div = np.einsum("ca...,cab...->b...", metric.inv, dlam)
-        D = dpsi - cov_div + flat_div
-        lam_new = np.empty_like(lam)
-        for g in range(grid.d):
-            lam_new[:, g] = _hodge_solve(grid, C[:, :, g], D[g])
+        D = dpsi - np.einsum("ca...,cab...->b...", metric.inv, dlam) + flat_div
+        lam_new = _hodge_solve(grid, C, D)  # every column g at once
         return 0.5 * (lam_new + np.einsum("ab...->ba...", lam_new))
 
     lam0 = flat_lambda(grid, psi)
@@ -201,10 +199,12 @@ def recover_lambda(grid, psi, metric, A, cfg: EllipticConfig) -> np.ndarray:
     return lam
 
 
-def _metric_rhs(grid, m, lam, psi):
-    """Right-hand side of the harmonic-coordinate metric equation."""
-    dg = sp.gradient(grid, m.g).real       # (c, a, b) = d_c g_ab
-    dginv = sp.gradient(grid, m.inv).real  # (c, a, b) = d_c g^{ab}
+def _metric_rhs(grid, m, lam, psi, dg=None):
+    """Right-hand side of the harmonic-coordinate metric equation;
+    ``dg`` is ``sp.gradient`` of m.g if the caller has it."""
+    if dg is None:
+        dg = sp.gradient(grid, m.g)    # (c, a, b) = d_c g_ab
+    dginv = sp.gradient(grid, m.inv)  # (c, a, b) = d_c g^{ab}
     t = np.einsum("gab...,bas...->gs...", dginv, dg)
     rhs = -t - np.einsum("gs...->sg...", t)
     rhs += np.einsum("gab...,sab...->gs...", dg, dginv)
@@ -217,14 +217,14 @@ def _metric_rhs(grid, m, lam, psi):
     return rhs
 
 
-def _weighted_second(grid, coeff, g):
-    """coeff^{ab}(x) d^2_{ab} g, accumulated pairwise to bound memory."""
-    k = grid.wavenumbers()
-    gh = grid.fft(g)
+def _weighted_second(grid, coeff, g, gh=None):
+    """Re coeff^{ab}(x) d^2_{ab} g for a symmetric coeff, accumulated
+    pairwise to bound memory (``gh`` as in ``sp.spectrum``)."""
+    gh, mult, inverse = sp.spectrum(grid, g, gh)
     acc = np.zeros(g.shape)
     for a in range(grid.d):
         for b in range(a, grid.d):
-            d2 = grid.ifft(-k[a] * k[b] * gh).real
+            d2 = inverse(mult.kk[a, b] * gh).real
             fac = 1.0 if a == b else 2.0
             acc += fac * coeff[a, b] * d2
     return acc
@@ -248,14 +248,19 @@ def solve_metric(grid, lam, psi, cfg: EllipticConfig, g0: MetricField | None = N
     eye = np.eye(grid.d).reshape((grid.d, grid.d) + (1,) * grid.d)
 
     def update(h):
+        # g is transformed once per sweep; its spectrum and gradient serve
+        # the Christoffel symbols, the right-hand side and the principal term
+        g = 0.5 * (h + np.einsum("ab...->ba...", h)) + eye
+        gh = grid.rfft(g)
+        dg = sp.gradient(grid, g, gh)
         try:
-            m = MetricField.from_h(grid, 0.5 * (h + np.einsum("ab...->ba...", h)))
+            m = MetricField(grid, g, dg)
         except geo.SingularMetricError as exc:
             raise LostPositivityError(str(exc)) from exc
-        rhs = _metric_rhs(grid, m, lam, psi)
+        rhs = _metric_rhs(grid, m, lam, psi, dg)
         # move the variable-coefficient part of the principal term over
-        acc = _weighted_second(grid, m.inv - eye, m.g)
-        h_new = sp.inverse_laplacian(grid, rhs - acc).real
+        acc = _weighted_second(grid, m.inv - eye, g, gh)
+        h_new = sp.inverse_laplacian(grid, rhs - acc)
         h_new = 0.5 * (h_new + np.einsum("ab...->ba...", h_new))
         return _mean_zero(grid, h_new)
 
@@ -266,9 +271,14 @@ def solve_metric(grid, lam, psi, cfg: EllipticConfig, g0: MetricField | None = N
         raise LostPositivityError(str(exc)) from exc
 
 
-def _vector_laplacian(grid, metric, dV):
-    """Covariant vector Laplacian of V, from dV = nabla V, index order (g, c)."""
-    d2 = geo.covariant_derivative(grid, dV, 1, 1, metric)       # (g, c2, c1)
+def _vector_laplacian(grid, metric, V, dV):
+    """Covariant vector Laplacian g^{bc} nabla_b nabla_c V^g, with
+    dV = nabla V in index order (g, c).  The flat second derivatives of V
+    come from ``sp.hessian``, not from differentiating dV (which would
+    drop the diagonal Nyquist mode of a real V)."""
+    flat = np.einsum("bcg...->bgc...", sp.hessian(grid, V)) \
+        + sp.gradient(grid, np.einsum("gcs...,s...->gc...", metric.christoffel, V))
+    d2 = geo._add_connection(grid, dV, flat, 1, 1, metric, None)  # (g, c2, c1)
     return np.einsum("bc...,gbc...->g...", metric.inv, d2)
 
 
@@ -305,7 +315,7 @@ def _advection_rhs(metric, source, V, dV):
 def advection_equation_residual(grid, metric, lam, psi, V):
     """Literal left-minus-right of the advection equation (mean-projected)."""
     dV = geo.covariant_derivative(grid, V, 1, 0, metric)
-    res = _vector_laplacian(grid, metric, dV).real \
+    res = _vector_laplacian(grid, metric, V, dV).real \
         - _advection_rhs(metric, _advection_source(grid, metric, lam, psi), V, dV)
     return _mean_zero(grid, res)
 
@@ -346,10 +356,10 @@ def _solve_A(grid, lam, metric, cfg, A0):
     defect = metric.harmonic_defect()
 
     def update_A(A):
-        dA = sp.gradient(grid, A).real  # (c, b) = d_c A_b
+        dA = sp.gradient(grid, A)  # (c, b) = d_c A_b
         div_data = -np.einsum("cb...,cb...->...", w, dA) \
             + np.einsum("c...,c...->...", defect, A)
-        return _hodge_solve(grid, F, div_data).real
+        return _hodge_solve(grid, F, div_data)
 
     A, _ = _iterate(update_A, A0, cfg, "Coulomb connection")
     return A
@@ -365,8 +375,7 @@ def _solve_VB(grid, lam, psi, metric, A, cfg, V0):
         dV = geo.covariant_derivative(grid, V, 1, 0, metric)
         rhs = _advection_rhs(metric, source, V, dV)
         V_new = V + sp.inverse_laplacian(
-            grid, rhs - _vector_laplacian(grid, metric, dV).real
-        ).real
+            grid, rhs - _vector_laplacian(grid, metric, V, dV))
         return _mean_zero(grid, V_new)
 
     V, _ = _iterate(update_V, V0, cfg, "advection field")

@@ -119,7 +119,10 @@ class MetricField:
     ``min_eigenvalue`` is computed on first access.
     """
 
-    def __init__(self, grid: Grid, g: np.ndarray):
+    def __init__(self, grid: Grid, g: np.ndarray, dg: np.ndarray | None = None):
+        """``dg``, if given, is ``spectral.gradient`` of the symmetric g,
+        for a caller that needs it too; it is used for the Christoffel
+        symbols and not kept."""
         g = np.asarray(g, dtype=float)
         if g.shape != (grid.d, grid.d) + grid.shape:
             raise ValueError(f"metric shape {g.shape} does not match grid")
@@ -130,7 +133,8 @@ class MetricField:
         self.g = 0.5 * (g + np.swapaxes(g, 0, 1))  # exact symmetry by storage
         self.inv, det = _ldl_inverse(self.g)
         self.sqrt_det = np.sqrt(det)
-        self.christoffel = self._christoffel()
+        self.christoffel = self._christoffel(
+            sp.gradient(grid, self.g) if dg is None else dg)
 
     @functools.cached_property
     def min_eigenvalue(self) -> float:
@@ -157,9 +161,9 @@ class MetricField:
             h[a, a] -= 1.0
         return h
 
-    def _christoffel(self) -> np.ndarray:
-        """Gamma^c_{ab} = 1/2 g^{cs} (d_b g_{as} + d_a g_{bs} - d_s g_{ab})."""
-        dg = sp.gradient(self.grid, self.g).real  # dg[s, a, b] = d_s g_{ab}
+    def _christoffel(self, dg) -> np.ndarray:
+        """Gamma^c_{ab} = 1/2 g^{cs} (d_b g_{as} + d_a g_{bs} - d_s g_{ab}),
+        from dg[s, a, b] = d_s g_{ab}."""
         low = 0.5 * (
             np.einsum("bas...->sab...", dg)
             + np.einsum("abs...->sab...", dg)
@@ -168,16 +172,12 @@ class MetricField:
         return np.einsum("cs...,sab...->cab...", self.inv, low)
 
     def laplace_beltrami(self, f: np.ndarray) -> np.ndarray:
-        """Delta_g f for a scalar f: g^{ab}(d2_ab f - Gamma^c_ab d_c f)."""
-        df = sp.gradient(self.grid, f)
-        d2f = np.stack([sp.gradient(self.grid, df[a]) for a in range(self.grid.d)])
-        out = np.einsum("ab...,ab...->...", self.inv.astype(d2f.dtype), d2f)
-        out -= np.einsum(
-            "ab...,cab...,c...->...",
-            self.inv.astype(df.dtype),
-            self.christoffel.astype(df.dtype),
-            df,
-        )
+        """Delta_g f for a scalar f: g^{ab}(d2_ab f - Gamma^c_ab d_c f),
+        both derivatives from one transform of f; real for a real f."""
+        fh = sp.spectrum(self.grid, f)[0]
+        out = np.einsum("ab...,ab...->...", self.inv, sp.hessian(self.grid, f, fh))
+        out -= np.einsum("c...,c...->...", self.harmonic_defect(),
+                         sp.gradient(self.grid, f, fh))
         return out
 
     def harmonic_defect(self) -> np.ndarray:
@@ -203,20 +203,29 @@ def covariant_derivative(grid, T, nup, nlow, metric=None, A=None):
     return _add_connection(grid, T, sp.gradient(grid, T), nup, nlow, metric, A)
 
 
+def _accumulate(op, dst, spec, R, T):
+    """dst = op(dst, einsum(spec, R, T)) in place, for a real R.  A complex
+    T (and dst) is contracted part by part into dst.real and dst.imag, so
+    R is never cast to complex and no complex term is formed; each part of
+    T is made contiguous first, which einsum runs faster on."""
+    parts = ((dst.real, T.real), (dst.imag, T.imag)) if np.iscomplexobj(T) \
+        else ((dst, T),)
+    for dst_part, T_part in parts:
+        op(dst_part, np.einsum(spec, R, np.ascontiguousarray(T_part)), out=dst_part)
+
+
 def _add_connection(grid, T, out, nup, nlow, metric, A):
     """``covariant_derivative`` from the plain gradient ``out`` of T
     (derivative index leading, updated in place): adds the Christoffel
     and gauge terms and moves the derivative index to position ``nup``."""
     if metric is not None:
-        Gam = metric.christoffel.astype(out.dtype)
+        Gam = metric.christoffel
         for i in range(nup):
-            Tm = np.moveaxis(T, i, 0)
-            term = np.einsum("ags...,s...->ga...", Gam, Tm)
-            out += np.moveaxis(term, 1, i + 1)
+            _accumulate(np.add, np.moveaxis(out, i + 1, 1), "ags...,s...->ga...",
+                        Gam, np.moveaxis(T, i, 0))
         for j in range(nlow):
-            Tm = np.moveaxis(T, nup + j, 0)
-            term = np.einsum("sgb...,s...->gb...", Gam, Tm)
-            out -= np.moveaxis(term, 1, nup + j + 1)
+            _accumulate(np.subtract, np.moveaxis(out, nup + j + 1, 1),
+                        "sgb...,s...->gb...", Gam, np.moveaxis(T, nup + j, 0))
     if A is not None:
         A_exp = A.reshape((grid.d,) + (1,) * (nup + nlow) + grid.shape)
         out = out + 1j * A_exp * T[np.newaxis]
@@ -232,13 +241,11 @@ def curvature(metric: MetricField):
     """
     grid = metric.grid
     Gam = metric.christoffel
-    dGam = sp.gradient(grid, Gam).real  # dGam[m, c, a, b] = d_m Gamma^c_{ab}
-    riem_up = (
-        np.einsum("asbg...->sgab...", dGam)
-        - np.einsum("bsag...->sgab...", dGam)
-        + np.einsum("mbg...,sam...->sgab...", Gam, Gam)
-        - np.einsum("mag...,sbm...->sgab...", Gam, Gam)
-    )
+    dGam = sp.gradient(grid, Gam)  # dGam[m, c, a, b] = d_m Gamma^c_{ab}
+    # the terms come in pairs that differ by a <-> b
+    half = (np.einsum("asbg...->sgab...", dGam)
+            + np.einsum("mbg...,sam...->sgab...", Gam, Gam))
+    riem_up = half - np.einsum("sgab...->sgba...", half)
     riemann = np.einsum("ms...,mgab...->sgab...", metric.g, riem_up)
     ricci = np.einsum("sgsb...->gb...", riem_up)
     return riemann, ricci
@@ -246,19 +253,13 @@ def curvature(metric: MetricField):
 
 def _apply_metric_all(T, upper_axes, lower_axes, metric):
     """Raise/lower every index of T so a flat dot with conj(T) gives |T|^2_g."""
-    M = T.astype(complex)
+    M = T
     for ax in upper_axes:
         M = np.moveaxis(
-            np.einsum("ab...,b...->a...", metric.g.astype(M.dtype), np.moveaxis(M, ax, 0)),
-            0,
-            ax,
-        )
+            np.einsum("ab...,b...->a...", metric.g, np.moveaxis(M, ax, 0)), 0, ax)
     for ax in lower_axes:
         M = np.moveaxis(
-            np.einsum("ab...,b...->a...", metric.inv.astype(M.dtype), np.moveaxis(M, ax, 0)),
-            0,
-            ax,
-        )
+            np.einsum("ab...,b...->a...", metric.inv, np.moveaxis(M, ax, 0)), 0, ax)
     return M
 
 
@@ -390,10 +391,10 @@ def gauss_bilinear(lam):
     - lam_{ag} conj(lam_{bs})), to be compared with the lowered Riemann
     tensor indexed R_{sgab}.
     """
-    return (
-        np.einsum("bg...,as...->sgab...", lam, np.conj(lam))
-        - np.einsum("ag...,bs...->sgab...", lam, np.conj(lam))
-    ).real
+    re, im = lam.real, lam.imag
+    half = (np.einsum("bg...,as...->sgab...", re, re)
+            + np.einsum("bg...,as...->sgab...", im, im))  # Re(lam_bg conj(lam_as))
+    return half - np.einsum("sgab...->sgba...", half)
 
 
 def constraint_residuals(grid, psi, metric, lam, A, mean_project=True):
@@ -403,47 +404,30 @@ def constraint_residuals(grid, psi, metric, lam, A, mean_project=True):
     second fundamental form lam (both indices lower), and the
     connection covector A.
     """
-    nondecay = {}
+    results, nondecay = {}, {}
 
-    riemann, _ = curvature(metric)
+    def report(name, field):
+        # reduced at once, so one residual field at a time is alive
+        results[name], nondecay[name] = _residual_norms(grid, field, mean_project)
+
     # Riemann lowered is R_{abcs} with first index lowered from R^m_{bcs};
     # the Gauss equation pairs it as R_{sgab}.
-    r_gauss = np.einsum("sgab...->sgab...", riemann) - gauss_bilinear(lam)
+    report("gauss", curvature(metric)[0] - gauss_bilinear(lam))
 
     dlam = covariant_derivative(grid, lam, 0, 2, metric, A)  # index order (c, a, b)
-    r_codazzi = dlam - np.einsum("acb...->cab...", dlam)
-    div_lam = np.einsum("ca...,cab...->b...", metric.inv.astype(dlam.dtype), dlam)
-    dpsi_gauged = covariant_derivative(grid, psi, 0, 0, metric, A)
-    r_div = div_lam - dpsi_gauged
+    report("codazzi", dlam - np.einsum("acb...->cab...", dlam))
+    report("divergence", np.einsum("ca...,cab...->b...", metric.inv, dlam)
+           - covariant_derivative(grid, psi, 0, 0, metric, A))
+    del dlam
 
     dA = covariant_derivative(grid, A, 0, 1, metric)  # (c, a) = nabla_c A_a
-    curl_source = np.einsum(
-        "gc...,ca...,bg...->ab...",
-        metric.inv.astype(lam.dtype),
-        lam,
-        np.conj(lam),
-    ).imag
-    r_curl = (dA - np.einsum("ac...->ca...", dA)) - curl_source
-
-    r_coulomb = np.einsum("ab...,ab...->...", metric.inv, dA)
-    r_harmonic = metric.harmonic_defect()
-    r_symm = lam - np.einsum("ba...->ab...", lam)
-    r_trace = np.einsum("ab...,ab...->...", metric.inv.astype(lam.dtype), lam) - psi
-
-    results = {}
-    for name, field in (
-        ("gauss", r_gauss),
-        ("codazzi", r_codazzi),
-        ("divergence", r_div),
-        ("curl_a", r_curl),
-        ("coulomb", r_coulomb),
-        ("harmonic", r_harmonic),
-        ("symmetry", r_symm),
-        ("trace", r_trace),
-    ):
-        res, mean_size = _residual_norms(grid, field, mean_project)
-        results[name] = res
-        nondecay[name] = mean_size
+    lam_up = np.einsum("gc...,ca...->ga...", metric.inv, lam)
+    curl_source = np.einsum("ga...,bg...->ab...", lam_up, np.conj(lam)).imag
+    report("curl_a", (dA - np.einsum("ac...->ca...", dA)) - curl_source)
+    report("coulomb", np.einsum("ab...,ab...->...", metric.inv, dA))
+    report("harmonic", metric.harmonic_defect())
+    report("symmetry", lam - np.einsum("ba...->ab...", lam))
+    report("trace", np.einsum("ab...,ab...->...", metric.inv, lam) - psi)
     return ConstraintReport(nondecay=nondecay, **results)
 
 

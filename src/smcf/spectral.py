@@ -8,10 +8,31 @@ band projections and Sobolev-weight multipliers.
 Fields are plain numpy arrays whose *last* ``d`` axes are the spatial
 grid; leading axes (tensor indices) broadcast through every operator,
 so a ``(d, d, n, n)`` tensor field can be fed to ``derivative`` as-is.
+
+Real and complex fields.  ``gradient``, ``hessian`` and
+``inverse_laplacian`` (via ``spectrum``) send a complex field through
+the full spectrum (``Grid.fft``) and a real one through the half
+spectrum (``Grid.rfft``, ``numpy.fft.rfftn``), which costs roughly
+half as much and returns float64.  A real result has to be the real part of
+the complex one, so each half-spectrum multiplier is the Hermitian part
+(M(k) + conj M(-k)) / 2 of the complex multiplier M.  On an even grid
+the Nyquist index is its own negative, so this is where the two differ:
+
+  * i k_a vanishes on the Nyquist plane of axis a;
+  * -k_a k_b keeps its Nyquist value where a = b, or where both or
+    neither of axes a and b are at Nyquist, and vanishes where exactly
+    one of them is.
+
+So a second derivative has to come from -k_a k_b directly: two real
+first derivatives lose the diagonal Nyquist mode.  The transforms are
+numpy's: ``scipy.fft`` is faster per transform, but importing it costs
+about 0.35 s and 27 MiB of resident memory, more than the whole start-up
+of an ``smcf`` process.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +42,9 @@ __all__ = [
     "smooth_bump",
     "derivative",
     "gradient",
+    "hessian",
+    "spectrum",
+    "Multipliers",
     "laplacian",
     "inverse_laplacian",
     "riesz",
@@ -34,6 +58,45 @@ __all__ = [
     "lp_norm",
     "hs_norm",
 ]
+
+
+class Multipliers:
+    """The Fourier multipliers of the derivative operators on one spectrum,
+    each built on first use, leading index axes first: ``ik`` is i k_a,
+    shape (d,) + spectrum; ``kk`` is -k_a k_b, shape (d, d) + spectrum;
+    ``inv_lap`` is -1/|k|^2, zero at k = 0.  On the half spectrum
+    (``real``) they are the Hermitian parts of the full-spectrum ones (see
+    the module docstring)."""
+
+    def __init__(self, k: np.ndarray, real: bool):
+        self.k = k  # wavenumber components on this spectrum, (d,) + spectrum
+        self.real = real
+
+    @functools.cached_property
+    def _nyquist(self) -> np.ndarray:
+        """Where each axis is at its Nyquist index, (d,) + spectrum."""
+        return self.k == np.min(self.k)
+
+    @functools.cached_property
+    def ik(self) -> np.ndarray:
+        k = np.where(self._nyquist, 0.0, self.k) if self.real else self.k
+        return 1j * k
+
+    @functools.cached_property
+    def kk(self) -> np.ndarray:
+        kk = -self.k[:, np.newaxis] * self.k[np.newaxis, :]
+        if self.real:
+            nyq = self._nyquist
+            kk *= nyq[:, np.newaxis] == nyq[np.newaxis, :]
+        return kk
+
+    @functools.cached_property
+    def inv_lap(self) -> np.ndarray:
+        k2 = np.sum(self.k * self.k, axis=0)
+        inv_lap = np.zeros_like(k2)
+        nz = k2 > 0
+        inv_lap[nz] = -1.0 / k2[nz]
+        return inv_lap
 
 
 @dataclass(frozen=True)
@@ -114,11 +177,46 @@ class Grid:
     def spatial_axes(self) -> tuple:
         return tuple(range(-self.d, 0))
 
+    # The d-dimensional transforms run axis by axis, as numpy.fft.fftn
+    # does, but only the first pass allocates: the others write into its
+    # result, which spares a fresh array (and its page faults) per axis.
+
     def fft(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(f, axes=self.spatial_axes)
+        fh = np.fft.fft(f, axis=-1)
+        for ax in range(-self.d, -1):
+            np.fft.fft(fh, axis=ax, out=fh)
+        return fh
 
     def ifft(self, fh: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(fh, axes=self.spatial_axes)
+        f = np.fft.ifft(fh, axis=-self.d)
+        for ax in range(1 - self.d, 0):
+            np.fft.ifft(f, axis=ax, out=f)
+        return f
+
+    def rfft(self, f: np.ndarray) -> np.ndarray:
+        """Half spectrum of a real field: the last spatial axis keeps
+        modes 0..n/2."""
+        fh = np.fft.rfft(f, axis=-1)
+        for ax in range(-self.d, -1):
+            np.fft.fft(fh, axis=ax, out=fh)
+        return fh
+
+    def irfft(self, fh: np.ndarray) -> np.ndarray:
+        """The real field with half spectrum ``fh``."""
+        if self.d > 1:
+            fh = np.fft.ifft(fh, axis=-self.d)
+            for ax in range(1 - self.d, -1):
+                np.fft.ifft(fh, axis=ax, out=fh)
+        return np.fft.irfft(fh, self.n, axis=-1)
+
+    def multipliers(self, real: bool) -> Multipliers:
+        """The derivative multipliers on the full spectrum, or with
+        ``real`` on the half spectrum of ``rfft``."""
+        key = "half" if real else "full"
+        if key not in self._cache:
+            k = self.wavenumbers()
+            self._cache[key] = Multipliers(k[..., : self.n // 2 + 1] if real else k, real)
+        return self._cache[key]
 
 
 def _check_axis(grid: Grid, axis: int) -> None:
@@ -133,11 +231,39 @@ def derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     return grid.ifft(1j * k * grid.fft(f))
 
 
-def gradient(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """All partial derivatives, stacked on a new leading axis."""
-    fh = grid.fft(f)
-    k = grid.wavenumbers()
-    return np.stack([grid.ifft(1j * k[a] * fh) for a in range(grid.d)])
+def spectrum(grid: Grid, f: np.ndarray, fh: np.ndarray | None = None):
+    """(fh, multipliers, inverse transform) for applying multipliers to f.
+
+    A real f gets its half spectrum, the Hermitian-part multipliers and
+    ``Grid.irfft``; a complex f its full spectrum, the plain multipliers
+    and ``Grid.ifft``.  Pass ``fh`` if the caller already holds that
+    transform of f.
+    """
+    real = not np.iscomplexobj(f)
+    if fh is None:
+        fh = grid.rfft(f) if real else grid.fft(f)
+    return fh, grid.multipliers(real), grid.irfft if real else grid.ifft
+
+
+def _broadcast(grid: Grid, mult: np.ndarray, fh: np.ndarray) -> np.ndarray:
+    """``mult`` (index axes + spectrum) shaped to multiply a stack of ``fh``."""
+    index = mult.shape[: mult.ndim - grid.d]
+    lead = (1,) * (fh.ndim - grid.d)
+    return mult.reshape(index + lead + mult.shape[len(index):])
+
+
+def gradient(grid: Grid, f: np.ndarray, fh: np.ndarray | None = None) -> np.ndarray:
+    """All partial derivatives, stacked on a new leading axis: one
+    forward and one batched inverse transform (``fh`` as in ``spectrum``)."""
+    fh, mult, inverse = spectrum(grid, f, fh)
+    return inverse(_broadcast(grid, mult.ik, fh) * fh)
+
+
+def hessian(grid: Grid, f: np.ndarray, fh: np.ndarray | None = None) -> np.ndarray:
+    """All second partial derivatives d_a d_b f, shape (d, d) + f.shape,
+    from the -k_a k_b multiplier (``fh`` as in ``spectrum``)."""
+    fh, mult, inverse = spectrum(grid, f, fh)
+    return inverse(_broadcast(grid, mult.kk, fh) * fh)
 
 
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -151,12 +277,8 @@ def inverse_laplacian(grid: Grid, f: np.ndarray, with_mean: bool = False):
     contribution to ``f`` is discarded; pass ``with_mean=True`` to also
     get the discarded mean back as a diagnostic.
     """
-    fh = grid.fft(f)
-    k2 = grid.k_squared()
-    inv = np.zeros_like(k2)
-    nz = k2 > 0
-    inv[nz] = -1.0 / k2[nz]
-    u = grid.ifft(inv * fh)
+    fh, mult, inverse = spectrum(grid, f)
+    u = inverse(mult.inv_lap * fh)
     if with_mean:
         mean = fh[(...,) + (0,) * grid.d] / grid.n**grid.d
         return u, mean
@@ -262,7 +384,7 @@ def field_mean(grid: Grid, f: np.ndarray):
 
 def _abs2(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Pointwise squared magnitude, tensor indices (leading axes) contracted flat."""
-    a2 = (f * np.conj(f)).real
+    a2 = f.real**2 + f.imag**2 if np.iscomplexobj(f) else f * f
     extra = a2.ndim - grid.d
     if extra > 0:
         a2 = a2.sum(axis=tuple(range(extra)))

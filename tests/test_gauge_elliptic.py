@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smcf import gauge_elliptic as ge
 from smcf import geometry as geo
@@ -223,3 +225,89 @@ class TestLinearizeFd:
         psi = gaussian_psi(grid2)
         resp = ge.linearize_fd(grid2, psi, psi, CFG)
         assert resp.ratio <= 10.0
+
+
+def nyquist_rich_field(grid, lead, rng):
+    """Real white noise plus (-1)^{j_a} and (-1)^{j_a + j_b} content, the
+    Nyquist modes where real-path and complex multipliers differ."""
+    f = rng.standard_normal(lead + grid.shape)
+    sign = (-1.0) ** np.indices(grid.shape)
+    for a in range(grid.d):
+        f += rng.standard_normal(lead + (1,) * grid.d) * sign[a]
+        for b in range(a + 1, grid.d):
+            f += rng.standard_normal(lead + (1,) * grid.d) * sign[a] * sign[b]
+    return f
+
+
+def rough_metric(grid, rng):
+    """I + 0.02 * symmetric white noise: positive definite, with Nyquist
+    content in g, its inverse and its Christoffel symbols."""
+    h = 0.02 * nyquist_rich_field(grid, (grid.d, grid.d), rng)
+    return MetricField.from_h(grid, 0.5 * (h + np.einsum("ab...->ba...", h)))
+
+
+def assert_real_part(got, want, rtol=1e-13):
+    want = want.real
+    assert got.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestRealPath:
+    """Real gauge data goes through the half spectrum; each operator must
+    return the real part of the same call on the data cast to complex."""
+
+    SETTINGS = settings(max_examples=25, deadline=None)
+    # leading shapes (d,) * rank: (), (d,) and (d, d)
+    FIELDS = dict(d=st.integers(1, 4), rank=st.integers(0, 2),
+                  seed=st.integers(0, 2**32 - 1))
+
+    @SETTINGS
+    @given(**FIELDS)
+    def test_hodge_solve(self, d, rank, seed):
+        grid, rng = Grid(d=d, n=8), np.random.default_rng(seed)
+        lead = (d,) * rank
+        curl = nyquist_rich_field(grid, (d, d) + lead, rng)
+        div = nyquist_rich_field(grid, lead, rng)
+        assert_real_part(ge._hodge_solve(grid, curl, div),
+                         ge._hodge_solve(grid, curl.astype(complex), div.astype(complex)))
+
+    @SETTINGS
+    @given(**FIELDS)
+    def test_weighted_second(self, d, rank, seed):
+        grid, rng = Grid(d=d, n=8), np.random.default_rng(seed)
+        coeff = rough_metric(grid, rng).inv
+        g = nyquist_rich_field(grid, (d,) * rank, rng)
+        assert_real_part(ge._weighted_second(grid, coeff, g),
+                         ge._weighted_second(grid, coeff, g.astype(complex)))
+        # a given spectrum gives the same numbers
+        assert np.array_equal(ge._weighted_second(grid, coeff, g, grid.rfft(g)),
+                              ge._weighted_second(grid, coeff, g))
+
+    @SETTINGS
+    @given(**FIELDS)
+    def test_laplace_beltrami(self, d, rank, seed):
+        grid, rng = Grid(d=d, n=8), np.random.default_rng(seed)
+        metric = rough_metric(grid, rng)
+        f = nyquist_rich_field(grid, (d,) * rank, rng)
+        assert_real_part(metric.laplace_beltrami(f),
+                         metric.laplace_beltrami(f.astype(complex)))
+
+    @SETTINGS
+    @given(d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_vector_laplacian(self, d, seed):
+        grid, rng = Grid(d=d, n=8), np.random.default_rng(seed)
+        metric = rough_metric(grid, rng)
+        V = nyquist_rich_field(grid, (d,), rng)
+
+        def vector_laplacian(V):
+            dV = geo.covariant_derivative(grid, V, 1, 0, metric)
+            return ge._vector_laplacian(grid, metric, V, dV)
+
+        assert_real_part(vector_laplacian(V), vector_laplacian(V.astype(complex)))
+
+    def test_metric_gradient_handed_over(self, grid2):
+        rng = np.random.default_rng(5)
+        m = rough_metric(grid2, rng)
+        handed = MetricField(grid2, m.g, sp.gradient(grid2, m.g, grid2.rfft(m.g)))
+        assert np.array_equal(handed.christoffel, m.christoffel)

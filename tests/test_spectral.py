@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smcf import spectral as sp
 from smcf.spectral import Grid
@@ -194,3 +196,72 @@ class TestNormsAndInvariants:
         out = sp.derivative(grid2, f, 0)
         for a in range(2):
             assert np.max(np.abs(out[a] - sp.derivative(grid2, f[a], 0))) <= 1e-13
+
+
+def nyquist_rich_field(grid, lead, seed):
+    """Real white noise (every mode, the Nyquist planes included) plus
+    explicit Nyquist content: (-1)^{j_a} on each axis and (-1)^{j_a + j_b}
+    on each pair of axes, the modes where the real-path multipliers and
+    the complex ones differ."""
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(lead + grid.shape)
+    sign = (-1.0) ** np.indices(grid.shape)
+    for a in range(grid.d):
+        f += rng.standard_normal(lead + (1,) * grid.d) * sign[a]
+        for b in range(a + 1, grid.d):
+            f += rng.standard_normal(lead + (1,) * grid.d) * sign[a] * sign[b]
+    return f
+
+
+def assert_real_part(got, want, rtol=1e-13):
+    """got == want.real in the max norm, relative to max |want.real|."""
+    want = want.real
+    assert got.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestRealPath:
+    """A real field goes through the half spectrum with Hermitian-part
+    multipliers; the result must be the real part of the complex path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 4), n=st.sampled_from([8, 10, 12]),
+           rank=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_matches_real_part_of_complex_path(self, d, n, rank, seed):
+        grid = Grid(d=d, n=n)
+        f = nyquist_rich_field(grid, (d,) * rank, seed)  # leading (), (d,), (d, d)
+        for op in (sp.gradient, sp.hessian, sp.inverse_laplacian):
+            assert_real_part(op(grid, f), op(grid, f.astype(complex)))
+
+    def test_diagonal_nyquist_mode_kept(self):
+        # d_a d_b of (-1)^{j_a + j_b} is -(n/2)^2 times the field for
+        # every a, b; two real first derivatives would give zero
+        grid = Grid(d=2, n=8)
+        f = (-1.0) ** np.sum(np.indices(grid.shape), axis=0)
+        hess = sp.hessian(grid, f)
+        for a in range(2):
+            for b in range(2):
+                assert np.max(np.abs(hess[a, b] + 16.0 * f)) <= 1e-12
+        assert np.max(np.abs(sp.gradient(grid, f))) <= 1e-12
+
+    def test_real_input_returns_float64(self, grid2):
+        f = random_field(grid2, seed=13).real
+        assert sp.gradient(grid2, f).dtype == np.float64
+        assert sp.hessian(grid2, f).dtype == np.float64
+        assert sp.inverse_laplacian(grid2, f).dtype == np.float64
+        assert sp.gradient(grid2, f.astype(complex)).dtype == np.complex128
+
+    def test_given_spectrum_is_used(self, grid2):
+        f = random_field(grid2, seed=14).real
+        fh = grid2.rfft(f)
+        assert np.array_equal(sp.gradient(grid2, f, fh), sp.gradient(grid2, f))
+        assert np.array_equal(sp.hessian(grid2, f, fh), sp.hessian(grid2, f))
+
+    def test_transforms_round_trip(self):
+        for d in (1, 2, 3):
+            grid = Grid(d=d, n=8)
+            f = nyquist_rich_field(grid, (2,), seed=d)
+            assert np.max(np.abs(grid.irfft(grid.rfft(f)) - f)) <= 1e-13
+            assert np.max(np.abs(grid.rfft(f) - grid.fft(f)[..., :5])) <= 1e-12
+            assert np.max(np.abs(grid.ifft(grid.fft(f)) - f)) <= 1e-13
