@@ -172,7 +172,6 @@ _KEY_TABLE = {
     "data.file": (str, ""),
     "elliptic.tol": (float, 1e-10),
     "elliptic.max_iter": (int, 200),
-    "elliptic.under_relaxation": (float, 1.0),
     "elliptic.smallness_threshold": (float, 0.05),
     "time.dt": (_parse_optional_float, None),
     "time.t_end": (float, 1.0),
@@ -277,7 +276,6 @@ class RunConfig:
         return EllipticConfig(
             tol=v["elliptic.tol"],
             max_iter=v["elliptic.max_iter"],
-            under_relaxation=v["elliptic.under_relaxation"],
             smallness_threshold=v["elliptic.smallness_threshold"],
         )
 

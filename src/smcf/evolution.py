@@ -183,11 +183,11 @@ def schrodinger_rhs(grid: Grid, psi: np.ndarray, state: GaugeState) -> np.ndarra
     m, A, V, B, lam = state.metric, state.A, state.V, state.B, state.lam
     d1 = geo.covariant_derivative(grid, psi, 0, 0, m, A)       # (c,)
     d2 = geo.covariant_derivative(grid, d1, 0, 1, m, A)        # (c2, c1)
-    lap = np.einsum("ab...,ab...->...", m.inv.astype(complex), d2)
-    adv = np.einsum("g...,g...->...", V.astype(complex), d1)
-    lam_ud = np.einsum("gm...,ms...->gs...", m.inv.astype(complex), lam)
+    lap = np.einsum("ab...,ab...->...", m.inv, d2)
+    adv = np.einsum("g...,g...->...", V, d1)
+    lam_ud = np.einsum("gm...,ms...->gs...", m.inv, lam)
     imsrc = (psi * np.conj(lam_ud)).imag                       # Im(psi lam-bar^a_b)
-    curv = np.einsum("gs...,sg...->...", lam_ud, imsrc.astype(complex))
+    curv = np.einsum("gs...,sg...->...", lam_ud, imsrc)
     return 1j * lap + adv - 1j * B * psi - curv
 
 

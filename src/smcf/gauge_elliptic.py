@@ -25,7 +25,7 @@ import numpy as np
 from smcf import geometry as geo
 from smcf import norms as nrm
 from smcf import spectral as sp
-from smcf.geometry import MetricField, NotContractingError
+from smcf.geometry import MetricField
 from smcf.spectral import Grid
 
 __all__ = [
@@ -59,15 +59,11 @@ class LostPositivityError(RuntimeError):
 class EllipticConfig:
     tol: float = 1e-10
     max_iter: int = 200
-    under_relaxation: float = 1.0
     smallness_threshold: float = 0.05
-    stall_limit: int = 10
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_iter < 1:
             raise ValueError("need tol > 0 and max_iter >= 1")
-        if not 0 < self.under_relaxation <= 1:
-            raise ValueError("under-relaxation must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -113,31 +109,14 @@ def _mean_zero(grid, f):
     return f - np.mean(f, axis=grid.spatial_axes, keepdims=True)
 
 
-def _iterate(update, x0, cfg, name, tol=None):
-    """Damped fixed-point driver with stall detection."""
-    tol = cfg.tol if tol is None else tol
-    x = x0
-    last = np.inf
-    stall = 0
-    for it in range(cfg.max_iter):
+def _contract(update, x0, cfg, name):
+    """``geo.fixed_point`` on x <- update(x) at the config's tolerance and
+    iteration limit, sized by the largest change of an entry."""
+    def step(x):
         x_new = update(x)
-        if cfg.under_relaxation != 1.0:
-            x_new = x + cfg.under_relaxation * (x_new - x)
-        change = float(np.max(np.abs(x_new - x))) if x_new.size else 0.0
-        x = x_new
-        if change <= tol:
-            return x, it + 1
-        if change >= last:
-            stall += 1
-            if stall >= cfg.stall_limit:
-                raise NotContractingError(
-                    f"{name}: update norm stopped decreasing", residual=change
-                )
-        else:
-            stall = 0
-        last = change
-    raise NotContractingError(f"{name}: no convergence in {cfg.max_iter} iterations",
-                              residual=last)
+        return x_new, float(np.max(np.abs(x_new - x)))
+
+    return geo.fixed_point(step, x0, name, cfg.tol, cfg.max_iter)[0]
 
 
 def _hodge_solve(grid, curl, div):
@@ -194,9 +173,7 @@ def recover_lambda(grid, psi, metric, A, cfg: EllipticConfig) -> np.ndarray:
         lam_new = _hodge_solve(grid, C, D)  # every column g at once
         return 0.5 * (lam_new + np.einsum("ab...->ba...", lam_new))
 
-    lam0 = flat_lambda(grid, psi)
-    lam, _ = _iterate(update, lam0, cfg, "lambda recovery")
-    return lam
+    return _contract(update, flat_lambda(grid, psi), cfg, "lambda recovery")
 
 
 def _metric_rhs(grid, m, lam, psi, dg=None):
@@ -264,7 +241,7 @@ def solve_metric(grid, lam, psi, cfg: EllipticConfig, g0: MetricField | None = N
         h_new = 0.5 * (h_new + np.einsum("ab...->ba...", h_new))
         return _mean_zero(grid, h_new)
 
-    h, _ = _iterate(update, h0, cfg, "metric equation")
+    h = _contract(update, h0, cfg, "metric equation")
     try:
         return MetricField.from_h(grid, h)
     except geo.SingularMetricError as exc:
@@ -361,8 +338,7 @@ def _solve_A(grid, lam, metric, cfg, A0):
             + np.einsum("c...,c...->...", defect, A)
         return _hodge_solve(grid, F, div_data)
 
-    A, _ = _iterate(update_A, A0, cfg, "Coulomb connection")
-    return A
+    return _contract(update_A, A0, cfg, "Coulomb connection")
 
 
 def _solve_VB(grid, lam, psi, metric, A, cfg, V0):
@@ -378,7 +354,7 @@ def _solve_VB(grid, lam, psi, metric, A, cfg, V0):
             grid, rhs - _vector_laplacian(grid, metric, V, dV))
         return _mean_zero(grid, V_new)
 
-    V, _ = _iterate(update_V, V0, cfg, "advection field")
+    V = _contract(update_V, V0, cfg, "advection field")
 
     rhs_B = _temporal_rhs(grid, metric, lam, psi, V, A)
 
@@ -388,7 +364,7 @@ def _solve_VB(grid, lam, psi, metric, A, cfg, V0):
         ).real
         return _mean_zero(grid, B_new)
 
-    B, _ = _iterate(update_B, np.zeros(grid.shape), cfg, "temporal connection")
+    B = _contract(update_B, np.zeros(grid.shape), cfg, "temporal connection")
     return V, B
 
 
@@ -402,6 +378,16 @@ def solve_VAB(grid, lam, psi, metric, cfg: EllipticConfig, warm=None):
     A = _solve_A(grid, lam, metric, cfg, A0)
     V, B = _solve_VB(grid, lam, psi, metric, A, cfg, V0)
     return V, A, B
+
+
+def _outer_start(grid, warm):
+    """The (lambda, metric, A) the outer sweep starts from: the warm
+    state's, or zero on the flat metric.  Built in the driver's call, so
+    that no frame keeps a cold start alive through the sweeps."""
+    if warm is not None:
+        return warm.lam, warm.metric, warm.A
+    return (np.zeros((grid.d, grid.d) + grid.shape, dtype=complex),
+            MetricField.identity(grid), np.zeros((grid.d,) + grid.shape))
 
 
 def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
@@ -427,31 +413,22 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
             f"threshold {cfg.smallness_threshold:g}"
         )
 
-    if warm is not None:
-        metric, V, A, lam = warm.metric, warm.V, warm.A, warm.lam
-    else:
-        metric = MetricField.identity(grid)
-        V = np.zeros((grid.d,) + grid.shape)
-        A = np.zeros((grid.d,) + grid.shape)
-        lam = np.zeros((grid.d, grid.d) + grid.shape, dtype=complex)
-    final_update = 0.0
-    sweeps = 0
-    for sweep in range(cfg.max_iter):
+    V = warm.V if warm is not None else np.zeros((grid.d,) + grid.shape)
+
+    def sweep(x):
+        lam, metric, A = x
         lam_new = recover_lambda(grid, psi, metric, A, cfg)
         metric_new = solve_metric(grid, lam_new, psi, cfg, g0=metric)
         A_new = _solve_A(grid, lam_new, metric_new, cfg, A)
-        final_update = max(
+        change = max(
             float(np.max(np.abs(lam_new - lam))),
             float(np.max(np.abs(metric_new.g - metric.g))),
             float(np.max(np.abs(A_new - A))),
         )
-        lam, metric, A = lam_new, metric_new, A_new
-        sweeps = sweep + 1
-        if final_update <= cfg.tol:
-            break
-    else:
-        raise NotContractingError("outer elliptic sweep did not converge",
-                                  residual=final_update)
+        return (lam_new, metric_new, A_new), change
+
+    (lam, metric, A), sweeps, final_update = geo.fixed_point(
+        sweep, _outer_start(grid, warm), "outer elliptic sweep", cfg.tol, cfg.max_iter)
     V, B = _solve_VB(grid, lam, psi, metric, A, cfg, V)
 
     state = GaugeState(grid=grid, psi=psi, metric=metric, lam=lam, V=V, A=A, B=B)

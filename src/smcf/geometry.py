@@ -2,8 +2,9 @@
 
 Christoffel symbols, (gauge-)covariant derivatives, curvature, the
 intrinsic Sobolev norms built from covariant derivatives, the energy
-functionals, the constraint-residual report for the gauge system, and
-the harmonic-coordinate fixing map.
+functionals, the constraint-residual report for the gauge system, the
+harmonic-coordinate fixing map, and ``fixed_point``, the driver that
+every contraction loop of the package runs through.
 
 Tensor fields are numpy arrays with index axes leading and the spatial
 grid trailing, upper indices first.  A rank-(r, s) tensor has shape
@@ -24,6 +25,7 @@ __all__ = [
     "MetricField",
     "SingularMetricError",
     "NotContractingError",
+    "fixed_point",
     "covariant_derivative",
     "curvature",
     "tensor_norm_sq_field",
@@ -50,6 +52,38 @@ class NotContractingError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+# consecutive non-decreasing update sizes after which a loop has stalled
+_STALL_LIMIT = 10
+
+
+def fixed_point(step, x, name, tol, max_iter):
+    """Iterate x <- step(x) from the given x; ``step`` returns
+    (x_next, size), where size measures the update that produced x_next.
+    The starting iterate is not kept once the first step has run.
+
+    Returns (x, iterations, size) at the first size <= tol.  Raises
+    ``NotContractingError`` naming the loop after ``max_iter`` steps,
+    after ``_STALL_LIMIT`` consecutive non-decreasing sizes, or at once
+    on a non-finite size.  This is the only loop that decides
+    convergence for the gauge solve, the harmonic chart and the oracle.
+    """
+    last = np.inf
+    stall = 0
+    for it in range(1, max_iter + 1):
+        x, size = step(x)
+        if not np.isfinite(size):
+            raise NotContractingError(f"{name}: update size is {size}", residual=size)
+        if size <= tol:
+            return x, it, size
+        stall = stall + 1 if size >= last else 0
+        if stall >= _STALL_LIMIT:
+            raise NotContractingError(f"{name}: update size stopped decreasing",
+                                      residual=size)
+        last = size
+    raise NotContractingError(f"{name}: no convergence in {max_iter} iterations",
+                              residual=last)
 
 
 def _ldl_inverse(g):
@@ -458,61 +492,40 @@ def trig_interp(grid, f, points, chunk=4096):
 def _invert_coordinates(grid, phi):
     """Grid preimages x(y), shape (d, N), of y = x + phi(x) by fixed point,
     and the inverse Jacobian d x^a / d y^c there, shape (N, d, d).
-    Raises ``NotContractingError`` if 50 sweeps do not reach 1e-13."""
+    Raises ``NotContractingError`` unless the sweeps reach 1e-13 within 50
+    (by the rules of ``fixed_point``)."""
     y = grid.coords().reshape(grid.d, -1)
-    x = y.copy()
-    for _ in range(50):
+
+    def sweep(x):
         x_new = y - trig_interp(grid, phi, x).real
-        shift = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        if shift <= 1e-13:
-            break
-    else:
-        raise NotContractingError(
-            f"coordinate inversion did not converge (last shift {shift:.3e})",
-            residual=shift,
-        )
+        return x_new, float(np.max(np.abs(x_new - x)))
+
+    x = fixed_point(sweep, y, "coordinate inversion", 1e-13, 50)[0]
     dphi = sp.gradient(grid, phi).real  # dphi[a, c] = d_a phi^c
     jac = np.einsum("acm->mca", trig_interp(grid, dphi, x).real)
     jac += np.eye(grid.d)  # J[m, c, a] = d y^c / d x^a
     return x, np.linalg.inv(jac)
 
 
-def _harmonic_chart(metric, tol=1e-10, max_iter=200, smallness=0.1):
+def _harmonic_chart(metric):
     """``harmonic_coordinate_fix`` returning the whole chart:
     (phi, x, inv_jac, pulled-back MetricField), x and inv_jac as from
     ``_invert_coordinates``, for callers pulling more fields back."""
     grid = metric.grid
     dh = sp.gradient(grid, metric.h).real
-    if sp.l2_norm(grid, dh) > smallness * np.sqrt(grid.volume):
+    if sp.l2_norm(grid, dh) > 0.1 * np.sqrt(grid.volume):
         raise ValueError("metric perturbation too large for the harmonic fix")
 
     rhs = metric.harmonic_defect()
-    phi = np.zeros((grid.d,) + grid.shape)
-    stall = 0
-    last_update = np.inf
-    for _ in range(max_iter):
-        resid = np.stack([metric.laplace_beltrami(phi[c]).real for c in range(grid.d)])
-        corr = sp.inverse_laplacian(grid, rhs - resid).real
-        phi_new = phi + corr
-        phi_new -= np.mean(phi_new, axis=grid.spatial_axes, keepdims=True)
-        update = np.max(np.abs(phi_new - phi))
-        phi = phi_new
-        if update <= tol:
-            break
-        if update >= last_update:
-            stall += 1
-            if stall >= 10:
-                raise NotContractingError(
-                    "harmonic coordinate iteration stalled", residual=update
-                )
-        else:
-            stall = 0
-        last_update = update
-    else:
-        raise NotContractingError("harmonic coordinate iteration did not converge",
-                                  residual=last_update)
 
+    def sweep(phi):
+        resid = np.stack([metric.laplace_beltrami(phi[c]).real for c in range(grid.d)])
+        phi_new = phi + sp.inverse_laplacian(grid, rhs - resid).real
+        phi_new -= np.mean(phi_new, axis=grid.spatial_axes, keepdims=True)
+        return phi_new, float(np.max(np.abs(phi_new - phi)))
+
+    phi = fixed_point(sweep, np.zeros((grid.d,) + grid.shape),
+                      "harmonic coordinate iteration", 1e-10, 200)[0]
     x, inv_jac = _invert_coordinates(grid, phi)
     g_at_x = trig_interp(grid, metric.g, x).real  # (a, b, m)
     g_new = np.einsum("mac,mbd,abm->cdm", inv_jac, inv_jac, g_at_x)
@@ -520,15 +533,16 @@ def _harmonic_chart(metric, tol=1e-10, max_iter=200, smallness=0.1):
     return phi, x, inv_jac, MetricField(grid, g_new)
 
 
-def harmonic_coordinate_fix(metric, tol=1e-10, max_iter=200, smallness=0.1):
+def harmonic_coordinate_fix(metric):
     """Find y = x + phi(x) so the pulled-back metric is harmonic.
 
     Solves Delta_g phi^c = g^{ab} Gamma^c_{ab} by Picard iteration with
     the flat Laplacian as preconditioner (the coordinate functions
     y^c = x^c + phi^c are then g-harmonic), inverts the coordinate
     change on the grid, and returns (phi, pulled-back MetricField).
-    Raises ``NotContractingError`` if either iteration fails;
+    Raises ``ValueError`` if the metric perturbation is not small, and
+    ``NotContractingError`` if either iteration fails;
     ``immersion.align_extracted`` shares the chart via ``_harmonic_chart``.
     """
-    phi, _, _, pulled = _harmonic_chart(metric, tol, max_iter, smallness)
+    phi, _, _, pulled = _harmonic_chart(metric)
     return phi, pulled

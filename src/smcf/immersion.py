@@ -117,35 +117,39 @@ def _tangents(grid: Grid, F: np.ndarray, linear=None) -> np.ndarray:
     return dF
 
 
+def _induced_metric(grid: Grid, F: np.ndarray, linear=None):
+    """Tangents dF (a, i) and the induced MetricField g_ab = dF_a . dF_b."""
+    dF = _tangents(grid, F, linear)
+    try:
+        metric = MetricField(grid, np.einsum("ai...,bi...->ab...", dF, dF))
+    except geo.SingularMetricError as exc:
+        raise DegenerateImmersionError(str(exc)) from exc
+    return dF, metric
+
+
+def _mean_curvature(grid: Grid, dF: np.ndarray, metric: MetricField) -> np.ndarray:
+    """H = g^{ab} (d^2_{ab} F - Gamma^c_{ab} d_c F) from the tangents dF."""
+    d2F = sp.gradient(grid, dF).real  # (c, a, i) = d_c d_a F
+    H = np.einsum("ab...,abi...->i...", metric.inv, d2F)
+    H -= np.einsum("ab...,cab...,ci...->i...", metric.inv, metric.christoffel, dF)
+    return H
+
+
 def induced_geometry(grid: Grid, F: np.ndarray, linear=None):
     """Induced metric g_ab = dF_a . dF_b and mean curvature H.
 
     H = g^{ab} (d^2_{ab} F - Gamma^c_{ab} d_c F), normal to the surface
     to within discretization error.
     """
-    dF = _tangents(grid, F, linear)
-    g = np.einsum("ai...,bi...->ab...", dF, dF)
-    try:
-        metric = MetricField(grid, g)
-    except geo.SingularMetricError as exc:
-        raise DegenerateImmersionError(str(exc)) from exc
-    d2F = sp.gradient(grid, dF).real  # (c, a, i) = d_c d_a F
-    H = np.einsum("ab...,abi...->i...", metric.inv, d2F)
-    H -= np.einsum("ab...,cab...,ci...->i...", metric.inv, metric.christoffel, dF)
-    return metric, H
+    dF, metric = _induced_metric(grid, F, linear)
+    return metric, _mean_curvature(grid, dF, metric)
 
 
-def _frame_project(grid: Grid, F: np.ndarray, nu1: np.ndarray, nu2: np.ndarray,
-                   linear=None):
+def _frame_project(dF: np.ndarray, ginv: np.ndarray, nu1: np.ndarray,
+                   nu2: np.ndarray):
     """Minimal-rotation transport: project the old frame onto the
-    normal space of F and re-orthonormalize."""
-    dF = _tangents(grid, F, linear)
-    g = np.einsum("ai...,bi...->ab...", dF, dF)
-    try:
-        ginv, _ = geo._ldl_inverse(g)
-    except geo.SingularMetricError as exc:
-        raise DegenerateImmersionError(f"singular induced metric: {exc}") from exc
-
+    normal space of the tangents dF (inverse metric ginv) and
+    re-orthonormalize."""
     def normal_part(v):
         c = np.einsum("ai...,i...->a...", dF, v)
         return v - np.einsum("ab...,b...,ai...->i...", ginv, c, dF)
@@ -163,33 +167,31 @@ def _frame_project(grid: Grid, F: np.ndarray, nu1: np.ndarray, nu2: np.ndarray,
     return w1, w2 / n2
 
 
-def _velocity(grid: Grid, F: np.ndarray, nu1: np.ndarray, nu2: np.ndarray,
-              linear=None):
-    """J H with J(v) = (v.nu1) nu2 - (v.nu2) nu1 (rotation by +pi/2)."""
-    _, H = induced_geometry(grid, F, linear)
-    h1 = np.einsum("i...,i...->...", H, nu1)
-    h2 = np.einsum("i...,i...->...", H, nu2)
-    return h1 * nu2 - h2 * nu1
-
-
 def smcf_step(state: ImmersionState, dt: float) -> ImmersionState:
-    """One RK4 step of d_t F = J H.
+    """One RK4 step of d_t F = J H, with J(v) = (v.nu1) nu2 - (v.nu2) nu1
+    (rotation by +pi/2).
 
     The frame is transported to each stage position by the
     minimal-rotation projection, and re-derived at the final point.
+    Each stage forms the tangents and the induced metric once.
     """
     grid, F, lin = state.grid, state.F, state.linear
 
     def vel(Fs):
-        n1, n2 = _frame_project(grid, Fs, state.nu1, state.nu2, lin)
-        return _velocity(grid, Fs, n1, n2, lin)
+        dF, metric = _induced_metric(grid, Fs, lin)
+        n1, n2 = _frame_project(dF, metric.inv, state.nu1, state.nu2)
+        H = _mean_curvature(grid, dF, metric)
+        h1 = np.einsum("i...,i...->...", H, n1)
+        h2 = np.einsum("i...,i...->...", H, n2)
+        return h1 * n2 - h2 * n1
 
     k1 = vel(F)
     k2 = vel(F + 0.5 * dt * k1)
     k3 = vel(F + 0.5 * dt * k2)
     k4 = vel(F + dt * k3)
     F_new = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    n1, n2 = _frame_project(grid, F_new, state.nu1, state.nu2, lin)
+    dF, metric = _induced_metric(grid, F_new, lin)
+    n1, n2 = _frame_project(dF, metric.inv, state.nu1, state.nu2)
     return ImmersionState(grid=grid, F=F_new, nu1=n1, nu2=n2, linear=lin)
 
 
@@ -197,50 +199,41 @@ def extract_gauge(state: ImmersionState) -> ExtractedGauge:
     """Read off (g, lambda, psi, A) by the literal formulas:
     lam_ab = (d^2_{ab} F) . (nu1 + i nu2), psi = g^{ab} lam_ab,
     A_a = (d_a nu1) . nu2."""
-    grid, F = state.grid, state.F
-    metric, _ = induced_geometry(grid, F, state.linear)
-    dF = _tangents(grid, F, state.linear)
+    grid = state.grid
+    dF, metric = _induced_metric(grid, state.F, state.linear)
     d2F = sp.gradient(grid, dF).real  # (c, a, i)
     kappa = np.einsum("cai...,i...->ca...", d2F, state.nu1)
     tau = np.einsum("cai...,i...->ca...", d2F, state.nu2)
     lam = kappa + 1j * tau
-    psi = np.einsum("ab...,ab...->...", metric.inv.astype(complex), lam)
+    psi = np.einsum("ab...,ab...->...", metric.inv, lam)
     A = np.einsum("ai...,i...->a...", sp.gradient(grid, state.nu1).real, state.nu2)
     return ExtractedGauge(metric=metric, lam=lam, psi=psi, A=A)
 
 
-def _coulomb_angle(grid: Grid, metric: MetricField, A: np.ndarray,
-                   tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
+def _coulomb_angle(grid: Grid, metric: MetricField, A: np.ndarray) -> np.ndarray:
     """Mean-zero theta with Delta_g theta = -div_g A (covariant divergence)."""
     dA = geo.covariant_derivative(grid, A, 0, 1, metric).real  # (c, a)
     rhs = -np.einsum("ca...,ca...->...", metric.inv, dA)
-    theta = np.zeros(grid.shape)
-    last = np.inf
-    for _ in range(max_iter):
+
+    def sweep(theta):
         corr = sp.inverse_laplacian(
             grid, rhs - metric.laplace_beltrami(theta).real
         ).real
         theta = theta + corr
-        theta -= np.mean(theta)
-        update = float(np.max(np.abs(corr)))
-        if update <= tol:
-            return theta
-        if update >= last * 1.5:
-            raise geo.NotContractingError("Coulomb angle solve diverged",
-                                          residual=update)
-        last = update
-    raise geo.NotContractingError("Coulomb angle solve did not converge",
-                                  residual=last)
+        return theta - np.mean(theta), float(np.max(np.abs(corr)))
+
+    return geo.fixed_point(sweep, np.zeros(grid.shape), "Coulomb angle solve",
+                           1e-10, 200)[0]
 
 
-def gauge_fix_frame(state: ImmersionState, tol: float = 1e-10) -> ImmersionState:
+def gauge_fix_frame(state: ImmersionState) -> ImmersionState:
     """Rotate the normal frame into the Coulomb gauge div_g A = 0.
 
     The rotation angle solves Delta_g theta = -div_g A with zero mean,
     so a constant pre-rotation of the frame is left untouched.
     """
     ex = extract_gauge(state)
-    theta = _coulomb_angle(state.grid, ex.metric, ex.A, tol=tol)
+    theta = _coulomb_angle(state.grid, ex.metric, ex.A)
     c, s = np.cos(theta), np.sin(theta)
     nu1 = c * state.nu1 + s * state.nu2
     nu2 = -s * state.nu1 + c * state.nu2
@@ -306,7 +299,8 @@ def graph_state(grid: Grid, w: np.ndarray) -> ImmersionState:
     e3[2] = 1.0
     e4 = np.zeros((4,) + grid.shape)
     e4[3] = 1.0
-    nu1, nu2 = _frame_project(grid, F, e3, e4, lin)
+    dF, metric = _induced_metric(grid, F, lin)
+    nu1, nu2 = _frame_project(dF, metric.inv, e3, e4)
     return ImmersionState(grid=grid, F=F, nu1=nu1, nu2=nu2, linear=lin)
 
 
@@ -408,8 +402,7 @@ def drop_nyquist(grid: Grid, f: np.ndarray) -> np.ndarray:
     return grid.ifft(fh)
 
 
-def immersion_from_psi(grid: Grid, psi0: np.ndarray, tol: float = 1e-7,
-                       max_iter: int = 40) -> ImmersionState:
+def immersion_from_psi(grid: Grid, psi0: np.ndarray, tol: float = 1e-7) -> ImmersionState:
     """Graph immersion whose extracted-and-aligned psi equals psi0.
 
     Starts from the linearized prescribed-curvature solution
@@ -418,24 +411,18 @@ def immersion_from_psi(grid: Grid, psi0: np.ndarray, tol: float = 1e-7,
     tolerance rather than at O(amplitude^2).  psi0 must be free of
     Nyquist-plane content (see ``drop_nyquist``).
     """
-    w = sp.inverse_laplacian(grid, psi0)
-    last = np.inf
-    for _ in range(max_iter):
+    def sweep(x):
+        # the iterate carries the graph it measured, which is returned
+        w, _ = x
         state = graph_state(grid, w)
         aligned, _ = align_extracted(grid, extract_gauge(state), psi0)
         err = aligned - psi0
-        size = sp.l2_norm(grid, err)
-        if size <= tol:
-            return state
-        if size >= last:
-            raise geo.NotContractingError(
-                "prescribed-curvature construction stalled", residual=size
-            )
-        last = size
-        w = w - sp.inverse_laplacian(grid, err)
-    raise geo.NotContractingError(
-        "prescribed-curvature construction did not converge", residual=last
-    )
+        return (w - sp.inverse_laplacian(grid, err), state), sp.l2_norm(grid, err)
+
+    x0 = (sp.inverse_laplacian(grid, psi0), None)
+    (_, state), _, _ = geo.fixed_point(
+        sweep, x0, "prescribed-curvature construction", tol, 40)
+    return state
 
 
 @dataclass(frozen=True)

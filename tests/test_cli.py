@@ -94,11 +94,11 @@ class TestCheckpoint:
 
     def test_corruption_detected(self, tmp_path):
         grid = Grid(d=2, n=16)
-        path = str(tmp_path / "b.ckpt")
-        cli.save_checkpoint(path, grid, 0.0, 0, np.zeros(grid.shape, complex))
-        raw = bytearray(open(path, "rb").read())
+        path = tmp_path / "b.ckpt"
+        cli.save_checkpoint(str(path), grid, 0.0, 0, np.zeros(grid.shape, complex))
+        raw = bytearray(path.read_bytes())
         raw[60] ^= 0xFF
-        open(path, "wb").write(bytes(raw))
+        path.write_bytes(bytes(raw))
         with pytest.raises(cli.CheckpointError):
             cli.load_checkpoint(path)
 
@@ -171,15 +171,15 @@ class TestCheckpoint:
             assert back.shape == value.shape and back.tobytes() == value.tobytes()
 
     def test_bad_magic(self, tmp_path):
-        path = str(tmp_path / "c.ckpt")
-        open(path, "wb").write(b"NOPE" + b"\0" * 64)
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(b"NOPE" + b"\0" * 64)
         with pytest.raises(cli.CheckpointError):
-            cli.load_checkpoint(path)
+            cli.load_checkpoint(str(path))
 
     def test_norms_on_corrupt_exits_4(self, tmp_path):
-        path = str(tmp_path / "d.ckpt")
-        open(path, "wb").write(b"garbage")
-        assert run_cli("norms", "--checkpoint", path) == 4
+        path = tmp_path / "d.ckpt"
+        path.write_bytes(b"garbage")
+        assert run_cli("norms", "--checkpoint", str(path)) == 4
 
 
 class TestRun:

@@ -38,8 +38,6 @@ class TestConfig:
             ge.EllipticConfig(tol=0.0)
         with pytest.raises(ValueError):
             ge.EllipticConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            ge.EllipticConfig(under_relaxation=1.5)
 
 
 class TestRecoverLambda:

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smcf import geometry as geo
 from smcf import spectral as sp
@@ -34,6 +36,59 @@ def small_metric(grid, seed=0, amp=0.02):
             h[b, a] = h[a, b]
             s += 1
     return geo.MetricField.from_h(grid, h)
+
+
+def affine_step(a, b, calls):
+    """x <- a x + b as a ``fixed_point`` step, recording each call."""
+    def step(x):
+        calls.append(x)
+        x_new = a * x + b
+        return x_new, abs(x_new - x)
+    return step
+
+
+class TestFixedPoint:
+    @settings(max_examples=50, deadline=None)
+    @given(a=st.floats(-0.9, 0.9), b=st.floats(-1.0, 1.0))
+    def test_contraction_converges(self, a, b):
+        calls = []
+        x, iterations, size = geo.fixed_point(affine_step(a, b, calls), 0.0,
+                                              "affine map", 1e-12, 1000)
+        assert abs(x - b / (1.0 - a)) <= 1e-10
+        assert iterations == len(calls)
+        assert size <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(a=st.floats(1.1, 3.0) | st.floats(-3.0, -1.1),
+           b=st.floats(0.1, 1.0) | st.floats(-1.0, -0.1))
+    def test_expansion_raises_after_stall(self, a, b):
+        calls = []
+        with pytest.raises(geo.NotContractingError) as info:
+            geo.fixed_point(affine_step(a, b, calls), 0.0, "affine map", 1e-12, 1000)
+        assert "affine map" in str(info.value)
+        assert np.isfinite(info.value.residual)
+        # the sizes grow from the first step, so the stall rule fires
+        assert len(calls) == geo._STALL_LIMIT + 1
+
+    def test_non_finite_size_raises_at_once(self):
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return x, float("nan")
+
+        with pytest.raises(geo.NotContractingError) as info:
+            geo.fixed_point(step, 0.0, "nan map", 1e-12, 200)
+        assert "nan map" in str(info.value)
+        assert len(calls) == 1
+
+    def test_iteration_limit(self):
+        calls = []
+        with pytest.raises(geo.NotContractingError) as info:
+            geo.fixed_point(affine_step(0.5, 1.0, calls), 0.0, "slow map", 1e-12, 5)
+        assert "5 iterations" in str(info.value)
+        assert len(calls) == 5
+        assert info.value.residual == pytest.approx(2.0 ** -4)
 
 
 class TestMetricField:
