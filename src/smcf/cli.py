@@ -168,7 +168,6 @@ _KEY_TABLE = {
     "data.amplitude": (float, 1e-2),
     "data.width": (float, 0.6),
     "data.modulation": (float, 1.0),
-    "data.seed": (int, 0),
     "data.file": (str, ""),
     "elliptic.tol": (float, 1e-10),
     "elliptic.max_iter": (int, 200),

@@ -131,7 +131,6 @@ class TrajectoryReport:
     lam_linf: np.ndarray
     strichartz: np.ndarray
     reports: list
-    G_snapshots: list
     rho: dict
     metric_dev: np.ndarray
     final_state: GaugeState
@@ -439,7 +438,6 @@ def evolve(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig) -> TrajectoryRepo
         lam_linf=series("lam_linf"),
         strichartz=series("strichartz"),
         reports=[s.report for s in samples],
-        G_snapshots=[s.G for s in samples],
         rho={k: np.array([s.rho[k] for s in samples[1:]])
              for k in cfg.monitor_ks},
         metric_dev=series("metric_dev"),

@@ -79,13 +79,9 @@ class GaugeState:
     B: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
-    def constraint_report(self, mean_project: bool = True) -> geo.ConstraintReport:
-        """The constraint residuals of this state; the mean-projected
-        report is computed once and kept in ``diagnostics["residuals"]``."""
-        if not mean_project:
-            return geo.constraint_residuals(
-                self.grid, self.psi, self.metric, self.lam, self.A, False
-            )
+    def constraint_report(self) -> geo.ConstraintReport:
+        """The mean-projected constraint residuals of this state, computed
+        once and kept in ``diagnostics["residuals"]``."""
         report = self.diagnostics.get("residuals")
         if report is None:
             report = geo.constraint_residuals(
@@ -355,16 +351,9 @@ def _solve_VB(grid, lam, psi, metric, A, cfg, V0):
         return _mean_zero(grid, V_new)
 
     V = _contract(update_V, V0, cfg, "advection field")
-
     rhs_B = _temporal_rhs(grid, metric, lam, psi, V, A)
-
-    def update_B(B):
-        B_new = B + sp.inverse_laplacian(
-            grid, rhs_B - metric.laplace_beltrami(B).real
-        ).real
-        return _mean_zero(grid, B_new)
-
-    B = _contract(update_B, np.zeros(grid.shape), cfg, "temporal connection")
+    B = geo.solve_laplace_beltrami(metric, rhs_B, "temporal connection",
+                                   cfg.tol, cfg.max_iter)
     return V, B
 
 

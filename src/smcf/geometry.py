@@ -3,8 +3,8 @@
 Christoffel symbols, (gauge-)covariant derivatives, curvature, the
 intrinsic Sobolev norms built from covariant derivatives, the energy
 functionals, the constraint-residual report for the gauge system, the
-harmonic-coordinate fixing map, and ``fixed_point``, the driver that
-every contraction loop of the package runs through.
+harmonic-coordinate fixing map, ``fixed_point`` (the driver of every
+contraction loop) and ``solve_laplace_beltrami`` (the one Delta_g solve).
 
 Tensor fields are numpy arrays with index axes leading and the spatial
 grid trailing, upper indices first.  A rank-(r, s) tensor has shape
@@ -26,6 +26,7 @@ __all__ = [
     "SingularMetricError",
     "NotContractingError",
     "fixed_point",
+    "solve_laplace_beltrami",
     "covariant_derivative",
     "curvature",
     "tensor_norm_sq_field",
@@ -139,11 +140,6 @@ def _ldl_inverse(g):
     return inv, det
 
 
-def _min_eigenvalue(g):
-    """Smallest eigenvalue of a symmetric matrix field over the grid."""
-    return float(np.linalg.eigvalsh(np.moveaxis(g, (0, 1), (-2, -1))).min())
-
-
 class MetricField:
     """Riemannian metric g = I + h on the grid, with cached derived data.
 
@@ -172,7 +168,7 @@ class MetricField:
 
     @functools.cached_property
     def min_eigenvalue(self) -> float:
-        return _min_eigenvalue(self.g)
+        return float(np.linalg.eigvalsh(np.moveaxis(self.g, (0, 1), (-2, -1))).min())
 
     @classmethod
     def identity(cls, grid: Grid) -> "MetricField":
@@ -205,10 +201,12 @@ class MetricField:
         )  # low[s, a, b] = Gamma_{s,ab}
         return np.einsum("cs...,sab...->cab...", self.inv, low)
 
-    def laplace_beltrami(self, f: np.ndarray) -> np.ndarray:
-        """Delta_g f for a scalar f: g^{ab}(d2_ab f - Gamma^c_ab d_c f),
-        both derivatives from one transform of f; real for a real f."""
-        fh = sp.spectrum(self.grid, f)[0]
+    def laplace_beltrami(self, f: np.ndarray,
+                         fh: np.ndarray | None = None) -> np.ndarray:
+        """Delta_g f = g^{ab}(d2_ab f - Gamma^c_ab d_c f) for a scalar f or
+        a stack of them, both derivatives from one transform of f (``fh``
+        as in ``spectral.spectrum``); real for a real f."""
+        fh = sp.spectrum(self.grid, f, fh)[0]
         out = np.einsum("ab...,ab...->...", self.inv, sp.hessian(self.grid, f, fh))
         out -= np.einsum("c...,c...->...", self.harmonic_defect(),
                          sp.gradient(self.grid, f, fh))
@@ -218,8 +216,24 @@ class MetricField:
         """g^{ab} Gamma^c_{ab}; identically zero in harmonic coordinates."""
         return np.einsum("ab...,cab...->c...", self.inv, self.christoffel)
 
-    def volume_integral(self, f: np.ndarray) -> float:
-        return float(np.sum(f * self.sqrt_det) * self.grid.cell_volume)
+
+def solve_laplace_beltrami(metric: MetricField, rhs: np.ndarray, name: str,
+                           tol: float, max_iter: int) -> np.ndarray:
+    """The mean-zero u with Delta_g u = rhs, up to a constant; leading
+    axes of rhs are solved side by side.
+
+    Picard sweeps u <- u + Delta^{-1}(rhs - Delta_g u), preconditioned by
+    the flat Laplacian, run through ``fixed_point``; each update is sized
+    by its largest change after the mean is removed.
+    """
+    grid = metric.grid
+
+    def sweep(u):
+        u_new = u + sp.inverse_laplacian(grid, rhs - metric.laplace_beltrami(u))
+        u_new -= np.mean(u_new, axis=grid.spatial_axes, keepdims=True)
+        return u_new, float(np.max(np.abs(u_new - u)))
+
+    return fixed_point(sweep, np.zeros(np.shape(rhs)), name, tol, max_iter)[0]
 
 
 def covariant_derivative(grid, T, nup, nlow, metric=None, A=None):
@@ -516,16 +530,8 @@ def _harmonic_chart(metric):
     if sp.l2_norm(grid, dh) > 0.1 * np.sqrt(grid.volume):
         raise ValueError("metric perturbation too large for the harmonic fix")
 
-    rhs = metric.harmonic_defect()
-
-    def sweep(phi):
-        resid = np.stack([metric.laplace_beltrami(phi[c]).real for c in range(grid.d)])
-        phi_new = phi + sp.inverse_laplacian(grid, rhs - resid).real
-        phi_new -= np.mean(phi_new, axis=grid.spatial_axes, keepdims=True)
-        return phi_new, float(np.max(np.abs(phi_new - phi)))
-
-    phi = fixed_point(sweep, np.zeros((grid.d,) + grid.shape),
-                      "harmonic coordinate iteration", 1e-10, 200)[0]
+    phi = solve_laplace_beltrami(metric, metric.harmonic_defect(),
+                                 "harmonic coordinate iteration", 1e-10, 200)
     x, inv_jac = _invert_coordinates(grid, phi)
     g_at_x = trig_interp(grid, metric.g, x).real  # (a, b, m)
     g_new = np.einsum("mac,mbd,abm->cdm", inv_jac, inv_jac, g_at_x)
@@ -536,8 +542,8 @@ def _harmonic_chart(metric):
 def harmonic_coordinate_fix(metric):
     """Find y = x + phi(x) so the pulled-back metric is harmonic.
 
-    Solves Delta_g phi^c = g^{ab} Gamma^c_{ab} by Picard iteration with
-    the flat Laplacian as preconditioner (the coordinate functions
+    Solves Delta_g phi^c = g^{ab} Gamma^c_{ab} for all d components in
+    one ``solve_laplace_beltrami`` (the coordinate functions
     y^c = x^c + phi^c are then g-harmonic), inverts the coordinate
     change on the grid, and returns (phi, pulled-back MetricField).
     Raises ``ValueError`` if the metric perturbation is not small, and

@@ -110,39 +110,55 @@ class ExtractedGauge:
     A: np.ndarray
 
 
-def _tangents(grid: Grid, F: np.ndarray, linear=None) -> np.ndarray:
-    dF = sp.gradient(grid, F).real  # (a, i, spatial)
+def _tangents(grid: Grid, F: np.ndarray, linear=None, Fh=None) -> np.ndarray:
+    """d_a F (a, i) of the immersion, ``Fh`` as in ``spectral.spectrum``."""
+    dF = sp.gradient(grid, F, Fh)  # (a, i, spatial)
     if linear is not None:
         dF = dF + linear.T.reshape((grid.d, grid.d + 2) + (1,) * grid.d)
     return dF
 
 
-def _induced_metric(grid: Grid, F: np.ndarray, linear=None):
-    """Tangents dF (a, i) and the induced MetricField g_ab = dF_a . dF_b."""
-    dF = _tangents(grid, F, linear)
+def _gram(dF: np.ndarray, build):
+    """build(g) for the induced metric g_ab = dF_a . dF_b; a singular g
+    raises ``DegenerateImmersionError``."""
     try:
-        metric = MetricField(grid, np.einsum("ai...,bi...->ab...", dF, dF))
+        return build(np.einsum("ai...,bi...->ab...", dF, dF))
     except geo.SingularMetricError as exc:
         raise DegenerateImmersionError(str(exc)) from exc
-    return dF, metric
 
 
-def _mean_curvature(grid: Grid, dF: np.ndarray, metric: MetricField) -> np.ndarray:
-    """H = g^{ab} (d^2_{ab} F - Gamma^c_{ab} d_c F) from the tangents dF."""
-    d2F = sp.gradient(grid, dF).real  # (c, a, i) = d_c d_a F
-    H = np.einsum("ab...,abi...->i...", metric.inv, d2F)
-    H -= np.einsum("ab...,cab...,ci...->i...", metric.inv, metric.christoffel, dF)
+def _induced_metric(grid: Grid, F: np.ndarray, linear=None):
+    """The spectrum Fh of F, the tangents dF (a, i) and the induced
+    MetricField, from one transform of F."""
+    Fh = sp.spectrum(grid, F)[0]
+    dF = _tangents(grid, F, linear, Fh)
+    return Fh, dF, _gram(dF, lambda g: MetricField(grid, g))
+
+
+def _mean_curvature(F: np.ndarray, Fh: np.ndarray, metric: MetricField,
+                    linear=None) -> np.ndarray:
+    """H = Delta_g F: the componentwise Laplace-Beltrami of the periodic
+    part (spectrum Fh), minus g^{ab} Gamma^c_{ab} linear_c for the
+    winding, whose second derivatives vanish."""
+    H = metric.laplace_beltrami(F, Fh)
+    if linear is not None:
+        H -= np.einsum("c...,ic->i...", metric.harmonic_defect(), linear)
     return H
 
 
-def induced_geometry(grid: Grid, F: np.ndarray, linear=None):
-    """Induced metric g_ab = dF_a . dF_b and mean curvature H.
+def _normal_frame(grid: Grid, F: np.ndarray, linear, nu1: np.ndarray,
+                  nu2: np.ndarray):
+    """``_frame_project`` onto the normal space of F, from the tangents
+    and g^{-1} alone."""
+    dF = _tangents(grid, F, linear)
+    return _frame_project(dF, _gram(dF, geo._ldl_inverse)[0], nu1, nu2)
 
-    H = g^{ab} (d^2_{ab} F - Gamma^c_{ab} d_c F), normal to the surface
-    to within discretization error.
-    """
-    dF, metric = _induced_metric(grid, F, linear)
-    return metric, _mean_curvature(grid, dF, metric)
+
+def induced_geometry(grid: Grid, F: np.ndarray, linear=None):
+    """Induced metric g_ab = dF_a . dF_b and mean curvature H = Delta_g F,
+    normal to the surface to within discretization error."""
+    Fh, _, metric = _induced_metric(grid, F, linear)
+    return metric, _mean_curvature(F, Fh, metric, linear)
 
 
 def _frame_project(dF: np.ndarray, ginv: np.ndarray, nu1: np.ndarray,
@@ -173,14 +189,15 @@ def smcf_step(state: ImmersionState, dt: float) -> ImmersionState:
 
     The frame is transported to each stage position by the
     minimal-rotation projection, and re-derived at the final point.
-    Each stage forms the tangents and the induced metric once.
+    Each stage transforms F once, for the tangents, the induced metric
+    and H.
     """
     grid, F, lin = state.grid, state.F, state.linear
 
     def vel(Fs):
-        dF, metric = _induced_metric(grid, Fs, lin)
+        Fh, dF, metric = _induced_metric(grid, Fs, lin)
         n1, n2 = _frame_project(dF, metric.inv, state.nu1, state.nu2)
-        H = _mean_curvature(grid, dF, metric)
+        H = _mean_curvature(Fs, Fh, metric, lin)
         h1 = np.einsum("i...,i...->...", H, n1)
         h2 = np.einsum("i...,i...->...", H, n2)
         return h1 * n2 - h2 * n1
@@ -190,8 +207,7 @@ def smcf_step(state: ImmersionState, dt: float) -> ImmersionState:
     k3 = vel(F + 0.5 * dt * k2)
     k4 = vel(F + dt * k3)
     F_new = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    dF, metric = _induced_metric(grid, F_new, lin)
-    n1, n2 = _frame_project(dF, metric.inv, state.nu1, state.nu2)
+    n1, n2 = _normal_frame(grid, F_new, lin, state.nu1, state.nu2)
     return ImmersionState(grid=grid, F=F_new, nu1=n1, nu2=n2, linear=lin)
 
 
@@ -200,8 +216,8 @@ def extract_gauge(state: ImmersionState) -> ExtractedGauge:
     lam_ab = (d^2_{ab} F) . (nu1 + i nu2), psi = g^{ab} lam_ab,
     A_a = (d_a nu1) . nu2."""
     grid = state.grid
-    dF, metric = _induced_metric(grid, state.F, state.linear)
-    d2F = sp.gradient(grid, dF).real  # (c, a, i)
+    Fh, _, metric = _induced_metric(grid, state.F, state.linear)
+    d2F = sp.hessian(grid, state.F, Fh)  # (c, a, i)
     kappa = np.einsum("cai...,i...->ca...", d2F, state.nu1)
     tau = np.einsum("cai...,i...->ca...", d2F, state.nu2)
     lam = kappa + 1j * tau
@@ -214,16 +230,7 @@ def _coulomb_angle(grid: Grid, metric: MetricField, A: np.ndarray) -> np.ndarray
     """Mean-zero theta with Delta_g theta = -div_g A (covariant divergence)."""
     dA = geo.covariant_derivative(grid, A, 0, 1, metric).real  # (c, a)
     rhs = -np.einsum("ca...,ca...->...", metric.inv, dA)
-
-    def sweep(theta):
-        corr = sp.inverse_laplacian(
-            grid, rhs - metric.laplace_beltrami(theta).real
-        ).real
-        theta = theta + corr
-        return theta - np.mean(theta), float(np.max(np.abs(corr)))
-
-    return geo.fixed_point(sweep, np.zeros(grid.shape), "Coulomb angle solve",
-                           1e-10, 200)[0]
+    return geo.solve_laplace_beltrami(metric, rhs, "Coulomb angle solve", 1e-10, 200)
 
 
 def gauge_fix_frame(state: ImmersionState) -> ImmersionState:
@@ -299,8 +306,7 @@ def graph_state(grid: Grid, w: np.ndarray) -> ImmersionState:
     e3[2] = 1.0
     e4 = np.zeros((4,) + grid.shape)
     e4[3] = 1.0
-    dF, metric = _induced_metric(grid, F, lin)
-    nu1, nu2 = _frame_project(dF, metric.inv, e3, e4)
+    nu1, nu2 = _normal_frame(grid, F, lin, e3, e4)
     return ImmersionState(grid=grid, F=F, nu1=nu1, nu2=nu2, linear=lin)
 
 

@@ -46,6 +46,11 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError):
             cli.RunConfig.build({"grid.m": "16"})
 
+    @pytest.mark.parametrize("key", ["data.seed", "elliptic.under_relaxation"])
+    def test_removed_key_is_unknown(self, key):
+        with pytest.raises(cli.ConfigError):
+            cli.RunConfig.build({key: "0"})
+
     def test_defaults_and_types(self):
         cfg = cli.RunConfig.build({})
         assert cfg["grid.n"] == 32
@@ -313,7 +318,7 @@ class TestElliptic:
 class TestOracle:
     def test_alignment_failure_exits_3(self, tmp_path, capsys):
         code = run_cli("oracle", "--config", "/dev/null", "--grid.n=16",
-                       "--oracle.t_end=0", "--oracle.construction_tol=1e-16",
+                       "--oracle.t_end=0", "--oracle.construction_tol=1e-30",
                        "--elliptic.smallness_threshold=0.5")
         assert code == 3
         assert '"status": "alignment_failed"' in capsys.readouterr().out

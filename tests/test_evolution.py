@@ -199,7 +199,7 @@ class TestEvolve:
         assert np.array_equal(traj2.hs_norms, reference_run.hs_norms)
 
     def test_g_tensor_symmetric(self, grid2, reference_run):
-        G = reference_run.G_snapshots[-1]
+        G = ev.g_tensor(grid2, reference_run.final_state)
         assert np.max(np.abs(G - np.einsum("ab...->ba...", G))) <= 1e-12
 
 

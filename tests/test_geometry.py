@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from smcf import geometry as geo
 from smcf import spectral as sp
+from smcf.geometry import fixed_point
 from smcf.spectral import Grid
 
 
@@ -162,6 +164,64 @@ class TestMetricField:
         m = geo.MetricField.identity(grid2)
         f = smooth_scalar(grid2, seed=5, complex_valued=True)
         assert np.max(np.abs(m.laplace_beltrami(f) - sp.laplacian(grid2, f))) <= 1e-11
+
+
+def random_mean_zero(grid, lead, seed):
+    """Random real field, Nyquist planes included, with zero mean."""
+    u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
+    return u - np.mean(u, axis=grid.spatial_axes, keepdims=True)
+
+
+class TestSolveLaplaceBeltrami:
+    TOL = 1e-10
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.sampled_from([2, 3]), stacked=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_inverts_laplace_beltrami(self, d, stacked, seed):
+        grid = Grid(d=d, n=12 if d == 2 else 8)
+        m = small_metric(grid, seed=seed % 1000, amp=0.05)
+        u = random_mean_zero(grid, (d,) if stacked else (), seed)
+        solved = geo.solve_laplace_beltrami(m, m.laplace_beltrami(u), "LB solve",
+                                            self.TOL, 200)
+        assert solved.shape == u.shape
+        assert np.max(np.abs(solved - u)) <= 10 * self.TOL
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_equals_per_component(self, d, seed):
+        """A stacked solve sweeps until its slowest component converges;
+        each component that needs as many sweeps alone is bit-identical
+        to its own solve, and the others agree to the tolerance."""
+        grid = Grid(d=d, n=12 if d == 2 else 8)
+        m = small_metric(grid, seed=seed % 1000, amp=0.05)
+        rhs = m.laplace_beltrami(random_mean_zero(grid, (d,), seed))
+        sweeps = []
+
+        def counted(*args):
+            out = fixed_point(*args)
+            sweeps.append(out[1])
+            return out
+
+        with mock.patch.object(geo, "fixed_point", counted):
+            stacked = geo.solve_laplace_beltrami(m, rhs, "LB solve", self.TOL, 200)
+            alone = [geo.solve_laplace_beltrami(m, rhs[c], "LB solve", self.TOL, 200)
+                     for c in range(d)]
+        assert sweeps[0] == max(sweeps[1:])
+        for c in range(d):
+            if sweeps[1 + c] == sweeps[0]:
+                assert np.array_equal(stacked[c], alone[c])
+            else:
+                assert np.max(np.abs(stacked[c] - alone[c])) <= 10 * self.TOL
+
+    def test_expanding_iteration_raises(self, grid2):
+        # Delta_g = 2.5 Delta, so the flat-preconditioned sweep multiplies
+        # the error by 1 - 2.5 = -1.5
+        g = 0.4 * np.eye(2).reshape((2, 2, 1, 1)) * np.ones(grid2.shape)
+        m = geo.MetricField(grid2, g)
+        rhs = random_mean_zero(grid2, (), 0)
+        with pytest.raises(geo.NotContractingError, match="test solve"):
+            geo.solve_laplace_beltrami(m, rhs, "test solve", 1e-10, 200)
 
 
 class TestCovariantDerivative:

@@ -256,6 +256,15 @@ class TestConstruction:
         aligned, _ = im.align_extracted(grid2, im.extract_gauge(state), psi0)
         assert sp.l2_norm(grid2, aligned - psi0) <= 1e-7
 
+    def test_construction_reaches_round_off_at_16(self):
+        # H and d^2 F keep the diagonal Nyquist mode, so the construction
+        # is not floored near 1e-9 on a coarse grid
+        grid = Grid(d=2, n=16)
+        psi0 = im.drop_nyquist(grid, gaussian_psi(grid))
+        state = im.immersion_from_psi(grid, psi0, tol=1e-14)
+        aligned, _ = im.align_extracted(grid, im.extract_gauge(state), psi0)
+        assert sp.l2_norm(grid, aligned - psi0) <= 1e-14
+
 
 class TestOracle:
     def test_config_validation(self):
