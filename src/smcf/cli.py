@@ -175,8 +175,6 @@ _KEY_TABLE = {
     "time.dt": (_parse_optional_float, None),
     "time.t_end": (float, 1.0),
     "time.scheme": (str, "split_step"),
-    "time.resolve_every": (int, 1),
-    "time.force_v_zero": (_parse_bool, False),
     "time.trivial_gauge": (_parse_bool, False),
     "monitors.k_list": (_parse_k_list, (0, 1, 2)),
     "monitors.c_e_budget": (float, 100.0),
@@ -284,10 +282,8 @@ class RunConfig:
             dt=v["time.dt"],
             t_end=v["time.t_end"],
             scheme=v["time.scheme"],
-            resolve_every=v["time.resolve_every"],
             monitor_ks=v["monitors.k_list"],
             c_e_budget=v["monitors.c_e_budget"],
-            force_v_zero=v["time.force_v_zero"],
             trivial_gauge=v["time.trivial_gauge"],
             elliptic=self.elliptic(),
         )

@@ -6,10 +6,10 @@ The complex mean curvature psi evolves by
               - i B psi - lam^g_s Im(psi conj(lam)^s_g),
 
 with the gauge variables (lam, g, V, A, B) re-solved from psi by the
-fixed-time elliptic system at every step.  The stiff flat Laplacian is
-integrated exactly in Fourier space; the remaining terms are advanced
-by an explicit second-order rule (Strang splitting with a midpoint
-stage, or a Lawson-Heun exponential integrator).
+fixed-time elliptic system at every stage of every step.  The stiff
+flat Laplacian is integrated exactly in Fourier space; the remaining
+terms are advanced by an explicit second-order rule (Strang splitting
+with a midpoint stage, or a Lawson-Heun exponential integrator).
 
 Every run goes through one generator, ``stepper``, which yields (step
 index, t, psi, gauge state) for the initial data and after each step.
@@ -26,7 +26,6 @@ differences detect scattering.
 from __future__ import annotations
 
 import copy
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +44,7 @@ __all__ = [
     "Sample",
     "Monitor",
     "CARRY_KEYS",
+    "RHO_FLOOR",
     "trivial_state",
     "resolve_gauge",
     "strichartz_entries",
@@ -61,6 +61,9 @@ __all__ = [
 
 _SCHEMES = ("split_step", "imex_rk2")
 
+#: rho is NaN where its denominator is at or below this floor
+RHO_FLOOR = 1e-14
+
 # solver failures that ``stepper`` re-raises with their own type
 _TYPED_STEP_ERRORS = (geo.NotContractingError, ge.SmallnessViolatedError,
                       ge.LostPositivityError, geo.SingularMetricError)
@@ -72,21 +75,16 @@ class EvolutionConfig:
 
     ``dt=None`` selects the default 0.25*(L/n)^2 for the run's grid;
     the flat Laplacian is integrated exactly, so this guards only the
-    explicitly-treated quasilinear corrections.  ``force_v_zero``
-    drops the advection term from the evolution (the gauge freedom
-    used in energy estimates); ``trivial_gauge`` freezes the gauge at
-    g=I, A=V=B=0, lam=0, reducing the flow to the free Schrodinger
-    equation.
+    explicitly-treated quasilinear corrections.  ``trivial_gauge``
+    freezes the gauge at g=I, A=V=B=0, lam=0, reducing the flow to the
+    free Schrodinger equation.
     """
 
     dt: float | None = None
     t_end: float = 1.0
     scheme: str = "split_step"
-    resolve_every: int = 1
     monitor_ks: tuple = (0, 1, 2)
     c_e_budget: float = 100.0
-    rho_floor: float = 1e-14
-    force_v_zero: bool = False
     trivial_gauge: bool = False
     elliptic: EllipticConfig = field(default_factory=EllipticConfig)
 
@@ -99,8 +97,6 @@ class EvolutionConfig:
             raise ValueError("t_end must be positive")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
-        if self.resolve_every < 1:
-            raise ValueError("resolve_every must be >= 1")
         if any(k < 0 for k in self.monitor_ks):
             raise ValueError("energy orders must be >= 0")
 
@@ -117,7 +113,7 @@ class TrajectoryReport:
     Per-sample series are aligned with ``times``; ``rho`` holds the
     energy-growth ratios (E^k(t+dt)-E^k(t)) / (dt |lam|^2_{Linf}
     |lam|^2_{intrinsic-k}) between consecutive samples, NaN where the
-    denominator sits below the configured floor.  ``strichartz`` is
+    denominator sits below ``RHO_FLOOR``.  ``strichartz`` is
     the running space-time accumulator S[0, t_i]; ``metric_dev`` is as
     in ``Monitor``.
     """
@@ -201,14 +197,12 @@ def _residual_rhs(grid: Grid, psi: np.ndarray, state: GaugeState) -> np.ndarray:
 
 
 def resolve_gauge(grid: Grid, psi: np.ndarray, cfg: EvolutionConfig,
-             warm: GaugeState | None = None) -> GaugeState:
-    """Gauge state for psi under the configured gauge policy."""
+                  warm: GaugeState | None = None) -> GaugeState:
+    """Gauge state of psi: the elliptic solve, or the flat gauge under
+    ``trivial_gauge``."""
     if cfg.trivial_gauge:
         return trivial_state(grid, psi)
-    state = ge.solve_elliptic_system(grid, psi, cfg.elliptic, warm=warm)
-    if cfg.force_v_zero:
-        state = dataclasses.replace(state, V=np.zeros_like(state.V))
-    return state
+    return ge.solve_elliptic_system(grid, psi, cfg.elliptic, warm=warm)
 
 
 def _nan_guard(psi: np.ndarray, t: float) -> None:
@@ -220,45 +214,37 @@ def _nan_guard(psi: np.ndarray, t: float) -> None:
 
 
 def step(grid: Grid, psi: np.ndarray, state: GaugeState, cfg: EvolutionConfig,
-         dt: float | None = None, t: float = 0.0, resolve: bool = True):
+         dt: float | None = None, t: float = 0.0):
     """Advance one step of size dt; returns (psi', state').
 
     split_step: exact half-step of the flat flow, explicit midpoint on
     the residual terms (with the gauge re-solved at the midpoint), and
     a second exact half-step.  imex_rk2: Lawson-Heun, the flat flow
     applied exactly around an explicit trapezoidal rule for the
-    residual.  With ``resolve=False`` the incoming gauge state is
-    reused throughout (elliptic re-solve cadence > 1).
+    residual.  Every stage solves the gauge of its psi, warm-started
+    from the previous stage.
     """
     _check_match(grid, psi, state)
     dt = cfg.effective_dt(grid) if dt is None else dt
 
-    def gauge(p, warm):
-        return resolve_gauge(grid, p, cfg, warm) if resolve else warm
-
     if cfg.scheme == "split_step":
         psi_half = _free_flow(grid, psi, dt / 2.0)
-        st_half = gauge(psi_half, state)
+        st_half = resolve_gauge(grid, psi_half, cfg, state)
         psi_mid = psi_half + (dt / 2.0) * _residual_rhs(grid, psi_half, st_half)
-        st_mid = gauge(psi_mid, st_half)
+        st_mid = resolve_gauge(grid, psi_mid, cfg, st_half)
         psi_out = psi_half + dt * _residual_rhs(grid, psi_mid, st_mid)
         psi_new = _free_flow(grid, psi_out, dt / 2.0)
         warm = st_mid
     else:  # imex_rk2
         k1 = _residual_rhs(grid, psi, state)
         u1 = _free_flow(grid, psi + dt * k1, dt)
-        st1 = gauge(u1, state)
+        st1 = resolve_gauge(grid, u1, cfg, state)
         k2 = _residual_rhs(grid, u1, st1)
         psi_new = _free_flow(grid, psi + (dt / 2.0) * k1, dt) + (dt / 2.0) * k2
         warm = st1
 
     _nan_guard(psi_new, t + dt)
-    if resolve:
-        state_new = resolve_gauge(grid, psi_new, cfg, warm)
-    else:
-        # a fresh diagnostics dict: the stored constraint report is psi's
-        state_new = dataclasses.replace(state, psi=psi_new, diagnostics={})
-    return psi_new, state_new
+    return psi_new, resolve_gauge(grid, psi_new, cfg, warm)
 
 
 def strichartz_entries(grid: Grid, psi: np.ndarray, table) -> np.ndarray:
@@ -279,10 +265,9 @@ def stepper(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig,
 
     Without ``state`` the gauge of psi0 is solved and yielded as step 0;
     with psi0's state at step ``start`` (from a checkpoint) the first
-    yield is step start + 1.  Steps follow ``step_count`` and re-solve
-    the gauge every ``resolve_every`` steps.  A failing step raises with
-    its time in the message: typed solver errors keep their type, others
-    become ``RuntimeError``.
+    yield is step start + 1.  Steps follow ``step_count``.  A failing
+    step raises with its time in the message: typed solver errors keep
+    their type, others become ``RuntimeError``.
     """
     n_steps, dt = step_count(grid, cfg)
     psi = psi0
@@ -292,9 +277,8 @@ def stepper(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig,
         yield 0, 0.0, psi, state
     for i in range(start, n_steps):
         t = i * dt
-        resolve = cfg.trivial_gauge or (i + 1) % cfg.resolve_every == 0
         try:
-            psi, state = step(grid, psi, state, cfg, dt=dt, t=t, resolve=resolve)
+            psi, state = step(grid, psi, state, cfg, dt=dt, t=t)
         except _TYPED_STEP_ERRORS as exc:
             typed = copy.copy(exc)  # keeps attributes such as ``residual``
             typed.args = (f"step failed at t = {t:.6g}: {exc}",)
@@ -334,14 +318,14 @@ class Monitor:
     Strichartz sums S += dt/2 (sq + sq_prev), the trapezoid integral of
     d_t g = 2G with ``metric_dev``, and rho^k = (E^k - E^k_prev) /
     (dt |lam_prev|^2_{Linf} |lam_prev|^2_{intrinsic-k}), NaN below
-    ``rho_floor``.  ``carry`` (float arrays keyed by ``CARRY_KEYS``) is
+    ``RHO_FLOOR``.  ``carry`` (float arrays keyed by ``CARRY_KEYS``) is
     the whole running state: None before the first sample, restored
     from a checkpoint on resume.
     """
 
     def __init__(self, grid: Grid, cfg: EvolutionConfig, carry: dict | None = None):
         self.grid = grid
-        self.ks, self.rho_floor = tuple(cfg.monitor_ks), cfg.rho_floor
+        self.ks = tuple(cfg.monitor_ks)
         self.dt = step_count(grid, cfg)[1]
         self.table = nrm.exponents(grid.d)
         self.carry = carry
@@ -378,7 +362,7 @@ class Monitor:
             denom = (dt * (c["lam_linf"] * c["lam_linf"])
                      * (c["lam_norms"] * c["lam_norms"]))
             with np.errstate(divide="ignore", invalid="ignore"):
-                rho = np.where(denom > self.rho_floor,
+                rho = np.where(denom > RHO_FLOOR,
                                (E - c["energies"]) / denom, np.nan)
             c["rho_max"] = np.fmax(c["rho_max"], np.abs(rho))
             smp.rho = dict(zip(ks, rho.tolist()))

@@ -326,7 +326,7 @@ def _solve_A(grid, lam, metric, cfg, A0):
     d = grid.d
     F = np.einsum("ga...,bg...->ab...", _raise1(metric, lam), np.conj(lam)).imag
     w = metric.inv - np.eye(d).reshape((d, d) + (1,) * d)
-    defect = metric.harmonic_defect()
+    defect = metric.harmonic_defect
 
     def update_A(A):
         dA = sp.gradient(grid, A)  # (c, b) = d_c A_b

@@ -208,10 +208,11 @@ class MetricField:
         as in ``spectral.spectrum``); real for a real f."""
         fh = sp.spectrum(self.grid, f, fh)[0]
         out = np.einsum("ab...,ab...->...", self.inv, sp.hessian(self.grid, f, fh))
-        out -= np.einsum("c...,c...->...", self.harmonic_defect(),
+        out -= np.einsum("c...,c...->...", self.harmonic_defect,
                          sp.gradient(self.grid, f, fh))
         return out
 
+    @functools.cached_property
     def harmonic_defect(self) -> np.ndarray:
         """g^{ab} Gamma^c_{ab}; identically zero in harmonic coordinates."""
         return np.einsum("ab...,cab...->c...", self.inv, self.christoffel)
@@ -473,7 +474,7 @@ def constraint_residuals(grid, psi, metric, lam, A, mean_project=True):
     curl_source = np.einsum("ga...,bg...->ab...", lam_up, np.conj(lam)).imag
     report("curl_a", (dA - np.einsum("ac...->ca...", dA)) - curl_source)
     report("coulomb", np.einsum("ab...,ab...->...", metric.inv, dA))
-    report("harmonic", metric.harmonic_defect())
+    report("harmonic", metric.harmonic_defect)
     report("symmetry", lam - np.einsum("ba...->ab...", lam))
     report("trace", np.einsum("ab...,ab...->...", metric.inv, lam) - psi)
     return ConstraintReport(nondecay=nondecay, **results)
@@ -530,7 +531,7 @@ def _harmonic_chart(metric):
     if sp.l2_norm(grid, dh) > 0.1 * np.sqrt(grid.volume):
         raise ValueError("metric perturbation too large for the harmonic fix")
 
-    phi = solve_laplace_beltrami(metric, metric.harmonic_defect(),
+    phi = solve_laplace_beltrami(metric, metric.harmonic_defect,
                                  "harmonic coordinate iteration", 1e-10, 200)
     x, inv_jac = _invert_coordinates(grid, phi)
     g_at_x = trig_interp(grid, metric.g, x).real  # (a, b, m)

@@ -142,7 +142,7 @@ def _mean_curvature(F: np.ndarray, Fh: np.ndarray, metric: MetricField,
     winding, whose second derivatives vanish."""
     H = metric.laplace_beltrami(F, Fh)
     if linear is not None:
-        H -= np.einsum("c...,ic->i...", metric.harmonic_defect(), linear)
+        H -= np.einsum("c...,ic->i...", metric.harmonic_defect, linear)
     return H
 
 
@@ -341,8 +341,7 @@ def _phase_translation_fit(grid: Grid, psi: np.ndarray, ref: np.ndarray,
     one = np.ones(grid.shape, dtype=complex)
     cur = psi
     for _ in range(sweeps):
-        cols = ([1j * cur] + [sp.derivative(grid, cur, a) for a in range(grid.d)]
-                + [one, 1j * one])
+        cols = [1j * cur, *sp.gradient(grid, cur), one, 1j * one]
         Areal = np.stack(
             [np.concatenate([c.real.ravel(), c.imag.ravel()]) for c in cols],
             axis=1,

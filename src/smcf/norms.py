@@ -1,9 +1,11 @@
 """Exponent arithmetic and the analysis bookkeeping norms.
 
-The regularity/integrability exponent table per dimension, W^{s,p} and
-space-time (Strichartz-type) norms, dispersive pair admissibility
-checks in exact rational arithmetic, frequency envelopes, the
-regularized-data family, and the interpolation J-functional norm.
+The regularity/integrability exponent table per dimension, W^{s,p}
+norms and the spatial components of the space-time (Strichartz-type)
+norm (``evolution.Monitor`` integrates them in time), dispersive pair
+admissibility checks in exact rational arithmetic, frequency
+envelopes, the regularized-data family, and the interpolation
+J-functional norm.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "exponents",
     "wsp_norm",
     "strichartz_components",
-    "strichartz_accumulate",
     "PairReport",
     "pair_check",
     "FrequencyEnvelope",
@@ -96,26 +97,6 @@ def strichartz_components(table: ExponentTable) -> list:
     if table.d == 4:
         components.append((1.0, 4.0))
     return components
-
-
-def strichartz_accumulate(grid: Grid, samples, table: ExponentTable) -> float:
-    """Space-time dispersive norm from time samples of a field.
-
-    ``samples`` is an increasing sequence of (t, field).  Each
-    component of ``strichartz_components`` is an L^2-in-time norm of a
-    spatial W^{s,p} norm, evaluated by trapezoid quadrature of the
-    squared spatial norms, and the components are summed.
-    """
-    if len(samples) < 2:
-        raise ValueError("need at least two time samples")
-    times = np.array([t for t, _ in samples], dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("sample times must be strictly increasing")
-    total = 0.0
-    for s, p in strichartz_components(table):
-        vals = np.array([wsp_norm(grid, f, s, p) ** 2 for _, f in samples])
-        total += float(np.sqrt(np.trapezoid(vals, times)))
-    return total
 
 
 def _rat(x):

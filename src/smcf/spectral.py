@@ -270,19 +270,14 @@ def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     return grid.ifft(-grid.k_squared() * grid.fft(f))
 
 
-def inverse_laplacian(grid: Grid, f: np.ndarray, with_mean: bool = False):
+def inverse_laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Solve Delta u = f - mean(f) with mean(u) = 0.
 
     The constant mode lies in the kernel of the torus Laplacian, so its
-    contribution to ``f`` is discarded; pass ``with_mean=True`` to also
-    get the discarded mean back as a diagnostic.
+    contribution to ``f`` is discarded (``field_mean`` gives it).
     """
     fh, mult, inverse = spectrum(grid, f)
-    u = inverse(mult.inv_lap * fh)
-    if with_mean:
-        mean = fh[(...,) + (0,) * grid.d] / grid.n**grid.d
-        return u, mean
-    return u
+    return inverse(mult.inv_lap * fh)
 
 
 def riesz(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:

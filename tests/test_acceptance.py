@@ -131,7 +131,7 @@ class TestEnergyLaw:
 
     def test_trivial_gauge_conserves_l2(self, grid2, psi0):
         cfg = ev.EvolutionConfig(dt=0.05, t_end=1.0, trivial_gauge=True,
-                                 force_v_zero=True, elliptic=ECFG)
+                                 elliptic=ECFG)
         traj = ev.evolve(grid2, psi0, cfg)
         l2 = [sp.l2_norm(grid2, p) for p in traj.psis]
         assert max(l2) - min(l2) <= 1e-10

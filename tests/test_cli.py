@@ -46,7 +46,8 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError):
             cli.RunConfig.build({"grid.m": "16"})
 
-    @pytest.mark.parametrize("key", ["data.seed", "elliptic.under_relaxation"])
+    @pytest.mark.parametrize("key", ["data.seed", "elliptic.under_relaxation",
+                                     "time.resolve_every", "time.force_v_zero"])
     def test_removed_key_is_unknown(self, key):
         with pytest.raises(cli.ConfigError):
             cli.RunConfig.build({key: "0"})
@@ -74,6 +75,8 @@ class TestConfigParsing:
     def test_override_wins_exit_codes(self, tmp_path):
         assert run_cli("run", "--config", "/dev/null", "--bogus=1") == 2
         assert run_cli("run", "--config", "/dev/null", "--grid.n=7") == 2
+        assert run_cli("run", "--config", "/dev/null",
+                       "--time.resolve_every=2") == 2
 
     def test_t_end_below_one_step_exits_2(self):
         assert run_cli("run", "--config", "/dev/null", "--time.dt=0.5",

@@ -422,9 +422,9 @@ class TestHarmonicFix:
 
     def test_defect_removed(self, grid2):
         m = small_metric(grid2, seed=37, amp=0.02)
-        before = sp.l2_norm(grid2, m.harmonic_defect())
+        before = sp.l2_norm(grid2, m.harmonic_defect)
         phi, fixed = geo.harmonic_coordinate_fix(m)
-        after = sp.l2_norm(grid2, fixed.harmonic_defect())
+        after = sp.l2_norm(grid2, fixed.harmonic_defect)
         assert before > 1e-4
         assert after <= 1e-6
         assert after <= 1e-3 * before

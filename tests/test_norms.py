@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from smcf import evolution as ev
 from smcf import norms
 from smcf import spectral as sp
 from smcf.spectral import Grid
@@ -88,43 +89,27 @@ class TestWspNorm:
 
 
 class TestStrichartz:
+    """The space-time accumulator of ``evolution.Monitor``."""
+
     def test_constant_in_time(self, grid2):
+        # 9 samples of one field at dt 0.5: the trapezoid sum over [0, 4]
         t = norms.exponents(2)
         f = gaussian(grid2)
         T = 4.0
-        samples = [(tt, f) for tt in np.linspace(0, T, 9)]
-        acc = norms.strichartz_accumulate(grid2, samples, t)
+        monitor = ev.Monitor(grid2, ev.EvolutionConfig(dt=0.5, t_end=T))
+        state = ev.trivial_state(grid2, f)
+        for _ in range(9):
+            acc = monitor.record(f, state).strichartz
         spatial = norms.wsp_norm(grid2, f, t.sigma_d, float(t.r_d))
         assert abs(acc - np.sqrt(T) * spatial) <= 1e-10 * max(spatial, 1.0)
-
-    def test_zero_field(self, grid2):
-        t = norms.exponents(2)
-        z = np.zeros(grid2.shape, dtype=complex)
-        assert norms.strichartz_accumulate(grid2, [(0.0, z), (1.0, z)], t) == 0.0
-
-    def test_rejects_short_or_unsorted(self, grid2):
-        t = norms.exponents(2)
-        f = gaussian(grid2)
-        with pytest.raises(ValueError):
-            norms.strichartz_accumulate(grid2, [(0.0, f)], t)
-        with pytest.raises(ValueError):
-            norms.strichartz_accumulate(grid2, [(1.0, f), (0.0, f)], t)
 
     def test_free_flow_tail_decay(self, grid2):
         # accumulate the free Schrodinger flow of a bump over [0,4] and
         # [0,8]; the increment on [4,8] is controlled by the dispersive
         # L^4 decay ~ t^{-d/2 * (1/2 - 1/4)} of the entries
-        t = norms.exponents(2)
-        f = gaussian(grid2, width=0.4)
-        k2 = grid2.k_squared()
-
-        def flow(tt):
-            return grid2.ifft(np.exp(-1j * k2 * tt) * grid2.fft(f))
-
-        times_a = np.linspace(0, 4, 33)
-        times_b = np.linspace(0, 8, 65)
-        acc_a = norms.strichartz_accumulate(grid2, [(tt, flow(tt)) for tt in times_a], t)
-        acc_b = norms.strichartz_accumulate(grid2, [(tt, flow(tt)) for tt in times_b], t)
+        cfg = ev.EvolutionConfig(dt=0.125, t_end=8.0, trivial_gauge=True)
+        traj = ev.evolve(grid2, gaussian(grid2, width=0.4), cfg)
+        acc_a, acc_b = traj.strichartz[32], traj.strichartz[64]
         assert acc_b >= acc_a
         assert acc_b <= 1.5 * acc_a  # tail is small, not doubling
 
