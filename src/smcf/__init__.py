@@ -2,7 +2,9 @@
 harmonic/Coulomb gauge.
 
 Submodules:
-  spectral        periodic grids, FFT calculus, Littlewood-Paley bands
+  spectral        periodic grids and every Fourier transform: derivatives,
+                  the Nyquist and zero-mode rules, Littlewood-Paley bands,
+                  Sobolev norms, off-grid interpolation, the flat flow
   geometry        metric fields, curvature, covariant derivatives,
                   constraint residuals, harmonic coordinates
   gauge_elliptic  the fixed-time elliptic gauge system

@@ -7,7 +7,7 @@ The complex mean curvature psi evolves by
 
 with the gauge variables (lam, g, V, A, B) re-solved from psi by the
 fixed-time elliptic system at every stage of every step.  The stiff
-flat Laplacian is integrated exactly in Fourier space; the remaining
+flat Laplacian is integrated exactly (``spectral.free_flow``); the remaining
 terms are advanced by an explicit second-order rule (Strang splitting
 with a midpoint stage, or a Lawson-Heun exponential integrator).
 
@@ -186,11 +186,6 @@ def schrodinger_rhs(grid: Grid, psi: np.ndarray, state: GaugeState) -> np.ndarra
     return 1j * lap + adv - 1j * B * psi - curv
 
 
-def _free_flow(grid: Grid, psi: np.ndarray, t: float) -> np.ndarray:
-    """Exact flat propagator exp(i t Delta)."""
-    return grid.ifft(np.exp(-1j * grid.k_squared() * t) * grid.fft(psi))
-
-
 def _residual_rhs(grid: Grid, psi: np.ndarray, state: GaugeState) -> np.ndarray:
     """Everything beyond the flat part: schrodinger_rhs - i Delta psi."""
     return schrodinger_rhs(grid, psi, state) - 1j * sp.laplacian(grid, psi)
@@ -228,19 +223,19 @@ def step(grid: Grid, psi: np.ndarray, state: GaugeState, cfg: EvolutionConfig,
     dt = cfg.effective_dt(grid) if dt is None else dt
 
     if cfg.scheme == "split_step":
-        psi_half = _free_flow(grid, psi, dt / 2.0)
+        psi_half = sp.free_flow(grid, psi, dt / 2.0)
         st_half = resolve_gauge(grid, psi_half, cfg, state)
         psi_mid = psi_half + (dt / 2.0) * _residual_rhs(grid, psi_half, st_half)
         st_mid = resolve_gauge(grid, psi_mid, cfg, st_half)
         psi_out = psi_half + dt * _residual_rhs(grid, psi_mid, st_mid)
-        psi_new = _free_flow(grid, psi_out, dt / 2.0)
+        psi_new = sp.free_flow(grid, psi_out, dt / 2.0)
         warm = st_mid
     else:  # imex_rk2
         k1 = _residual_rhs(grid, psi, state)
-        u1 = _free_flow(grid, psi + dt * k1, dt)
+        u1 = sp.free_flow(grid, psi + dt * k1, dt)
         st1 = resolve_gauge(grid, u1, cfg, state)
         k2 = _residual_rhs(grid, u1, st1)
-        psi_new = _free_flow(grid, psi + (dt / 2.0) * k1, dt) + (dt / 2.0) * k2
+        psi_new = sp.free_flow(grid, psi + (dt / 2.0) * k1, dt) + (dt / 2.0) * k2
         warm = st1
 
     _nan_guard(psi_new, t + dt)
@@ -480,7 +475,7 @@ def scattering_profile(traj: TrajectoryReport, sample_times=None):
         idx = list(range(len(traj.times)))
     else:
         idx = [int(np.argmin(np.abs(traj.times - tt))) for tt in sample_times]
-    profiles = [_free_flow(grid, traj.psis[i], -traj.times[i]) for i in idx]
+    profiles = [sp.free_flow(grid, traj.psis[i], -traj.times[i]) for i in idx]
     out = []
     for a, b in zip(range(len(idx) - 1), range(1, len(idx))):
         diff = sp.hs_norm(grid, profiles[b] - profiles[a], s)

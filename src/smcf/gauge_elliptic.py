@@ -33,7 +33,6 @@ __all__ = [
     "GaugeState",
     "SmallnessViolatedError",
     "LostPositivityError",
-    "flat_lambda",
     "recover_lambda",
     "solve_metric",
     "solve_VAB",
@@ -101,10 +100,6 @@ def _raise2(metric, T):
     return np.einsum("am...,bn...,mn...->ab...", metric.inv, metric.inv, T)
 
 
-def _mean_zero(grid, f):
-    return f - np.mean(f, axis=grid.spatial_axes, keepdims=True)
-
-
 def _contract(update, x0, cfg, name):
     """``geo.fixed_point`` on x <- update(x) at the config's tolerance and
     iteration limit, sized by the largest change of an entry."""
@@ -133,17 +128,6 @@ def _hodge_solve(grid, curl, div):
     return inverse(mult.inv_lap * num)
 
 
-def flat_lambda(grid: Grid, psi: np.ndarray) -> np.ndarray:
-    """Closed-form div-curl solution at g = I, A = 0: the Hessian of the
-    mean-projected inverse Laplacian of psi."""
-    ph = grid.fft(psi)
-    k = grid.wavenumbers()
-    k2 = grid.k_squared()
-    denom = np.where(k2 > 0, k2, 1.0)
-    lam_h = np.einsum("a...,b...->ab...", k, k) * np.where(k2 > 0, ph / denom, 0.0)
-    return grid.ifft(lam_h)
-
-
 def recover_lambda(grid, psi, metric, A, cfg: EllipticConfig) -> np.ndarray:
     """Solve the div-curl system for the second fundamental form.
 
@@ -169,7 +153,7 @@ def recover_lambda(grid, psi, metric, A, cfg: EllipticConfig) -> np.ndarray:
         lam_new = _hodge_solve(grid, C, D)  # every column g at once
         return 0.5 * (lam_new + np.einsum("ab...->ba...", lam_new))
 
-    return _contract(update, flat_lambda(grid, psi), cfg, "lambda recovery")
+    return _contract(update, sp.riesz_pairs(grid, psi), cfg, "lambda recovery")
 
 
 def _metric_rhs(grid, m, lam, psi, dg=None):
@@ -207,7 +191,7 @@ def metric_equation_residual(grid, metric, lam, psi):
     """Literal left-minus-right of the metric equation (mean-projected)."""
     lhs = _weighted_second(grid, metric.inv, metric.g)
     res = lhs - _metric_rhs(grid, metric, lam, psi)
-    return _mean_zero(grid, res)
+    return sp.mean_zero(grid, res)
 
 
 def solve_metric(grid, lam, psi, cfg: EllipticConfig, g0: MetricField | None = None):
@@ -224,7 +208,7 @@ def solve_metric(grid, lam, psi, cfg: EllipticConfig, g0: MetricField | None = N
         # g is transformed once per sweep; its spectrum and gradient serve
         # the Christoffel symbols, the right-hand side and the principal term
         g = 0.5 * (h + np.einsum("ab...->ba...", h)) + eye
-        gh = grid.rfft(g)
+        gh = sp.spectrum(grid, g)[0]
         dg = sp.gradient(grid, g, gh)
         try:
             m = MetricField(grid, g, dg)
@@ -235,7 +219,7 @@ def solve_metric(grid, lam, psi, cfg: EllipticConfig, g0: MetricField | None = N
         acc = _weighted_second(grid, m.inv - eye, g, gh)
         h_new = sp.inverse_laplacian(grid, rhs - acc)
         h_new = 0.5 * (h_new + np.einsum("ab...->ba...", h_new))
-        return _mean_zero(grid, h_new)
+        return sp.mean_zero(grid, h_new)
 
     h = _contract(update, h0, cfg, "metric equation")
     try:
@@ -290,7 +274,7 @@ def advection_equation_residual(grid, metric, lam, psi, V):
     dV = geo.covariant_derivative(grid, V, 1, 0, metric)
     res = _vector_laplacian(grid, metric, V, dV).real \
         - _advection_rhs(metric, _advection_source(grid, metric, lam, psi), V, dV)
-    return _mean_zero(grid, res)
+    return sp.mean_zero(grid, res)
 
 
 def _temporal_rhs(grid, metric, lam, psi, V, A):
@@ -317,7 +301,7 @@ def temporal_equation_residual(grid, metric, lam, psi, V, A, B):
     """Literal left-minus-right of the temporal equation (mean-projected)."""
     res = metric.laplace_beltrami(B).real \
         - _temporal_rhs(grid, metric, lam, psi, V, A)
-    return _mean_zero(grid, res)
+    return sp.mean_zero(grid, res)
 
 
 def _solve_A(grid, lam, metric, cfg, A0):
@@ -348,7 +332,7 @@ def _solve_VB(grid, lam, psi, metric, A, cfg, V0):
         rhs = _advection_rhs(metric, source, V, dV)
         V_new = V + sp.inverse_laplacian(
             grid, rhs - _vector_laplacian(grid, metric, V, dV))
-        return _mean_zero(grid, V_new)
+        return sp.mean_zero(grid, V_new)
 
     V = _contract(update_V, V0, cfg, "advection field")
     rhs_B = _temporal_rhs(grid, metric, lam, psi, V, A)
@@ -425,7 +409,6 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
         outer_iterations=sweeps,
         final_update=final_update,
         residuals=state.constraint_report(),
-        psi_sobolev_norm=size,
     )
     return state
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from smcf import spectral as sp
-from smcf.spectral import Grid
+from smcf.spectral import Grid, trig_interp
 
 __all__ = [
     "MetricField",
@@ -32,13 +32,11 @@ __all__ = [
     "tensor_norm_sq_field",
     "intrinsic_norm",
     "intrinsic_norms",
-    "flat_sobolev_norm",
     "energy",
     "Residual",
     "ConstraintReport",
     "constraint_residuals",
     "gauss_bilinear",
-    "trig_interp",
     "harmonic_coordinate_fix",
 ]
 
@@ -230,8 +228,8 @@ def solve_laplace_beltrami(metric: MetricField, rhs: np.ndarray, name: str,
     grid = metric.grid
 
     def sweep(u):
-        u_new = u + sp.inverse_laplacian(grid, rhs - metric.laplace_beltrami(u))
-        u_new -= np.mean(u_new, axis=grid.spatial_axes, keepdims=True)
+        u_new = sp.mean_zero(grid, u + sp.inverse_laplacian(
+            grid, rhs - metric.laplace_beltrami(u)))
         return u_new, float(np.max(np.abs(u_new - u)))
 
     return fixed_point(sweep, np.zeros(np.shape(rhs)), name, tol, max_iter)[0]
@@ -356,23 +354,6 @@ def intrinsic_norms(grid, T, nup, nlow, metric=None, A=None, ks=(0,)):
     return norms
 
 
-def flat_sobolev_norm(grid, T, k):
-    """Flat counterpart of the intrinsic norm: sqrt(sum_{l<=k} ||d^l T||^2_{L2}).
-
-    Computed Fourier-side with the weight sum_{l<=k} |xi|^{2l}; this is
-    the norm the intrinsic one degenerates to at g=I, A=0.
-    """
-    fh = grid.fft(np.asarray(T))
-    k2 = grid.k_squared()
-    w = np.zeros_like(k2)
-    p = np.ones_like(k2)
-    for _ in range(k + 1):
-        w += p
-        p = p * k2
-    total = np.sum(w * (fh * np.conj(fh)).real)
-    return float(np.sqrt(total * grid.cell_volume / grid.n**grid.d))
-
-
 def energy(grid, psi, metric, A, k):
     """Energy functional of order k: the squared intrinsic Sobolev norm of psi."""
     return intrinsic_norm(grid, psi, 0, 0, metric, A, k) ** 2
@@ -478,30 +459,6 @@ def constraint_residuals(grid, psi, metric, lam, A, mean_project=True):
     report("symmetry", lam - np.einsum("ba...->ab...", lam))
     report("trace", np.einsum("ab...,ab...->...", metric.inv, lam) - psi)
     return ConstraintReport(nondecay=nondecay, **results)
-
-
-def trig_interp(grid, f, points, chunk=4096):
-    """Evaluate the trigonometric interpolant of f at arbitrary points.
-
-    ``points`` has shape (d, m); leading tensor axes of f broadcast.
-    Separable evaluation over the ``Grid.wavenumbers`` modes (Nyquist
-    included): one phase table exp(i x_a k) per axis, then one
-    contraction per axis, so a chunk of p points costs d*n*p
-    exponentials and O(N*p) multiply-adds, not N*p exponentials.
-    """
-    f = np.asarray(f)
-    fh = grid.fft(f) / grid.n**grid.d
-    k = grid.wavenumbers()[0].reshape(grid.n, -1)[:, 0]  # the 1-D wavenumber set
-    m = points.shape[1]
-    out = np.empty(f.shape[: f.ndim - grid.d] + (m,), dtype=complex)
-    for start in range(0, m, chunk):
-        pts = points[:, start : start + chunk]
-        acc = fh.reshape(-1, grid.n) @ np.exp(1j * np.outer(k, pts[-1]))  # last axis
-        acc = acc.reshape(fh.shape[:-1] + (pts.shape[1],))
-        for a in range(grid.d - 2, -1, -1):
-            acc = np.einsum("...kp,kp->...p", acc, np.exp(1j * np.outer(k, pts[a])))
-        out[..., start : start + chunk] = acc
-    return out
 
 
 def _invert_coordinates(grid, phi):

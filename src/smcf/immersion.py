@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from smcf import evolution as ev
 from smcf import gauge_elliptic as ge
 from smcf import geometry as geo
 from smcf import spectral as sp
@@ -40,7 +41,6 @@ __all__ = [
     "sphere_state",
     "flat_patch_state",
     "graph_state",
-    "drop_nyquist",
     "immersion_from_psi",
     "OracleConfig",
     "OracleReport",
@@ -314,13 +314,6 @@ def graph_state(grid: Grid, w: np.ndarray) -> ImmersionState:
 # alignment and the oracle comparison
 
 
-def _translate(grid: Grid, f: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """f(. + shift) evaluated spectrally (exact for band-limited f)."""
-    k = grid.wavenumbers()
-    phase = np.exp(1j * np.einsum("a...,a->...", k, shift))
-    return grid.ifft(phase * grid.fft(f))
-
-
 def _phase_translation_fit(grid: Grid, psi: np.ndarray, ref: np.ndarray,
                            sweeps: int = 3):
     """Best global phase, torus translation, and constant offset
@@ -352,7 +345,7 @@ def _phase_translation_fit(grid: Grid, psi: np.ndarray, ref: np.ndarray,
         theta_tot += coef[0]
         shift_tot += coef[1 : 1 + grid.d]
         offset_tot += coef[1 + grid.d] + 1j * coef[2 + grid.d]
-        cur = np.exp(1j * theta_tot) * _translate(grid, psi, shift_tot) + offset_tot
+        cur = np.exp(1j * theta_tot) * sp.translate(grid, psi, shift_tot) + offset_tot
         if np.max(np.abs(coef)) <= 1e-14:
             break
     return cur, theta_tot, shift_tot, offset_tot
@@ -374,8 +367,8 @@ def align_extracted(grid: Grid, ex: ExtractedGauge, psi_ref: np.ndarray):
     same x.
     """
     phi, x, inv_jac, metric_y = geo._harmonic_chart(ex.metric)
-    psi_y = geo.trig_interp(grid, ex.psi, x).reshape(grid.shape)
-    A_at_x = geo.trig_interp(grid, ex.A, x).real  # (a, m)
+    psi_y = sp.trig_interp(grid, ex.psi, x).reshape(grid.shape)
+    A_at_x = sp.trig_interp(grid, ex.A, x).real  # (a, m)
     A_y = np.einsum("mac,am->cm", inv_jac, A_at_x).reshape((grid.d,) + grid.shape)
 
     theta = _coulomb_angle(grid, metric_y, A_y)
@@ -391,22 +384,6 @@ def align_extracted(grid: Grid, ex: ExtractedGauge, psi_ref: np.ndarray):
     }
 
 
-def drop_nyquist(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Zero the unpaired Nyquist planes (|k_axis| = n/2).
-
-    Odd-order spectral derivatives of real fields annihilate the
-    Nyquist cosine on the grid, so an immersion built from real
-    coordinate fields cannot carry data in those planes; comparisons
-    against them are performed on Nyquist-free fields.
-    """
-    fh = grid.fft(f)
-    for ax in range(grid.d):
-        sl = [slice(None)] * fh.ndim
-        sl[fh.ndim - grid.d + ax] = grid.n // 2
-        fh[tuple(sl)] = 0.0
-    return grid.ifft(fh)
-
-
 def immersion_from_psi(grid: Grid, psi0: np.ndarray, tol: float = 1e-7) -> ImmersionState:
     """Graph immersion whose extracted-and-aligned psi equals psi0.
 
@@ -414,7 +391,7 @@ def immersion_from_psi(grid: Grid, psi0: np.ndarray, tol: float = 1e-7) -> Immer
     w = Delta^{-1} psi0 and removes the quadratic mismatch by Picard
     iteration, so the construction residual sits at the solver
     tolerance rather than at O(amplitude^2).  psi0 must be free of
-    Nyquist-plane content (see ``drop_nyquist``).
+    Nyquist-plane content (see ``spectral.drop_nyquist``).
     """
     def sweep(x):
         # the iterate carries the graph it measured, which is returned
@@ -481,11 +458,9 @@ def oracle_compare(grid: Grid, psi0: np.ndarray, cfg: OracleConfig) -> OracleRep
     A gauge-side evolution that stops contracting raises
     ``GaugeEvolutionError``.
     """
-    from smcf import evolution as ev
-
     if grid.d != 2:
         raise ValueError("the oracle comparison runs on two-dimensional grids")
-    psi0 = drop_nyquist(grid, psi0.astype(complex))
+    psi0 = sp.drop_nyquist(grid, psi0.astype(complex))
     state = immersion_from_psi(grid, psi0, tol=cfg.construction_tol)
 
     if cfg.t_end == 0.0:

@@ -1,13 +1,17 @@
 """Fourier calculus on a periodic box.
 
-Everything downstream (tensor calculus, elliptic solves, time stepping)
-is built on the operators in this module: spectral derivatives, the
-mean-projected inverse Laplacian, Riesz transforms, Littlewood-Paley
-band projections and Sobolev-weight multipliers.
+This is the one module that transforms a field or reads a wavenumber;
+everything downstream (tensor calculus, elliptic solves, time stepping,
+the immersion oracle) is built on its operators: spectral derivatives,
+the mean-projected inverse Laplacian and the torus zero-mode rule
+(``mean_zero``), Riesz transforms, Littlewood-Paley band projections,
+Sobolev-weight multipliers and norms, the exact flat flow
+(``free_flow``), translations, the Nyquist-plane rules below
+(``drop_nyquist``) and off-grid evaluation (``trig_interp``).
 
 Fields are plain numpy arrays whose *last* ``d`` axes are the spatial
 grid; leading axes (tensor indices) broadcast through every operator,
-so a ``(d, d, n, n)`` tensor field can be fed to ``derivative`` as-is.
+so a ``(d, d, n, n)`` tensor field can be fed to ``gradient`` as-is.
 
 Real and complex fields.  ``gradient``, ``hessian`` and
 ``inverse_laplacian`` (via ``spectrum``) send a complex field through
@@ -40,7 +44,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "smooth_bump",
-    "derivative",
     "gradient",
     "hessian",
     "spectrum",
@@ -48,15 +51,21 @@ __all__ = [
     "laplacian",
     "inverse_laplacian",
     "riesz",
+    "riesz_pairs",
     "lp_project",
     "num_bands",
     "sobolev_multiplier",
-    "dealias",
+    "free_flow",
+    "translate",
+    "drop_nyquist",
+    "trig_interp",
     "field_mean",
+    "mean_zero",
     "l2_norm",
     "linf_norm",
     "lp_norm",
     "hs_norm",
+    "flat_sobolev_norm",
 ]
 
 
@@ -224,13 +233,6 @@ def _check_axis(grid: Grid, axis: int) -> None:
         raise ValueError(f"axis {axis} out of range for dimension {grid.d}")
 
 
-def derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
-    """Spectral partial derivative along a spatial axis (multiplier i*xi)."""
-    _check_axis(grid, axis)
-    k = grid.wavenumbers()[axis]
-    return grid.ifft(1j * k * grid.fft(f))
-
-
 def spectrum(grid: Grid, f: np.ndarray, fh: np.ndarray | None = None):
     """(fh, multipliers, inverse transform) for applying multipliers to f.
 
@@ -289,6 +291,18 @@ def riesz(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     nz = kabs > 0
     mult[nz] = k[nz] / kabs[nz]
     return grid.ifft(mult * grid.fft(f))
+
+
+def riesz_pairs(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """R_a R_b f for every pair of axes, shape (d, d) + f.shape: the
+    multiplier k_a k_b / |k|^2, zero at k = 0.  At g = I, A = 0 this is
+    the closed-form solution of the div-curl system for lambda."""
+    fh = grid.fft(f)
+    k = grid.wavenumbers()
+    k2 = grid.k_squared()
+    denom = np.where(k2 > 0, k2, 1.0)
+    out = np.einsum("a...,b...->ab...", k, k) * np.where(k2 > 0, fh / denom, 0.0)
+    return grid.ifft(out)
 
 
 def smooth_bump(r: np.ndarray) -> np.ndarray:
@@ -364,17 +378,65 @@ def sobolev_multiplier(grid: Grid, f: np.ndarray, s: float, kind: str = "bessel"
     return grid.ifft(mult * grid.fft(f))
 
 
-def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """2/3-rule truncation: zero all modes with any |k_axis| > n/3 * (2pi/L)."""
-    fh = grid.fft(f)
-    cutoff = (grid.n // 3) * (2.0 * np.pi / grid.length)
+def free_flow(grid: Grid, f: np.ndarray, t: float) -> np.ndarray:
+    """Exact flat propagator exp(i t Delta)."""
+    return grid.ifft(np.exp(-1j * grid.k_squared() * t) * grid.fft(f))
+
+
+def translate(grid: Grid, f: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """f(. + shift) evaluated spectrally (exact for band-limited f)."""
     k = grid.wavenumbers()
-    mask = np.all(np.abs(k) <= cutoff + 1e-12, axis=0)
-    return grid.ifft(mask * fh)
+    phase = np.exp(1j * np.einsum("a...,a->...", k, shift))
+    return grid.ifft(phase * grid.fft(f))
+
+
+def drop_nyquist(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Zero the unpaired Nyquist planes (|k_axis| = n/2).
+
+    Odd-order spectral derivatives of real fields annihilate the
+    Nyquist cosine on the grid, so an immersion built from real
+    coordinate fields cannot carry data in those planes; comparisons
+    against them are performed on Nyquist-free fields.
+    """
+    fh = grid.fft(f)
+    for ax in range(grid.d):
+        sl = [slice(None)] * fh.ndim
+        sl[fh.ndim - grid.d + ax] = grid.n // 2
+        fh[tuple(sl)] = 0.0
+    return grid.ifft(fh)
+
+
+def trig_interp(grid, f, points, chunk=4096):
+    """Evaluate the trigonometric interpolant of f at arbitrary points.
+
+    ``points`` has shape (d, m); leading tensor axes of f broadcast.
+    Separable evaluation over the ``Grid.wavenumbers`` modes (Nyquist
+    included): one phase table exp(i x_a k) per axis, then one
+    contraction per axis, so a chunk of p points costs d*n*p
+    exponentials and O(N*p) multiply-adds, not N*p exponentials.
+    """
+    f = np.asarray(f)
+    fh = grid.fft(f) / grid.n**grid.d
+    k = grid.wavenumbers()[0].reshape(grid.n, -1)[:, 0]  # the 1-D wavenumber set
+    m = points.shape[1]
+    out = np.empty(f.shape[: f.ndim - grid.d] + (m,), dtype=complex)
+    for start in range(0, m, chunk):
+        pts = points[:, start : start + chunk]
+        acc = fh.reshape(-1, grid.n) @ np.exp(1j * np.outer(k, pts[-1]))  # last axis
+        acc = acc.reshape(fh.shape[:-1] + (pts.shape[1],))
+        for a in range(grid.d - 2, -1, -1):
+            acc = np.einsum("...kp,kp->...p", acc, np.exp(1j * np.outer(k, pts[a])))
+        out[..., start : start + chunk] = acc
+    return out
 
 
 def field_mean(grid: Grid, f: np.ndarray):
     return np.mean(f, axis=grid.spatial_axes)
+
+
+def mean_zero(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """f with its torus mean (the zero mode) removed."""
+    return f - np.mean(f, axis=grid.spatial_axes, keepdims=True)
 
 
 def _abs2(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -403,10 +465,29 @@ def lp_norm(grid: Grid, f: np.ndarray, p: float) -> float:
     return float((np.sum(mag**p) * grid.cell_volume) ** (1.0 / p))
 
 
-def hs_norm(grid: Grid, f: np.ndarray, s: float) -> float:
-    """Flat Sobolev norm ||<D>^s f||_{L^2}, computed Fourier-side."""
-    fh = grid.fft(f)
-    w = (1.0 + grid.k_squared()) ** s
+def _weighted_l2(grid: Grid, fh: np.ndarray, w: np.ndarray) -> float:
+    """The L^2 norm of the field with spectrum sqrt(w) fh."""
     total = np.sum(w * (fh * np.conj(fh)).real)
     # Parseval: sum |fh|^2 * cell_volume / n^d  ==  integral |f|^2 dx
     return float(np.sqrt(total * grid.cell_volume / grid.n**grid.d))
+
+
+def hs_norm(grid: Grid, f: np.ndarray, s: float) -> float:
+    """Flat Sobolev norm ||<D>^s f||_{L^2}, computed Fourier-side."""
+    return _weighted_l2(grid, grid.fft(f), (1.0 + grid.k_squared()) ** s)
+
+
+def flat_sobolev_norm(grid, T, k):
+    """Flat counterpart of the intrinsic norm: sqrt(sum_{l<=k} ||d^l T||^2_{L2}).
+
+    Computed Fourier-side with the weight sum_{l<=k} |xi|^{2l}; this is
+    the norm the intrinsic one degenerates to at g=I, A=0.
+    """
+    fh = grid.fft(np.asarray(T))
+    k2 = grid.k_squared()
+    w = np.zeros_like(k2)
+    p = np.ones_like(k2)
+    for _ in range(k + 1):
+        w += p
+        p = p * k2
+    return _weighted_l2(grid, fh, w)

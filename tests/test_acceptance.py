@@ -113,7 +113,7 @@ class TestNormEquivalence:
                 ratio = (
                     geo.intrinsic_norm(grid2, T, 0, 2, converged2.metric,
                                        converged2.A, k)
-                    / geo.flat_sobolev_norm(grid2, T, k)
+                    / sp.flat_sobolev_norm(grid2, T, k)
                 )
                 assert 0.9 <= ratio <= 1.1
 

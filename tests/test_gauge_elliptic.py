@@ -52,13 +52,13 @@ class TestRecoverLambda:
         m = MetricField.identity(grid2)
         A = np.zeros((2,) + grid2.shape)
         lam = ge.recover_lambda(grid2, psi, m, A, CFG)
-        assert np.max(np.abs(lam - ge.flat_lambda(grid2, psi))) <= 1e-10
+        assert np.max(np.abs(lam - sp.riesz_pairs(grid2, psi))) <= 1e-10
 
     def test_flat_closed_form_satisfies_system(self, grid2):
         # direct substitution: symmetric, flat-curl-free, divergence = d psi,
         # trace = psi (mean-projected)
         psi = gaussian_psi(grid2)
-        lam = ge.flat_lambda(grid2, psi)
+        lam = sp.riesz_pairs(grid2, psi)
         assert np.max(np.abs(lam - np.einsum("ab...->ba...", lam))) <= 1e-13
         dlam = sp.gradient(grid2, lam)  # (c, a, b)
         curl = dlam - np.einsum("cab...->acb...", dlam)
@@ -207,7 +207,7 @@ class TestLinearizeFd:
     def test_at_zero_matches_flat_recovery(self, grid2):
         dpsi = gaussian_psi(grid2, amp=1.0)
         resp = ge.linearize_fd(grid2, np.zeros(grid2.shape, complex), dpsi, CFG)
-        expect = ge.flat_lambda(grid2, dpsi)
+        expect = sp.riesz_pairs(grid2, dpsi)
         rel = np.max(np.abs(resp.dlam - expect)) / np.max(np.abs(expect))
         assert rel <= 1e-6
 

@@ -1,8 +1,12 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smcf import geometry as geo
 from smcf import spectral as sp
 from smcf.spectral import Grid
 
@@ -43,25 +47,25 @@ class TestGrid:
 
 
 class TestDerivative:
+    """Rows of ``gradient``: row a is the partial derivative along axis a."""
+
     def test_cosine(self, grid2):
         x = coords(grid2)
         f = np.cos(x[0]).astype(complex)
-        df = sp.derivative(grid2, f, 0)
-        assert np.max(np.abs(df - (-np.sin(x[0])))) <= 1e-12
+        df = sp.gradient(grid2, f)
+        assert np.max(np.abs(df[0] - (-np.sin(x[0])))) <= 1e-12
+        assert np.max(np.abs(df[1])) <= 1e-12
 
     def test_constant(self, grid2):
         f = np.ones(grid2.shape, dtype=complex)
-        assert np.max(np.abs(sp.derivative(grid2, f, 0))) <= 1e-13
+        assert np.max(np.abs(sp.gradient(grid2, f))) <= 1e-13
 
     def test_single_mode(self, grid2):
         x = coords(grid2)
         f = np.exp(3j * x[1])
-        df = sp.derivative(grid2, f, 1)
-        assert np.max(np.abs(df - 3j * f)) <= 1e-11
-
-    def test_axis_out_of_range(self, grid2):
-        with pytest.raises(ValueError):
-            sp.derivative(grid2, np.zeros(grid2.shape), 2)
+        df = sp.gradient(grid2, f)
+        assert np.max(np.abs(df[1] - 3j * f)) <= 1e-11
+        assert np.max(np.abs(df[0])) <= 1e-11
 
 
 class TestInverseLaplacian:
@@ -106,6 +110,14 @@ class TestRiesz:
         total = sum(sp.riesz(grid2, sp.riesz(grid2, f, a), a) for a in range(2))
         assert np.max(np.abs(total - f)) <= 1e-12
 
+    def test_pairs_compose_riesz(self, grid2):
+        f = random_field(grid2, seed=3)
+        pairs = sp.riesz_pairs(grid2, f)
+        for a in range(2):
+            for b in range(2):
+                expect = sp.riesz(grid2, sp.riesz(grid2, f, b), a)
+                assert np.max(np.abs(pairs[a, b] - expect)) <= 1e-13
+
 
 class TestLittlewoodPaley:
     def test_partition_of_unity(self, grid2):
@@ -134,8 +146,8 @@ class TestLittlewoodPaley:
 
     def test_commutes_with_derivative(self, grid2):
         f = random_field(grid2, seed=5)
-        a = sp.derivative(grid2, sp.lp_project(grid2, f, 2, "S"), 0)
-        b = sp.lp_project(grid2, sp.derivative(grid2, f, 0), 2, "S")
+        a = sp.gradient(grid2, sp.lp_project(grid2, f, 2, "S"))[0]
+        b = sp.lp_project(grid2, sp.gradient(grid2, f)[0], 2, "S")
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -173,7 +185,7 @@ class TestNormsAndInvariants:
         f = random_field(grid2, seed=9)
         g = random_field(grid2, seed=10)
         for op in (
-            lambda u: sp.derivative(grid2, u, 0),
+            lambda u: sp.gradient(grid2, u),
             lambda u: sp.inverse_laplacian(grid2, u),
             lambda u: sp.riesz(grid2, u, 1),
             lambda u: sp.lp_project(grid2, u, 2, "S"),
@@ -183,18 +195,11 @@ class TestNormsAndInvariants:
             rhs = 2.0 * op(f) + 3j * op(g)
             assert np.max(np.abs(lhs - rhs)) <= 1e-11
 
-    def test_dealias_removes_high_modes(self, grid2):
-        x = coords(grid2)
-        keep = np.exp(5j * x[0])
-        drop = np.exp(14j * x[1])
-        out = sp.dealias(grid2, keep + drop)
-        assert np.max(np.abs(out - keep)) <= 1e-12
-
     def test_broadcast_over_tensor_axes(self, grid2):
         f = np.stack([random_field(grid2, seed=11), random_field(grid2, seed=12)])
-        out = sp.derivative(grid2, f, 0)
+        out = sp.gradient(grid2, f)  # (axis, tensor index) + grid
         for a in range(2):
-            assert np.max(np.abs(out[a] - sp.derivative(grid2, f[a], 0))) <= 1e-13
+            assert np.max(np.abs(out[:, a] - sp.gradient(grid2, f[a]))) <= 1e-13
 
 
 def nyquist_rich_field(grid, lead, seed):
@@ -264,3 +269,44 @@ class TestRealPath:
             assert np.max(np.abs(grid.irfft(grid.rfft(f)) - f)) <= 1e-13
             assert np.max(np.abs(grid.rfft(f) - grid.fft(f)[..., :5])) <= 1e-12
             assert np.max(np.abs(grid.ifft(grid.fft(f)) - f)) <= 1e-13
+
+
+class TestFlowAndTranslate:
+    @pytest.mark.parametrize("axis, m", [(0, 3), (1, -5)])
+    def test_translate_by_grid_steps_is_roll(self, grid2, axis, m):
+        f = random_field(grid2, seed=15)
+        shift = np.zeros(2)
+        shift[axis] = m * grid2.dx
+        out = sp.translate(grid2, f, shift)  # f(x + m dx)
+        assert np.max(np.abs(out - np.roll(f, -m, axis=axis))) <= 1e-13
+
+    def test_free_flow_phase(self, grid2):
+        x = coords(grid2)
+        for m in (1, 3):
+            f = np.exp(1j * m * x[1])
+            out = sp.free_flow(grid2, f, 0.7)
+            assert np.max(np.abs(out - np.exp(-1j * m**2 * 0.7) * f)) <= 1e-12
+
+    def test_free_flow_reverses(self, grid2):
+        f = random_field(grid2, seed=16)
+        back = sp.free_flow(grid2, sp.free_flow(grid2, f, 0.9), -0.9)
+        assert np.max(np.abs(back - f)) <= 1e-13
+
+
+class TestOwnership:
+    """``spectral`` is the only module that transforms a field or reads
+    a wavenumber (see the module docstring)."""
+
+    PATTERN = re.compile(r"np\.fft|\b(i?r?fft|wavenumbers|k_squared|k_abs)\(")
+
+    def test_no_transform_outside_spectral(self):
+        src = pathlib.Path(sp.__file__).parent
+        hits = [f"{path.name}:{i}: {line.strip()}"
+                for path in sorted(src.glob("*.py")) if path.name != "spectral.py"
+                for i, line in enumerate(path.read_text().splitlines(), 1)
+                if self.PATTERN.search(line)]
+        assert hits == []
+
+    def test_geometry_binds_trig_interp(self):
+        # perfbench/spans.py traces it as smcf.geometry.trig_interp
+        assert geo.trig_interp is sp.trig_interp
