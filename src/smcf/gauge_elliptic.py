@@ -156,11 +156,9 @@ def recover_lambda(grid, psi, metric, A, cfg: EllipticConfig) -> np.ndarray:
     return _contract(update, sp.riesz_pairs(grid, psi), cfg, "lambda recovery")
 
 
-def _metric_rhs(grid, m, lam, psi, dg=None):
+def _metric_rhs(grid, m, lam, psi, dg):
     """Right-hand side of the harmonic-coordinate metric equation;
-    ``dg`` is ``sp.gradient`` of m.g if the caller has it."""
-    if dg is None:
-        dg = sp.gradient(grid, m.g)    # (c, a, b) = d_c g_ab
+    ``dg`` is ``sp.gradient`` of m.g, (c, a, b) = d_c g_ab."""
     dginv = sp.gradient(grid, m.inv)  # (c, a, b) = d_c g^{ab}
     t = np.einsum("gab...,bas...->gs...", dginv, dg)
     rhs = -t - np.einsum("gs...->sg...", t)
@@ -190,7 +188,7 @@ def _weighted_second(grid, coeff, g):
 def metric_equation_residual(grid, metric, lam, psi):
     """Literal left-minus-right of the metric equation (mean-projected)."""
     lhs = _weighted_second(grid, metric.inv, metric.g)
-    res = lhs - _metric_rhs(grid, metric, lam, psi)
+    res = lhs - _metric_rhs(grid, metric, lam, psi, sp.gradient(grid, metric.g))
     return sp.mean_zero(grid, res)
 
 

@@ -199,12 +199,10 @@ class MetricField:
         )  # low[s, a, b] = Gamma_{s,ab}
         return np.einsum("cs...,sab...->cab...", self.inv, low)
 
-    def laplace_beltrami(self, f: np.ndarray,
-                         fh: np.ndarray | None = None) -> np.ndarray:
+    def laplace_beltrami(self, f: np.ndarray) -> np.ndarray:
         """Delta_g f = g^{ab}(d2_ab f - Gamma^c_ab d_c f) for a scalar f or
-        a stack of them (``fh`` for the Hessian, as in
-        ``spectral.spectrum``); real for a real f."""
-        out = np.einsum("ab...,ab...->...", self.inv, sp.hessian(self.grid, f, fh))
+        a stack of them; real for a real f."""
+        out = np.einsum("ab...,ab...->...", self.inv, sp.hessian(self.grid, f))
         out -= np.einsum("c...,c...->...", self.harmonic_defect,
                          sp.gradient(self.grid, f))
         return out

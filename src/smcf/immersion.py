@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _FRAME_TOL = 1e-10
+# linearized re-fits of the residual phase, translation and offset
+_FIT_SWEEPS = 3
 
 
 class DegenerateImmersionError(RuntimeError):
@@ -127,38 +129,25 @@ def _gram(dF: np.ndarray, build):
         raise DegenerateImmersionError(str(exc)) from exc
 
 
-def _induced_metric(grid: Grid, F: np.ndarray, linear=None):
-    """The spectrum Fh of F (for its second derivatives), the tangents
-    dF (a, i) and the induced MetricField."""
-    Fh = sp.spectrum(grid, F)[0]
-    dF = _tangents(grid, F, linear)
-    return Fh, dF, _gram(dF, lambda g: MetricField(grid, g))
-
-
-def _mean_curvature(F: np.ndarray, Fh: np.ndarray, metric: MetricField,
-                    linear=None) -> np.ndarray:
-    """H = Delta_g F: the componentwise Laplace-Beltrami of the periodic
-    part (spectrum Fh), minus g^{ab} Gamma^c_{ab} linear_c for the
-    winding, whose second derivatives vanish."""
-    H = metric.laplace_beltrami(F, Fh)
-    if linear is not None:
-        H -= np.einsum("c...,ic->i...", metric.harmonic_defect, linear)
-    return H
-
-
 def _normal_frame(grid: Grid, F: np.ndarray, linear, nu1: np.ndarray,
                   nu2: np.ndarray):
-    """``_frame_project`` onto the normal space of F, from the tangents
-    and g^{-1} alone."""
+    """(g^{-1}, n1, n2): the inverse induced metric and ``_frame_project``
+    of (nu1, nu2) onto the normal space of F."""
     dF = _tangents(grid, F, linear)
-    return _frame_project(dF, _gram(dF, geo._ldl_inverse)[0], nu1, nu2)
+    ginv = _gram(dF, geo._ldl_inverse)[0]
+    return (ginv,) + _frame_project(dF, ginv, nu1, nu2)
 
 
 def induced_geometry(grid: Grid, F: np.ndarray, linear=None):
-    """Induced metric g_ab = dF_a . dF_b and mean curvature H = Delta_g F,
-    normal to the surface to within discretization error."""
-    Fh, _, metric = _induced_metric(grid, F, linear)
-    return metric, _mean_curvature(F, Fh, metric, linear)
+    """Induced metric g_ab = dF_a . dF_b and the full mean curvature
+    H = Delta_g F = g^{ab}(d2_ab F - Gamma^c_ab dF_c), with d2F from the
+    Hessian of F and the winding held in dF; normal to the surface to
+    within discretization error."""
+    dF = _tangents(grid, F, linear)
+    metric = _gram(dF, lambda g: MetricField(grid, g))
+    H = np.einsum("ab...,abi...->i...", metric.inv, sp.hessian(grid, F))
+    H -= np.einsum("c...,ci...->i...", metric.harmonic_defect, dF)
+    return metric, H
 
 
 def _frame_project(dF: np.ndarray, ginv: np.ndarray, nu1: np.ndarray,
@@ -189,15 +178,16 @@ def smcf_step(state: ImmersionState, dt: float) -> ImmersionState:
 
     The frame is transported to each stage position by the
     minimal-rotation projection, and re-derived at the final point.
-    Each stage forms the tangents and the induced metric of F once, and
-    takes the spectrum of F once, for H.
+    J H needs only the normal part of H, so each stage takes
+    g^{ab} d2_ab F . n from one gradient and one Hessian of F; the
+    term g^{ab} Gamma^c_ab dF_c of ``induced_geometry`` is tangent, so
+    orthogonal to (n1, n2) up to round-off, and is not formed.
     """
     grid, F, lin = state.grid, state.F, state.linear
 
     def vel(Fs):
-        Fh, dF, metric = _induced_metric(grid, Fs, lin)
-        n1, n2 = _frame_project(dF, metric.inv, state.nu1, state.nu2)
-        H = _mean_curvature(Fs, Fh, metric, lin)
+        ginv, n1, n2 = _normal_frame(grid, Fs, lin, state.nu1, state.nu2)
+        H = np.einsum("ab...,abi...->i...", ginv, sp.hessian(grid, Fs))
         h1 = np.einsum("i...,i...->...", H, n1)
         h2 = np.einsum("i...,i...->...", H, n2)
         return h1 * n2 - h2 * n1
@@ -207,7 +197,7 @@ def smcf_step(state: ImmersionState, dt: float) -> ImmersionState:
     k3 = vel(F + 0.5 * dt * k2)
     k4 = vel(F + dt * k3)
     F_new = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    n1, n2 = _normal_frame(grid, F_new, lin, state.nu1, state.nu2)
+    n1, n2 = _normal_frame(grid, F_new, lin, state.nu1, state.nu2)[1:]
     return ImmersionState(grid=grid, F=F_new, nu1=n1, nu2=n2, linear=lin)
 
 
@@ -216,8 +206,9 @@ def extract_gauge(state: ImmersionState) -> ExtractedGauge:
     lam_ab = (d^2_{ab} F) . (nu1 + i nu2), psi = g^{ab} lam_ab,
     A_a = (d_a nu1) . nu2."""
     grid = state.grid
-    Fh, _, metric = _induced_metric(grid, state.F, state.linear)
-    d2F = sp.hessian(grid, state.F, Fh)  # (c, a, i)
+    metric = _gram(_tangents(grid, state.F, state.linear),
+                   lambda g: MetricField(grid, g))
+    d2F = sp.hessian(grid, state.F)  # (c, a, i)
     kappa = np.einsum("cai...,i...->ca...", d2F, state.nu1)
     tau = np.einsum("cai...,i...->ca...", d2F, state.nu2)
     lam = kappa + 1j * tau
@@ -306,7 +297,7 @@ def graph_state(grid: Grid, w: np.ndarray) -> ImmersionState:
     e3[2] = 1.0
     e4 = np.zeros((4,) + grid.shape)
     e4[3] = 1.0
-    nu1, nu2 = _normal_frame(grid, F, lin, e3, e4)
+    nu1, nu2 = _normal_frame(grid, F, lin, e3, e4)[1:]
     return ImmersionState(grid=grid, F=F, nu1=nu1, nu2=nu2, linear=lin)
 
 
@@ -314,8 +305,7 @@ def graph_state(grid: Grid, w: np.ndarray) -> ImmersionState:
 # alignment and the oracle comparison
 
 
-def _phase_translation_fit(grid: Grid, psi: np.ndarray, ref: np.ndarray,
-                           sweeps: int = 3):
+def _phase_translation_fit(grid: Grid, psi: np.ndarray, ref: np.ndarray):
     """Best global phase, torus translation, and constant offset
     matching psi to ref.
 
@@ -333,7 +323,7 @@ def _phase_translation_fit(grid: Grid, psi: np.ndarray, ref: np.ndarray,
     offset_tot = 0.0 + 0.0j
     one = np.ones(grid.shape, dtype=complex)
     cur = psi
-    for _ in range(sweeps):
+    for _ in range(_FIT_SWEEPS):
         cols = [1j * cur, *sp.gradient(grid, cur), one, 1j * one]
         Areal = np.stack(
             [np.concatenate([c.real.ravel(), c.imag.ravel()]) for c in cols],

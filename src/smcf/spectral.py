@@ -255,17 +255,15 @@ def _check_axis(grid: Grid, axis: int) -> None:
         raise ValueError(f"axis {axis} out of range for dimension {grid.d}")
 
 
-def spectrum(grid: Grid, f: np.ndarray, fh: np.ndarray | None = None):
+def spectrum(grid: Grid, f: np.ndarray):
     """(fh, multipliers, inverse transform) for applying multipliers to f.
 
     A real f gets its half spectrum, the Hermitian-part multipliers and
     ``Grid.irfft``; a complex f its full spectrum, the plain multipliers
-    and ``Grid.ifft``.  Pass ``fh`` if the caller already holds that
-    transform of f.
+    and ``Grid.ifft``.
     """
     real = not np.iscomplexobj(f)
-    if fh is None:
-        fh = grid.rfft(f) if real else grid.fft(f)
+    fh = grid.rfft(f) if real else grid.fft(f)
     return fh, grid.multipliers(real), grid.irfft if real else grid.ifft
 
 
@@ -289,10 +287,10 @@ def gradient(grid: Grid, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def hessian(grid: Grid, f: np.ndarray, fh: np.ndarray | None = None) -> np.ndarray:
+def hessian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """All second partial derivatives d_a d_b f, shape (d, d) + f.shape,
-    from the -k_a k_b multiplier (``fh`` as in ``spectrum``)."""
-    fh, mult, inverse = spectrum(grid, f, fh)
+    from the -k_a k_b multiplier."""
+    fh, mult, inverse = spectrum(grid, f)
     return inverse(_broadcast(grid, mult.kk, fh) * fh)
 
 

@@ -145,6 +145,36 @@ class TestSmcfStep:
         assert np.max(np.abs(back.F - graph.F)) <= 1e-10
         assert np.max(np.abs(back.nu1 - graph.nu1)) <= 1e-10
 
+    @pytest.mark.parametrize("name, dt", [("graph", 1e-3), ("sphere", 1e-3),
+                                          ("circle", 1e-4)])
+    def test_normal_part_of_H_suffices(self, request, name, dt):
+        # a reference RK4 on the full J Delta_g F, Christoffel term
+        # included, agrees with the step that forms only g^{ab} d2_ab F
+        state = ref = request.getfixturevalue(name)
+        grid, lin = state.grid, state.linear
+
+        def frame(F):
+            metric, H = im.induced_geometry(grid, F, lin)
+            dF = im._tangents(grid, F, lin)
+            return H, im._frame_project(dF, metric.inv, ref.nu1, ref.nu2)
+
+        def vel(F):
+            H, (n1, n2) = frame(F)
+            return (np.einsum("i...,i...->...", H, n1) * n2
+                    - np.einsum("i...,i...->...", H, n2) * n1)
+
+        for _ in range(5):
+            k1 = vel(ref.F)
+            k2 = vel(ref.F + 0.5 * dt * k1)
+            k3 = vel(ref.F + 0.5 * dt * k2)
+            k4 = vel(ref.F + dt * k3)
+            F = ref.F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            nu1, nu2 = frame(F)[1]
+            ref = im.ImmersionState(grid=grid, F=F, nu1=nu1, nu2=nu2, linear=lin)
+            state = im.smcf_step(state, dt)
+        assert np.max(np.abs(state.F - ref.F)) <= 1e-14
+        assert np.max(np.abs(state.nu1 - ref.nu1)) <= 1e-14
+
     def test_degenerate_midstep(self, circle):
         # an enormous step drives the curve through a singular
         # configuration inside the RK4 stages

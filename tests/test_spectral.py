@@ -276,11 +276,6 @@ class TestRealPath:
         assert sp.inverse_laplacian(grid2, f).dtype == np.float64
         assert sp.gradient(grid2, f.astype(complex)).dtype == np.complex128
 
-    def test_given_spectrum_is_used(self, grid2):
-        f = random_field(grid2, seed=14).real
-        fh = grid2.rfft(f)
-        assert np.array_equal(sp.hessian(grid2, f, fh), sp.hessian(grid2, f))
-
     def test_transforms_round_trip(self):
         for d in (1, 2, 3):
             grid = Grid(d=d, n=8)
