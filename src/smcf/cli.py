@@ -202,7 +202,7 @@ _KEY_TABLE = {
     "monitors.k_list": (_parse_k_list, (0, 1, 2)),
     "monitors.c_e_budget": (float, 100.0),
     "oracle.t_end": (float, 0.1),
-    "oracle.dt_gauge": (float, 0.0125),
+    "oracle.dt_gauge": (float, 0.05),
     "oracle.dt_immersion": (float, 0.002),
     "oracle.construction_tol": (float, 1e-7),
     "output.csv": (str, ""),

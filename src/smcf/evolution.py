@@ -8,8 +8,9 @@ The complex mean curvature psi evolves by
 with the gauge variables (lam, g, V, A, B) re-solved from psi by the
 fixed-time elliptic system at every stage of every step.  The stiff
 flat Laplacian is integrated exactly (``spectral.free_flow``); the remaining
-terms are advanced by an explicit second-order rule (Strang splitting
-with a midpoint stage, or a Lawson-Heun exponential integrator).
+terms are advanced explicitly, either by Strang splitting with a
+midpoint stage (second order) or by Lawson's integrating-factor RK4
+(fourth order).
 
 Every run goes through one generator, ``stepper``, which yields (step
 index, t, psi, gauge state) for the initial data and after each step.
@@ -59,7 +60,7 @@ __all__ = [
     "scattering_profile",
 ]
 
-_SCHEMES = ("split_step", "imex_rk2")
+_SCHEMES = ("split_step", "lawson_rk4")
 
 #: rho is NaN where its denominator is at or below this floor
 RHO_FLOOR = 1e-14
@@ -75,7 +76,8 @@ class EvolutionConfig:
 
     ``dt=None`` selects the default 0.25*(L/n)^2 for the run's grid;
     the flat Laplacian is integrated exactly, so this guards only the
-    explicitly-treated quasilinear corrections.  ``trivial_gauge``
+    explicitly-treated quasilinear corrections.  ``scheme`` is
+    ``split_step`` or ``lawson_rk4`` (see ``step``).  ``trivial_gauge``
     freezes the gauge at g=I, A=V=B=0, lam=0, reducing the flow to the
     free Schrodinger equation.
     """
@@ -212,31 +214,49 @@ def step(grid: Grid, psi: np.ndarray, state: GaugeState, cfg: EvolutionConfig,
          dt: float | None = None, t: float = 0.0):
     """Advance one step of size dt; returns (psi', state').
 
-    split_step: exact half-step of the flat flow, explicit midpoint on
-    the residual terms (with the gauge re-solved at the midpoint), and
-    a second exact half-step.  imex_rk2: Lawson-Heun, the flat flow
-    applied exactly around an explicit trapezoidal rule for the
-    residual.  Every stage solves the gauge of its psi, warm-started
-    from the previous stage.
+    With E(s) the exact flat flow and N the residual terms at the gauge
+    of their argument:
+
+    split_step: E(dt/2), an explicit midpoint rule for N, and E(dt/2)
+    (second order, 3 gauge solves).
+
+    lawson_rk4: Lawson's integrating-factor RK4 (fourth order, 4 gauge
+    solves), with h = dt,
+        k1 = N(psi),  k2 = N(E(h/2)(psi + h/2 k1)),
+        k3 = N(E(h/2)psi + h/2 k2),  k4 = N(E(h)psi + h E(h/2)k3),
+        psi' = E(h)psi + h/6 (E(h)k1 + 2 E(h/2)(k2 + k3) + k4).
+    k1 reads the gauge state the step is given, so the end-of-step
+    solve is the next step's first stage.
+
+    Every stage solves the gauge of its psi, warm-started from the
+    previous stage.
     """
     _check_match(grid, psi, state)
     dt = cfg.effective_dt(grid) if dt is None else dt
 
+    psi_half = sp.free_flow(grid, psi, dt / 2.0)
     if cfg.scheme == "split_step":
-        psi_half = sp.free_flow(grid, psi, dt / 2.0)
         st_half = resolve_gauge(grid, psi_half, cfg, state)
         psi_mid = psi_half + (dt / 2.0) * _residual_rhs(grid, psi_half, st_half)
         st_mid = resolve_gauge(grid, psi_mid, cfg, st_half)
         psi_out = psi_half + dt * _residual_rhs(grid, psi_mid, st_mid)
         psi_new = sp.free_flow(grid, psi_out, dt / 2.0)
         warm = st_mid
-    else:  # imex_rk2
+    else:  # lawson_rk4, with E(dt) taken as two half steps E(dt/2)
         k1 = _residual_rhs(grid, psi, state)
-        u1 = sp.free_flow(grid, psi + dt * k1, dt)
-        st1 = resolve_gauge(grid, u1, cfg, state)
-        k2 = _residual_rhs(grid, u1, st1)
-        psi_new = sp.free_flow(grid, psi + (dt / 2.0) * k1, dt) + (dt / 2.0) * k2
-        warm = st1
+        u = sp.free_flow(grid, psi + (dt / 2.0) * k1, dt / 2.0)
+        st = resolve_gauge(grid, u, cfg, state)
+        k2 = _residual_rhs(grid, u, st)
+        u = psi_half + (dt / 2.0) * k2
+        st = resolve_gauge(grid, u, cfg, st)
+        k3 = _residual_rhs(grid, u, st)
+        u = sp.free_flow(grid, psi_half + dt * k3, dt / 2.0)
+        st = resolve_gauge(grid, u, cfg, st)
+        k4 = _residual_rhs(grid, u, st)
+        u = (sp.free_flow(grid, psi + (dt / 6.0) * k1, dt / 2.0)
+             + (dt / 3.0) * (k2 + k3))
+        psi_new = sp.free_flow(grid, u, dt / 2.0) + (dt / 6.0) * k4
+        warm = st
 
     _nan_guard(psi_new, t + dt)
     return psi_new, resolve_gauge(grid, psi_new, cfg, warm)

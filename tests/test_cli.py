@@ -84,6 +84,18 @@ class TestConfigParsing:
         assert run_cli("run", "--config", "/dev/null", "--time.dt=0.5",
                        "--time.t_end=0.1") == 2
 
+    def test_removed_scheme_exits_2(self):
+        assert run_cli("run", "--config", "/dev/null",
+                       "--time.scheme=imex_rk2") == 2
+
+    def test_oracle_defaults_match_oracle_config(self):
+        assert cli.RunConfig.build({}).oracle() == im.OracleConfig()
+
+    def test_oracle_t_end_below_one_gauge_step_exits_2(self, capsys):
+        assert run_cli("oracle", "--config", "/dev/null",
+                       "--oracle.t_end=0.005") == 2
+        assert "configuration:" in capsys.readouterr().err
+
     def test_g17_roundtrip(self):
         for x in (0.1, math.pi, 1e-300, -3.5537e-10):
             assert float(cli.g17(x)) == x
@@ -314,6 +326,31 @@ class TestRun:
         full = json.loads(full_js.read_text())
         res = json.loads(res_js.read_text())
         assert (full["resumed_from_step"], res["resumed_from_step"]) == (0, 4)
+        for key in ("resumed_from_step", "config"):
+            del full[key], res[key]
+        assert res == full
+
+    def test_lawson_resume_matches_uninterrupted(self, tmp_path):
+        # the first Lawson stage reads the checkpointed gauge state, so
+        # resuming from step 5 must reproduce the run bit for bit
+        args = [*BASE, "--time.scheme=lawson_rk4", "--data.amplitude=3e-2"]
+        full_csv, full_js = tmp_path / "full.csv", tmp_path / "full.json"
+        res_csv, res_js = tmp_path / "res.csv", tmp_path / "res.json"
+        half_ck = tmp_path / "half.ckpt"
+        assert run_cli("run", *args, "--time.t_end=0.5",
+                       f"--output.csv={full_csv}",
+                       f"--output.json={full_js}") == 0
+        assert run_cli("run", *args, "--time.t_end=0.25",
+                       f"--output.csv={res_csv}",
+                       f"--output.checkpoint={half_ck}",
+                       "--output.json=/dev/null") == 0
+        assert cli.load_checkpoint(str(half_ck))["step"] == 5
+        assert run_cli("run", *args, "--time.t_end=0.5", f"--resume={half_ck}",
+                       f"--output.csv={res_csv}",
+                       f"--output.json={res_js}") == 0
+        assert res_csv.read_text() == full_csv.read_text()
+        full = json.loads(full_js.read_text())
+        res = json.loads(res_js.read_text())
         for key in ("resumed_from_step", "config"):
             del full[key], res[key]
         assert res == full

@@ -106,7 +106,83 @@ class TestStep:
         back, _ = ev.step(grid2, fwd, st1, cfg, dt=-0.05)
         assert np.max(np.abs(back - psi)) <= 1e-12
 
-    @pytest.mark.parametrize("scheme", ["split_step", "imex_rk2"])
+    def test_lawson_trivial_gauge_exact_free(self, grid2):
+        psi = gaussian_psi(grid2)
+        cfg = make_cfg(trivial_gauge=True, dt=0.05, t_end=1.0,
+                       scheme="lawson_rk4")
+        st = ev.trivial_state(grid2, psi)
+        psi1, _ = ev.step(grid2, psi, st, cfg, dt=0.05)
+        exact = grid2.ifft(np.exp(-1j * grid2.k_squared() * 0.05) * grid2.fft(psi))
+        assert np.max(np.abs(psi1 - exact)) <= 1e-12
+
+    def test_lawson_free_subflow_reversible(self, grid2):
+        psi = gaussian_psi(grid2)
+        cfg = make_cfg(trivial_gauge=True, dt=0.05, t_end=1.0,
+                       scheme="lawson_rk4")
+        st = ev.trivial_state(grid2, psi)
+        fwd, st1 = ev.step(grid2, psi, st, cfg, dt=0.05)
+        back, _ = ev.step(grid2, fwd, st1, cfg, dt=-0.05)
+        assert np.max(np.abs(back - psi)) <= 1e-12
+
+    def test_lawson_four_solves_per_step(self, grid2, monkeypatch):
+        # k1 reads the state the step is given: the end-of-step solve of
+        # one step is the first stage of the next
+        calls = []
+        solve = ge.solve_elliptic_system
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(ge, "solve_elliptic_system", counting)
+        cfg = make_cfg(dt=0.05, t_end=0.15, scheme="lawson_rk4")
+        for _ in ev.stepper(grid2, gaussian_psi(grid2), cfg):
+            pass
+        assert len(calls) == 1 + 4 * 3
+
+    def test_lawson_matches_written_scheme(self, grid2):
+        # one step against the scheme as written, with E(h) taken whole;
+        # the order test alone cannot see a stage argument that is off by
+        # O(h^2), because the residual's derivative is O(amplitude^2)
+        psi, h = gaussian_psi(grid2, amp=3e-2), 0.1
+        st = ge.solve_elliptic_system(grid2, psi, ECFG)
+        cfg = make_cfg(dt=h, t_end=1.0, scheme="lawson_rk4")
+
+        def E(u, s):
+            return sp.free_flow(grid2, u, s)
+
+        def N(u, warm):
+            st_u = ge.solve_elliptic_system(grid2, u, ECFG, warm=warm)
+            return ev._residual_rhs(grid2, u, st_u), st_u
+
+        k1 = ev._residual_rhs(grid2, psi, st)
+        k2, st2 = N(E(psi + h / 2 * k1, h / 2), st)
+        k3, st3 = N(E(psi, h / 2) + h / 2 * k2, st2)
+        k4, _ = N(E(psi, h) + h * E(k3, h / 2), st3)
+        written = E(psi, h) + h / 6 * (E(k1, h) + 2 * E(k2 + k3, h / 2) + k4)
+        got, _ = ev.step(grid2, psi, st, cfg, dt=h)
+        assert np.max(np.abs(got - written)) <= 1e-14
+
+    def test_lawson_fourth_order(self, grid2):
+        # Richardson self-convergence: dt, dt/2 and dt/4 against a dt/8
+        # reference.  A fourth-order step gives a ratio near 16 per
+        # halving (24 and 28 measured); second or third order gives 4 or
+        # 8.  The elliptic tolerance is tight so that the solver's error
+        # floor does not cap the ratio.
+        psi0 = gaussian_psi(grid2, amp=3e-2)
+        ecfg = ge.EllipticConfig(tol=1e-13, smallness_threshold=0.5)
+        sols = {}
+        for dt in (0.1, 0.05, 0.025, 0.0125):
+            cfg = make_cfg(dt=dt, t_end=0.2, scheme="lawson_rk4", elliptic=ecfg)
+            for _, _, psi, _ in ev.stepper(grid2, psi0, cfg):
+                pass
+            sols[dt] = psi
+        errs = [sp.l2_norm(grid2, sols[dt] - sols[0.0125])
+                for dt in (0.1, 0.05, 0.025)]
+        assert 12.0 <= errs[0] / errs[1] <= 40.0
+        assert 12.0 <= errs[1] / errs[2] <= 40.0
+
+    @pytest.mark.parametrize("scheme", ["split_step"])
     def test_second_order(self, grid2, scheme):
         # Richardson self-convergence: dt and dt/2 solutions against a
         # dt/4 reference; a second-order step gives a ratio near 4

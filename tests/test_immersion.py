@@ -303,6 +303,29 @@ class TestOracle:
         with pytest.raises(ValueError):
             im.OracleConfig(dt_gauge=0.0)
 
+    def test_t_end_below_one_gauge_step_rejected(self):
+        with pytest.raises(ValueError, match="gauge step"):
+            im.OracleConfig(t_end=0.005)
+        with pytest.raises(ValueError, match="gauge step"):
+            im.OracleConfig(t_end=0.02, dt_gauge=0.03)
+        assert im.OracleConfig(t_end=0.0).t_end == 0.0
+        assert im.OracleConfig(t_end=0.05).t_end == 0.05
+
+    def test_default_gauge_side_makes_nine_solves(self, monkeypatch):
+        # lawson_rk4 at dt_gauge 0.05 to t_end 0.1: the initial solve and
+        # 4 per step, where the split step at 0.0125 made 1 + 8 * 3
+        calls = []
+        solve = ge.solve_elliptic_system
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(ge, "solve_elliptic_system", counting)
+        grid = Grid(d=2, n=16)
+        im.oracle_compare(grid, gaussian_psi(grid), im.OracleConfig(elliptic=ECFG))
+        assert len(calls) == 9
+
     def test_dimension_rejected(self):
         grid = Grid(d=1, n=32)
         with pytest.raises(ValueError):
