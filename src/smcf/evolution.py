@@ -27,6 +27,7 @@ differences detect scattering.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,9 @@ __all__ = [
 ]
 
 _SCHEMES = ("split_step", "lawson_rk4")
+
+#: relative round-off in t_end / dt that ``step_count`` does not round up
+_STEP_SLACK = 1e-12
 
 #: rho is NaN where its denominator is at or below this floor
 RHO_FLOOR = 1e-14
@@ -269,8 +273,11 @@ def strichartz_entries(grid: Grid, psi: np.ndarray, table) -> np.ndarray:
 
 
 def step_count(grid: Grid, cfg: EvolutionConfig) -> tuple:
-    """(n_steps, dt): the configured step rounded so n_steps * dt = t_end."""
-    n_steps = max(1, int(round(cfg.t_end / cfg.effective_dt(grid))))
+    """(n_steps, dt): the fewest equal steps with n_steps * dt = t_end
+    and dt no longer than the configured step.  A ratio t_end / dt
+    within round-off of a whole number counts as that number."""
+    ratio = cfg.t_end / cfg.effective_dt(grid)
+    n_steps = max(1, math.ceil(ratio * (1.0 - _STEP_SLACK)))
     return n_steps, cfg.t_end / n_steps
 
 

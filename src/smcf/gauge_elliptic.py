@@ -2,14 +2,17 @@
 
 Given the complex scalar mean curvature psi on the grid, recover the
 full gauge state (second fundamental form lambda, metric g, advection
-field V, spatial connection A, temporal connection B) by an outer
-contraction iteration over the coupled elliptic system:
+field V, spatial connection A, temporal connection B) from the coupled
+elliptic system:
 
   * a div-curl system for lambda driven by the gauged gradient of psi,
   * the harmonic-coordinate quasilinear equation for g,
   * a covariant Laplace equation for V,
   * a div-curl system for A with the Coulomb condition built in,
   * a Laplace-Beltrami equation for B.
+
+lambda, g and A are found together by block Gauss-Seidel sweeps, one
+update of each per sweep; V and B once from the converged three.
 
 All torus zero modes are projected out (the compatibility integrals
 that vanish on decaying data need not vanish on the torus); discarded
@@ -100,6 +103,11 @@ def _raise2(metric, T):
     return np.einsum("am...,bn...,mn...->ab...", metric.inv, metric.inv, T)
 
 
+def _eye(grid):
+    """The identity matrix, broadcastable against a (d, d) field stack."""
+    return np.eye(grid.d).reshape((grid.d, grid.d) + (1,) * grid.d)
+
+
 def _contract(update, x0, cfg, name):
     """``geo.fixed_point`` on x <- update(x) at the config's tolerance and
     iteration limit, sized by the largest change of an entry."""
@@ -128,32 +136,36 @@ def _hodge_solve(grid, curl, div):
     return inverse(mult.inv_lap * num)
 
 
-def recover_lambda(grid, psi, metric, A, cfg: EllipticConfig) -> np.ndarray:
-    """Solve the div-curl system for the second fundamental form.
+def _lambda_update(grid, dpsi, metric, A, lam):
+    """One update of the lambda div-curl system at (g, A), with dpsi the
+    gauged gradient d psi + i A psi.
 
     Covariant curl-freeness and the gauged divergence identity are
-    rewritten as a flat Hodge system per column with the metric and
-    connection corrections iterated to a fixed point; the iterate is
-    symmetrized every sweep.
+    rewritten as a flat Hodge system per column, with the metric and
+    connection corrections taken at ``lam``; the result is symmetrized.
     """
     Gam = metric.christoffel
+    # flat curl data (a, b, g): Gamma and A corrections of the covariant curl
+    gl = np.einsum("sag...,bs...->abg...", Gam, lam) \
+        - 1j * np.einsum("a...,bg...->abg...", A, lam)
+    C = gl - np.einsum("abg...->bag...", gl)
+    # flat divergence data: move the non-flat part of the gauged
+    # covariant divergence to the right-hand side
+    dlam = sp.gradient(grid, lam)  # (c, a, b), flat
+    flat_div = np.einsum("aab...->b...", dlam)
+    dlam = geo._add_connection(grid, lam, dlam, 0, 2, metric, A)
+    D = dpsi - np.einsum("ca...,cab...->b...", metric.inv, dlam) + flat_div
+    lam_new = _hodge_solve(grid, C, D)  # every column g at once
+    return 0.5 * (lam_new + np.einsum("ab...->ba...", lam_new))
+
+
+def recover_lambda(grid, psi, metric, A, cfg: EllipticConfig) -> np.ndarray:
+    """Solve the div-curl system for the second fundamental form at
+    fixed (g, A): ``_lambda_update`` to a fixed point from the flat
+    solution."""
     dpsi = sp.gradient(grid, psi) + 1j * A * psi  # gauged gradient of psi
-
-    def update(lam):
-        # flat curl data (a, b, g): Gamma and A corrections of the covariant curl
-        gl = np.einsum("sag...,bs...->abg...", Gam, lam) \
-            - 1j * np.einsum("a...,bg...->abg...", A, lam)
-        C = gl - np.einsum("abg...->bag...", gl)
-        # flat divergence data: move the non-flat part of the gauged
-        # covariant divergence to the right-hand side
-        dlam = sp.gradient(grid, lam)  # (c, a, b), flat
-        flat_div = np.einsum("aab...->b...", dlam)
-        dlam = geo._add_connection(grid, lam, dlam, 0, 2, metric, A)
-        D = dpsi - np.einsum("ca...,cab...->b...", metric.inv, dlam) + flat_div
-        lam_new = _hodge_solve(grid, C, D)  # every column g at once
-        return 0.5 * (lam_new + np.einsum("ab...->ba...", lam_new))
-
-    return _contract(update, sp.riesz_pairs(grid, psi), cfg, "lambda recovery")
+    return _contract(lambda lam: _lambda_update(grid, dpsi, metric, A, lam),
+                     sp.riesz_pairs(grid, psi), cfg, "lambda recovery")
 
 
 def _metric_rhs(grid, m, lam, psi, dg):
@@ -185,44 +197,63 @@ def _weighted_second(grid, coeff, g):
     return acc
 
 
+def _weighted_second_sym(grid, coeff, g):
+    """``_weighted_second`` of an exactly symmetric (d, d) stack g: each
+    entry g_cs with c <= s is transformed once, and mirrored.  Entry by
+    entry, because a batch of the d(d+1)/2 entries raised elliptic-3d's
+    peak RSS by about 7 MiB (allocator fragmentation)."""
+    out = np.empty(g.shape)
+    for c in range(grid.d):
+        for s in range(c, grid.d):
+            out[c, s] = out[s, c] = _weighted_second(grid, coeff, g[c, s])
+    return out
+
+
 def metric_equation_residual(grid, metric, lam, psi):
     """Literal left-minus-right of the metric equation (mean-projected)."""
-    lhs = _weighted_second(grid, metric.inv, metric.g)
+    lhs = _weighted_second_sym(grid, metric.inv, metric.g)
     res = lhs - _metric_rhs(grid, metric, lam, psi, sp.gradient(grid, metric.g))
     return sp.mean_zero(grid, res)
 
 
-def solve_metric(grid, lam, psi, cfg: EllipticConfig, g0: MetricField | None = None):
-    """Solve the harmonic-coordinate quasilinear equation for the metric.
+def _metric_update(grid, m, dg, lam, psi):
+    """One Picard update of the harmonic-coordinate metric equation from
+    the metric m, with dg = ``sp.gradient`` of m.g: the new h = g - I,
+    symmetric and mean-zero.
 
     g^{ab} d^2_{ab} g_{cs} equals quadratic first-derivative terms plus
     the curvature source -2 Re(lam_{cs} conj(psi) - lam_{ac} conj(lam)^a_s);
-    Picard iteration with the flat Laplacian as preconditioner.
+    the flat Laplacian is the preconditioner.
     """
-    h0 = g0.h if g0 is not None else np.zeros((grid.d, grid.d) + grid.shape)
-    eye = np.eye(grid.d).reshape((grid.d, grid.d) + (1,) * grid.d)
+    rhs = _metric_rhs(grid, m, lam, psi, dg)
+    # move the variable-coefficient part of the principal term over
+    acc = _weighted_second_sym(grid, m.inv - _eye(grid), m.g)
+    h_new = sp.inverse_laplacian(grid, rhs - acc)
+    h_new = 0.5 * (h_new + np.einsum("ab...->ba...", h_new))
+    return sp.mean_zero(grid, h_new)
 
-    def update(h):
-        # g is differentiated once per sweep; its gradient serves the
-        # Christoffel symbols and the right-hand side
-        g = 0.5 * (h + np.einsum("ab...->ba...", h)) + eye
-        dg = sp.gradient(grid, g)
-        try:
-            m = MetricField(grid, g, dg)
-        except geo.SingularMetricError as exc:
-            raise LostPositivityError(str(exc)) from exc
-        rhs = _metric_rhs(grid, m, lam, psi, dg)
-        # move the variable-coefficient part of the principal term over
-        acc = _weighted_second(grid, m.inv - eye, g)
-        h_new = sp.inverse_laplacian(grid, rhs - acc)
-        h_new = 0.5 * (h_new + np.einsum("ab...->ba...", h_new))
-        return sp.mean_zero(grid, h_new)
 
-    h = _contract(update, h0, cfg, "metric equation")
+def _metric_of_h(grid, h):
+    """(metric, dg) of g = I + h for a symmetric h; g is differentiated
+    once, and its gradient serves the Christoffel symbols and the next
+    ``_metric_update``.  A g that is not positive definite is a
+    ``LostPositivityError``."""
+    g = h + _eye(grid)
+    dg = sp.gradient(grid, g)
     try:
-        return MetricField.from_h(grid, h)
+        return MetricField(grid, g, dg), dg
     except geo.SingularMetricError as exc:
         raise LostPositivityError(str(exc)) from exc
+
+
+def solve_metric(grid, lam, psi, cfg: EllipticConfig, g0: MetricField | None = None):
+    """Solve the harmonic-coordinate quasilinear equation for the metric
+    at fixed lambda: ``_metric_update`` to a fixed point from g0 (the
+    flat metric by default)."""
+    h0 = g0.h if g0 is not None else np.zeros((grid.d, grid.d) + grid.shape)
+    h = _contract(lambda h: _metric_update(grid, *_metric_of_h(grid, h), lam, psi),
+                  h0, cfg, "metric equation")
+    return _metric_of_h(grid, h)[0]
 
 
 def _vector_laplacian(grid, metric, V, dV):
@@ -301,21 +332,27 @@ def temporal_equation_residual(grid, metric, lam, psi, V, A, B):
     return sp.mean_zero(grid, res)
 
 
+def _coulomb_curl(metric, lam):
+    """Curl data of the Coulomb system, Im(lam^g_a conj(lam)_{bg})."""
+    return np.einsum("ga...,bg...->ab...", _raise1(metric, lam), np.conj(lam)).imag
+
+
+def _A_update(grid, metric, F, A):
+    """One update of the Coulomb div-curl system at (lambda, g), with
+    F = ``_coulomb_curl``; the Coulomb condition is built in and the
+    metric corrections of the divergence are taken at ``A``."""
+    dA = sp.gradient(grid, A)  # (c, b) = d_c A_b
+    div_data = -np.einsum("cb...,cb...->...", metric.inv - _eye(grid), dA) \
+        + np.einsum("c...,c...->...", metric.harmonic_defect, A)
+    return _hodge_solve(grid, F, div_data)
+
+
 def _solve_A(grid, lam, metric, cfg, A0):
-    """Coulomb connection A: the div-curl system with the Coulomb
-    condition built in; reads (lambda, g) only."""
-    d = grid.d
-    F = np.einsum("ga...,bg...->ab...", _raise1(metric, lam), np.conj(lam)).imag
-    w = metric.inv - np.eye(d).reshape((d, d) + (1,) * d)
-    defect = metric.harmonic_defect
-
-    def update_A(A):
-        dA = sp.gradient(grid, A)  # (c, b) = d_c A_b
-        div_data = -np.einsum("cb...,cb...->...", w, dA) \
-            + np.einsum("c...,c...->...", defect, A)
-        return _hodge_solve(grid, F, div_data)
-
-    return _contract(update_A, A0, cfg, "Coulomb connection")
+    """Coulomb connection A at fixed (lambda, g): ``_A_update`` to a
+    fixed point from A0."""
+    F = _coulomb_curl(metric, lam)
+    return _contract(lambda A: _A_update(grid, metric, F, A), A0, cfg,
+                     "Coulomb connection")
 
 
 def _solve_VB(grid, lam, psi, metric, A, cfg, V0):
@@ -351,26 +388,34 @@ def solve_VAB(grid, lam, psi, metric, cfg: EllipticConfig, warm=None):
 
 
 def _outer_start(grid, warm):
-    """The (lambda, metric, A) the outer sweep starts from: the warm
-    state's, or zero on the flat metric.  Built in the driver's call, so
-    that no frame keeps a cold start alive through the sweeps."""
+    """The (lambda, metric, dg, A) the outer sweep starts from: the warm
+    state's, or zero on the flat metric, with dg = ``sp.gradient`` of
+    the metric's g.  Built in the solver's call, so that no frame keeps
+    a cold start alive through the sweeps."""
     if warm is not None:
-        return warm.lam, warm.metric, warm.A
+        return warm.lam, warm.metric, sp.gradient(grid, warm.metric.g), warm.A
     return (np.zeros((grid.d, grid.d) + grid.shape, dtype=complex),
-            MetricField.identity(grid), np.zeros((grid.d,) + grid.shape))
+            *_metric_of_h(grid, np.zeros((grid.d, grid.d) + grid.shape)),
+            np.zeros((grid.d,) + grid.shape))
 
 
 def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
                           warm: GaugeState | None = None) -> GaugeState:
-    """Outer contraction over lambda -> g -> A to a joint fixed point,
-    then V and B once on the converged (lambda, g, A).
+    """Block Gauss-Seidel sweeps over (lambda, g, A) to a joint fixed
+    point, then V and B once on the converged (lambda, g, A).
 
+    Each sweep makes one ``_lambda_update`` at (g, A), one
+    ``_metric_update`` of g at the new lambda, one ``MetricField`` of the
+    new g and one ``_A_update`` at the new (lambda, g).  The gradient of
+    g rides in the iterate, so g is differentiated once per sweep.
     lambda reads (g, A), g reads lambda and A reads (lambda, g); none of
-    them reads V or B, so the outer sweep is triangular in them and
-    ``final_update`` is the last sweep's largest change of (lambda, g, A).
-    ``warm`` seeds the iteration (and the V solve) from a previously
-    converged state (e.g. the previous time step); the result is still
-    iterated to the same joint fixed-point tolerance.
+    them reads V or B, so the sweep is triangular in them.  The loop
+    stops on ``geo.fixed_point``'s rule; ``final_update`` is the last
+    sweep's largest change of (lambda, g, A), and a sweep that fails to
+    contract raises ``NotContractingError`` naming the subsystem that
+    changed most in its last sweep.  ``warm`` seeds the sweep (and the
+    V solve) from a previously converged state (e.g. the previous time
+    step); the result is still iterated to the same tolerance.
     """
     cfg = cfg or EllipticConfig()
     if grid.d < 2:
@@ -384,21 +429,31 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
         )
 
     V = warm.V if warm is not None else np.zeros((grid.d,) + grid.shape)
+    dpsi = sp.gradient(grid, psi)
+    changes = {}  # the last sweep's largest change, by subsystem
 
     def sweep(x):
-        lam, metric, A = x
-        lam_new = recover_lambda(grid, psi, metric, A, cfg)
-        metric_new = solve_metric(grid, lam_new, psi, cfg, g0=metric)
-        A_new = _solve_A(grid, lam_new, metric_new, cfg, A)
-        change = max(
-            float(np.max(np.abs(lam_new - lam))),
-            float(np.max(np.abs(metric_new.g - metric.g))),
-            float(np.max(np.abs(A_new - A))),
-        )
-        return (lam_new, metric_new, A_new), change
+        lam, metric, dg, A = x
+        lam_new = _lambda_update(grid, dpsi + 1j * A * psi, metric, A, lam)
+        metric_new, dg_new = _metric_of_h(
+            grid, _metric_update(grid, metric, dg, lam_new, psi))
+        A_new = _A_update(grid, metric_new, _coulomb_curl(metric_new, lam_new), A)
+        changes["lambda recovery"] = float(np.max(np.abs(lam_new - lam)))
+        changes["metric equation"] = float(np.max(np.abs(metric_new.g - metric.g)))
+        changes["Coulomb connection"] = float(np.max(np.abs(A_new - A)))
+        size = float(np.max(list(changes.values())))  # NaN-propagating
+        return (lam_new, metric_new, dg_new, A_new), size
 
-    (lam, metric, A), sweeps, final_update = geo.fixed_point(
-        sweep, _outer_start(grid, warm), "outer elliptic sweep", cfg.tol, cfg.max_iter)
+    try:
+        (lam, metric, dg, A), sweeps, final_update = geo.fixed_point(
+            sweep, _outer_start(grid, warm), "outer elliptic sweep",
+            cfg.tol, cfg.max_iter)
+    except geo.NotContractingError as exc:
+        worst = max(changes, key=lambda k: np.nan_to_num(changes[k], nan=np.inf))
+        raise geo.NotContractingError(
+            f"{exc}; largest change in the {worst} ({changes[worst]:.3e})",
+            residual=exc.residual) from exc
+    del dg  # the sweep's alone; not kept through the V and B solves
     V, B = _solve_VB(grid, lam, psi, metric, A, cfg, V)
 
     state = GaugeState(grid=grid, psi=psi, metric=metric, lam=lam, V=V, A=A, B=B)

@@ -48,6 +48,16 @@ class TestConfig:
         cfg = ev.EvolutionConfig()
         assert abs(cfg.effective_dt(grid2) - 0.25 * grid2.dx**2) <= 1e-15
 
+    @pytest.mark.parametrize("dt, t_end, n_steps", [
+        (0.05, 0.074, 2), (0.05, 0.124, 3),  # rounded up, not to nearest
+        (0.05, 0.15, 3), (0.02, 0.14, 7),    # t_end / dt = 3 - 4e-16, 7 + 9e-16
+        (0.025, 0.25, 10)])
+    def test_step_count(self, grid2, dt, t_end, n_steps):
+        n, step = ev.step_count(grid2, ev.EvolutionConfig(dt=dt, t_end=t_end))
+        assert n == n_steps
+        assert step <= dt * (1 + 1e-12)
+        assert n * step == pytest.approx(t_end, rel=1e-15)
+
 
 class TestRhs:
     def test_zero(self, grid2):

@@ -203,6 +203,71 @@ class TestSolveEllipticSystem:
             ge.solve_elliptic_system(grid, np.zeros(grid.shape, complex), CFG)
 
 
+def nested_solve(grid, psi, cfg):
+    """The joint fixed point by nested contractions: each outer sweep
+    solves lambda, g and A to their own fixed points in turn, through
+    the public per-subsystem solvers."""
+    lam = np.zeros((grid.d, grid.d) + grid.shape, dtype=complex)
+    metric, A = MetricField.identity(grid), np.zeros((grid.d,) + grid.shape)
+    for _ in range(cfg.max_iter):
+        lam_new = ge.recover_lambda(grid, psi, metric, A, cfg)
+        metric_new = ge.solve_metric(grid, lam_new, psi, cfg, g0=metric)
+        A_new = ge._solve_A(grid, lam_new, metric_new, cfg, A)
+        change = max(np.max(np.abs(lam_new - lam)),
+                     np.max(np.abs(metric_new.g - metric.g)),
+                     np.max(np.abs(A_new - A)))
+        lam, metric, A = lam_new, metric_new, A_new
+        if change <= cfg.tol:
+            break
+    V, _, B = ge.solve_VAB(grid, lam, psi, metric, cfg, warm=(np.zeros_like(A), A))
+    return dict(lam=lam, g=metric.g, V=V, A=A, B=B)
+
+
+class TestJointSweep:
+    """The one-update-per-subsystem sweep of ``solve_elliptic_system``."""
+
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 12)])
+    def test_matches_nested_contractions(self, d, n):
+        grid = Grid(d=d, n=n)
+        psi = gaussian_psi(grid)
+        st = ge.solve_elliptic_system(grid, psi, CFG)
+        want = nested_solve(grid, psi, CFG)
+        got = dict(lam=st.lam, g=st.metric.g, V=st.V, A=st.A, B=st.B)
+        for key, ref in want.items():
+            rel = np.max(np.abs(got[key] - ref)) / np.max(np.abs(ref))
+            assert rel <= 1e-12, key
+
+    def test_one_metric_and_two_hodge_solves_per_sweep(self, grid2, monkeypatch):
+        counts = {"metric": 0, "hodge": 0}
+        init, hodge = MetricField.__init__, ge._hodge_solve
+
+        def counting_init(self, *args, **kwargs):
+            counts["metric"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_hodge(*args, **kwargs):
+            counts["hodge"] += 1
+            return hodge(*args, **kwargs)
+
+        monkeypatch.setattr(MetricField, "__init__", counting_init)
+        monkeypatch.setattr(ge, "_hodge_solve", counting_hodge)
+        st = ge.solve_elliptic_system(grid2, gaussian_psi(grid2), CFG)
+        sweeps = st.diagnostics["outer_iterations"]
+        assert sweeps >= 2
+        # the flat start, then one per sweep; one lambda and one A update
+        assert counts["metric"] == sweeps + 1
+        assert counts["hodge"] == 2 * sweeps
+
+    def test_failure_names_the_subsystem(self, grid2):
+        # a cold start moves lambda by O(amplitude), g and A by its square
+        cfg = ge.EllipticConfig(max_iter=1, smallness_threshold=0.25)
+        with pytest.raises(geo.NotContractingError) as info:
+            ge.solve_elliptic_system(grid2, gaussian_psi(grid2), cfg)
+        assert "outer elliptic sweep" in str(info.value)
+        assert "largest change in the lambda recovery" in str(info.value)
+        assert CFG.tol < info.value.residual < 1.0
+
+
 class TestLinearizeFd:
     def test_at_zero_matches_flat_recovery(self, grid2):
         dpsi = gaussian_psi(grid2, amp=1.0)
@@ -278,6 +343,15 @@ class TestRealPath:
         g = nyquist_rich_field(grid, (d,) * rank, rng)
         assert_real_part(ge._weighted_second(grid, coeff, g),
                          ge._weighted_second(grid, coeff, g.astype(complex)))
+
+    @SETTINGS
+    @given(d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_weighted_second_symmetric(self, d, seed):
+        # the upper triangle, mirrored, is the whole stack bit for bit
+        grid, rng = Grid(d=d, n=8), np.random.default_rng(seed)
+        coeff, g = rough_metric(grid, rng).inv, rough_metric(grid, rng).g
+        assert np.array_equal(ge._weighted_second_sym(grid, coeff, g),
+                              ge._weighted_second(grid, coeff, g))
 
     @SETTINGS
     @given(**FIELDS)
