@@ -57,7 +57,7 @@ EXIT_IO = 4
 
 CSV_SCHEMA = "smcf-csv-1"
 CHECKPOINT_MAGIC = b"SMCF"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -325,12 +325,7 @@ class RunConfig:
         v = self.values
         kind = v["data.kind"]
         if kind == "file":
-            loaded = load_checkpoint(v["data.file"])
-            if loaded["d"] != grid.d or loaded["n"] != grid.n:
-                raise ConfigError(
-                    "data.file grid does not match the configured grid"
-                )
-            return loaded["psi"]
+            return _load_on_grid(v["data.file"], grid, "data.file")["psi"]
         amp, width, freq = (v["data.amplitude"], v["data.width"],
                             v["data.modulation"])
         x = grid.coords()
@@ -368,50 +363,50 @@ def load_config(args, extras) -> RunConfig:
 
 _HEADER = struct.Struct("<4sIIIddQB")
 
-
-def _digest(payload: bytes) -> bytes:
-    return hashlib.blake2b(payload, digest_size=8).digest()
-
-
-def _pack_array(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+#: the gauge blob in file order: (GaugeState field, tensor rank, dtype),
+#: each of shape (d,) * rank + grid.shape ("g" is ``state.metric.g``)
+_GAUGE_FIELDS = (("g", 2, "<f8"), ("lam", 2, "<c16"), ("V", 1, "<f8"),
+                 ("A", 1, "<f8"), ("B", 0, "<f8"))
 
 
-def _pack_complex(arr: np.ndarray) -> bytes:
-    inter = np.stack([arr.real, arr.imag], axis=-1)
-    return _pack_array(inter)
+def _digest(body: bytes) -> bytes:
+    return hashlib.blake2b(body, digest_size=8).digest()
 
 
-def _pack_entry(arr) -> bytes:
-    arr = np.asarray(arr, dtype=float)
-    return (struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
-            + _pack_array(arr))
+def _pack(arr, dtype: str) -> bytes:
+    return np.ascontiguousarray(arr, dtype=dtype).tobytes()
 
 
 def save_checkpoint(path: str, grid: Grid, t: float, step: int,
                     psi: np.ndarray, state=None, carry: dict | None = None):
-    """Binary snapshot: header, interleaved psi payload, optional gauge
-    blob followed by the monitor carry (``evolution.CARRY_KEYS``, each
-    entry with its shape), trailing 64-bit digest.
+    """Binary snapshot, format 3, all little-endian: the 41-byte
+    ``_HEADER`` (magic, version, d, n, length, t, step, blob flag), psi
+    as ``<c16``, then with ``state`` the gauge blob in ``_GAUGE_FIELDS``
+    order and the monitor carry in ``evolution.CARRY_KEYS`` order (each
+    entry its rank and shape as ``<u4``, then its ``<f8`` values), and
+    last a 64-bit digest of every byte before it.
 
     Written by ``_write_atomic``, so an interrupted write leaves the
     previous checkpoint intact."""
-    has_blob = state is not None
-    parts = [_pack_complex(psi)]
-    if has_blob:
-        parts.append(_pack_array(state.metric.g))
-        parts.append(_pack_complex(state.lam))
-        parts.append(_pack_array(state.V))
-        parts.append(_pack_array(state.A))
-        parts.append(_pack_array(state.B))
-        parts.extend(_pack_entry(carry[key]) for key in ev.CARRY_KEYS)
-    payload = b"".join(parts)
-    header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, grid.d, grid.n,
-                          grid.length, t, step, 1 if has_blob else 0)
-    _write_atomic(path, [header, payload, _digest(payload)])
+    parts = [_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, grid.d, grid.n,
+                          grid.length, t, step, state is not None),
+             _pack(psi, "<c16")]
+    if state is not None:
+        parts += [_pack(state.metric.g if name == "g" else getattr(state, name),
+                        dtype) for name, _, dtype in _GAUGE_FIELDS]
+        for key in ev.CARRY_KEYS:
+            entry = np.asarray(carry[key], dtype=float)
+            parts += [_pack((entry.ndim,) + entry.shape, "<u4"),
+                      _pack(entry, "<f8")]
+    body = b"".join(parts)
+    _write_atomic(path, [body, _digest(body)])
 
 
 def load_checkpoint(path: str) -> dict:
+    """The checkpoint at ``path`` as a dict of ``grid``, ``t``, ``step``,
+    ``psi``, ``state`` and ``extras`` (the monitor carry); the last two
+    are None without a gauge blob.  Raises ``CheckpointError`` on any
+    unreadable, corrupt or malformed file."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -419,55 +414,55 @@ def load_checkpoint(path: str) -> dict:
         raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
     if len(raw) < _HEADER.size + 8:
         raise CheckpointError("checkpoint file truncated")
-    magic, version, d, n, length, t, step, flags = _HEADER.unpack(
-        raw[: _HEADER.size]
-    )
+    magic, version, d, n, length, t, step, flags = _HEADER.unpack_from(raw)
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError("bad magic bytes")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    payload, digest = raw[_HEADER.size : -8], raw[-8:]
-    if _digest(payload) != digest:
-        raise CheckpointError("payload checksum mismatch")
+    body = memoryview(raw)[:-8]
+    if _digest(body) != raw[-8:]:
+        raise CheckpointError("checkpoint checksum mismatch")
 
-    grid = Grid(d=d, n=n, length=length)
-    shape = grid.shape
-    offset = 0
+    offset = _HEADER.size
 
-    def take(shape_t):
+    def take(dtype, shape):
         nonlocal offset
-        count = int(np.prod(shape_t))
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        return arr.astype(float).reshape(shape_t)
+        arr = np.frombuffer(body, dtype=dtype, count=math.prod(shape),
+                            offset=offset)
+        offset += arr.nbytes
+        return arr.reshape(shape).copy()
 
-    def take_complex(shape_t):
-        flat = take(shape_t + (2,))
-        return flat[..., 0] + 1j * flat[..., 1]
-
-    def take_entry():
-        nonlocal offset
-        (ndim,) = struct.unpack_from("<I", payload, offset)
-        entry_shape = struct.unpack_from(f"<{ndim}I", payload, offset + 4)
-        offset += 4 * (ndim + 1)
-        return take(entry_shape)
-
-    psi = take_complex(shape)
-    out = {"grid": grid, "d": d, "n": n, "length": length, "t": t,
-           "step": step, "psi": psi, "state": None, "extras": None}
-    if flags & 1:
-        g = take((d, d) + shape)
-        lam = take_complex((d, d) + shape)
-        V = take((d,) + shape)
-        A = take((d,) + shape)
-        B = take(shape)
-        out["extras"] = {key: take_entry() for key in ev.CARRY_KEYS}
-        out["state"] = ge.GaugeState(grid=grid, psi=psi,
-                                     metric=MetricField(grid, g), lam=lam,
-                                     V=V, A=A, B=B)
-    if offset != len(payload):
+    try:
+        grid = Grid(d=d, n=n, length=length)
+        psi = take("<c16", grid.shape)
+        fields = extras = None
+        if flags & 1:
+            fields = {name: take(dtype, (d,) * rank + grid.shape)
+                      for name, rank, dtype in _GAUGE_FIELDS}
+            extras = {}
+            for key in ev.CARRY_KEYS:
+                ndim = int(take("<u4", ()))
+                extras[key] = take("<f8", tuple(take("<u4", (ndim,)).tolist()))
+    except (ValueError, OverflowError) as exc:
+        raise CheckpointError(f"malformed checkpoint: {exc}") from exc
+    if offset != len(body):
         raise CheckpointError("trailing bytes in checkpoint payload")
-    return out
+    state = None if fields is None else ge.GaugeState(
+        grid=grid, psi=psi, metric=MetricField(grid, fields.pop("g")),
+        **fields)
+    return {"grid": grid, "t": t, "step": step, "psi": psi, "state": state,
+            "extras": extras}
+
+
+def _load_on_grid(path: str, grid: Grid, what: str) -> dict:
+    """``load_checkpoint(path)``, which must lie on ``grid``: the same d
+    and n, and a side length within 1e-12."""
+    loaded = load_checkpoint(path)
+    got = loaded["grid"]
+    if (got.d, got.n) != (grid.d, grid.n) or not math.isclose(
+            got.length, grid.length, rel_tol=0, abs_tol=1e-12):
+        raise ConfigError(f"{what} grid does not match the configured grid")
+    return loaded
 
 
 # --------------------------------------------------------------------------
@@ -521,11 +516,7 @@ def _cmd_run(args, extras) -> int:
 
     start, state, carry = 0, None, None
     if args.resume:
-        loaded = load_checkpoint(args.resume)
-        if (loaded["d"], loaded["n"]) != (grid.d, grid.n) or not math.isclose(
-            loaded["length"], grid.length, rel_tol=0, abs_tol=1e-12
-        ):
-            raise ConfigError("resume checkpoint grid mismatch")
+        loaded = _load_on_grid(args.resume, grid, "resume checkpoint")
         if loaded["state"] is None:
             raise ConfigError("resume checkpoint has no gauge/accumulator blob")
         psi, state, carry = loaded["psi"], loaded["state"], loaded["extras"]

@@ -53,6 +53,7 @@ __all__ = [
     "g_tensor",
     "schrodinger_rhs",
     "step",
+    "equal_steps",
     "step_count",
     "stepper",
     "evolve",
@@ -63,7 +64,7 @@ __all__ = [
 
 _SCHEMES = ("split_step", "lawson_rk4")
 
-#: relative round-off in t_end / dt that ``step_count`` does not round up
+#: relative round-off in t_end / dt that ``equal_steps`` does not round up
 _STEP_SLACK = 1e-12
 
 #: rho is NaN where its denominator is at or below this floor
@@ -272,13 +273,17 @@ def strichartz_entries(grid: Grid, psi: np.ndarray, table) -> np.ndarray:
                      for s, p in nrm.strichartz_components(table)])
 
 
+def equal_steps(t_end: float, dt: float) -> tuple:
+    """(n_steps, step): the fewest equal steps with n_steps * step =
+    t_end and step no longer than ``dt``.  A ratio t_end / dt within
+    round-off of a whole number counts as that number."""
+    n_steps = max(1, math.ceil(t_end / dt * (1.0 - _STEP_SLACK)))
+    return n_steps, t_end / n_steps
+
+
 def step_count(grid: Grid, cfg: EvolutionConfig) -> tuple:
-    """(n_steps, dt): the fewest equal steps with n_steps * dt = t_end
-    and dt no longer than the configured step.  A ratio t_end / dt
-    within round-off of a whole number counts as that number."""
-    ratio = cfg.t_end / cfg.effective_dt(grid)
-    n_steps = max(1, math.ceil(ratio * (1.0 - _STEP_SLACK)))
-    return n_steps, cfg.t_end / n_steps
+    """``equal_steps`` at the configured t_end and effective dt."""
+    return equal_steps(cfg.t_end, cfg.effective_dt(grid))
 
 
 def stepper(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig,

@@ -419,6 +419,8 @@ class OracleConfig:
             raise ValueError("t_end must be nonnegative")
         if self.dt_gauge <= 0 or self.dt_immersion <= 0:
             raise ValueError("time steps must be positive")
+        if self.construction_tol <= 0:
+            raise ValueError("construction_tol must be positive")
         if 0 < self.t_end < self.dt_gauge:
             raise ValueError(f"t_end {self.t_end:g} is shorter than one gauge "
                              f"step (dt_gauge {self.dt_gauge:g})")
@@ -446,12 +448,13 @@ class OracleReport:
 def oracle_compare(grid: Grid, psi0: np.ndarray, cfg: OracleConfig) -> OracleReport:
     """Evolve psi0 through both formulations and compare at t_end.
 
-    The gauged Schrodinger run (fourth-order ``lawson_rk4`` steps of
-    ``dt_gauge``) and the direct immersion run (RK4 steps of
-    ``dt_immersion``) start from the same constructed graph immersion;
-    at the end the immersion's extracted psi is aligned (coordinates,
-    frame, residual phase and translation) to the gauge result and the
-    L^2 discrepancy reported.
+    The gauged Schrodinger run (fourth-order ``lawson_rk4`` steps) and
+    the direct immersion run (RK4 steps), each in the fewest equal steps
+    no longer than ``dt_gauge`` and ``dt_immersion``
+    (``evolution.equal_steps``), start from the same constructed graph
+    immersion; at the end the immersion's extracted psi is aligned
+    (coordinates, frame, residual phase and translation) to the gauge
+    result and the L^2 discrepancy reported.
 
     The discrepancy includes two dt-independent parts besides the
     truncation error of the two integrators: the construction residual
@@ -465,9 +468,8 @@ def oracle_compare(grid: Grid, psi0: np.ndarray, cfg: OracleConfig) -> OracleRep
     psi0 = sp.drop_nyquist(grid, psi0.astype(complex))
     state = immersion_from_psi(grid, psi0, tol=cfg.construction_tol)
 
-    if cfg.t_end == 0.0:
-        psi_g = psi0.astype(complex)
-    else:
+    psi_g = psi0
+    if cfg.t_end > 0:
         ecfg = ev.EvolutionConfig(dt=cfg.dt_gauge, t_end=cfg.t_end,
                                   scheme="lawson_rk4", elliptic=cfg.elliptic)
         try:
@@ -476,11 +478,9 @@ def oracle_compare(grid: Grid, psi0: np.ndarray, cfg: OracleConfig) -> OracleRep
         except geo.NotContractingError as exc:
             raise GaugeEvolutionError(f"gauge evolution: {exc}",
                                       residual=exc.residual) from exc
-
-    n_steps = max(1, int(round(cfg.t_end / cfg.dt_immersion)))
-    dt = cfg.t_end / n_steps if cfg.t_end > 0 else 0.0
-    for _ in range(n_steps if cfg.t_end > 0 else 0):
-        state = smcf_step(state, dt)
+        n_steps, dt = ev.equal_steps(cfg.t_end, cfg.dt_immersion)
+        for _ in range(n_steps):
+            state = smcf_step(state, dt)
 
     aligned, info = align_extracted(grid, extract_gauge(state), psi_g)
     disc = sp.l2_norm(grid, psi_g - aligned)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import struct
 import tempfile
 
 import numpy as np
@@ -96,12 +97,107 @@ class TestConfigParsing:
                        "--oracle.t_end=0.005") == 2
         assert "configuration:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_nonpositive_construction_tol_exits_2(self, tol, capsys):
+        assert run_cli("oracle", "--config", "/dev/null",
+                       f"--oracle.construction_tol={tol}") == 2
+        assert "configuration: " in capsys.readouterr().err
+
     def test_g17_roundtrip(self):
         for x in (0.1, math.pi, 1e-300, -3.5537e-10):
             assert float(cli.g17(x)) == x
 
 
+def random_gauge_state(grid, rng, nk=3, ncomp=2):
+    """(psi, GaugeState, monitor carry) of random fields on ``grid``."""
+    d = grid.d
+
+    def real(*lead):
+        return rng.standard_normal(lead + grid.shape)
+
+    g = np.eye(d).reshape((d, d) + (1,) * d) + 0.05 * real(d, d)
+    g = 0.5 * (g + np.swapaxes(g, 0, 1))
+    psi = real() + 1j * real()
+    state = ge.GaugeState(grid=grid, psi=psi, metric=geo.MetricField(grid, g),
+                          lam=real(d, d) + 1j * real(d, d), V=real(d),
+                          A=real(d), B=real())
+    shapes = {"ks": (nk,), "metric_integral": (d, d) + grid.shape,
+              "g_tensor_prev": (d, d) + grid.shape,
+              "strichartz_prev": (ncomp,), "strichartz_run": (ncomp,),
+              "energies": (nk,), "lam_norms": (nk,), "sup_energies": (nk,),
+              "rho_max": (nk,)}
+    carry = {key: rng.standard_normal(shapes.get(key, ()))
+             for key in ev.CARRY_KEYS}
+    return psi, state, carry
+
+
 class TestCheckpoint:
+    HEADER_SIZE = 41
+
+    def test_layout(self, tmp_path):
+        # header, psi as <c16, g, lambda, V, A, B, then each carry entry
+        # as its rank and shape (<u4) and its values (<f8), then the digest
+        grid = Grid(d=2, n=8)
+        psi, state, carry = random_gauge_state(grid, np.random.default_rng(11))
+        path = tmp_path / "layout.ckpt"
+        cli.save_checkpoint(str(path), grid, 0.5, 4, psi, state, carry)
+        expected = [psi.astype("<c16"), state.metric.g.astype("<f8"),
+                    state.lam.astype("<c16"), state.V.astype("<f8"),
+                    state.A.astype("<f8"), state.B.astype("<f8")]
+        for key in ev.CARRY_KEYS:
+            entry = np.asarray(carry[key], dtype="<f8")
+            expected.append(np.array((entry.ndim,) + entry.shape, dtype="<u4"))
+            expected.append(entry)
+        raw = path.read_bytes()
+        assert raw[self.HEADER_SIZE:-8] == b"".join(a.tobytes() for a in expected)
+        assert raw[-8:] == cli._digest(raw[:-8])
+
+    @pytest.mark.parametrize("offset, fmt, value", [
+        (32, "<Q", 9999),   # step
+        (24, "<d", 3.25),   # t
+        (12, "<I", 32),     # n
+    ])
+    def test_digest_covers_header(self, tmp_path, offset, fmt, value):
+        grid = Grid(d=2, n=16)
+        path = tmp_path / "h.ckpt"
+        cli.save_checkpoint(str(path), grid, 0.5, 10, np.ones(grid.shape, complex))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(cli.CheckpointError, match="checksum"):
+            cli.load_checkpoint(str(path))
+
+    def test_norms_on_header_not_matching_payload_exits_4(self, tmp_path, capsys):
+        grid = Grid(d=2, n=16)
+        path = tmp_path / "n32.ckpt"
+        cli.save_checkpoint(str(path), grid, 0.0, 0, np.zeros(grid.shape, complex))
+        raw = bytearray(path.read_bytes())
+        raw[12:16] = (32).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        assert run_cli("norms", "--checkpoint", str(path)) == 4
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset, value", [
+        (12, 32),       # n = 32 on a 16^2 payload: the buffer is short
+        (12, 7),        # not a valid Grid
+        (8, 9),         # nor is d = 9
+        (None, 2**31),  # the first carry entry claims 2^31 axes
+    ])
+    def test_malformed_signed_file_raises_checkpoint_error(self, tmp_path,
+                                                           offset, value):
+        grid = Grid(d=2, n=16)
+        psi, state, carry = random_gauge_state(grid, np.random.default_rng(2))
+        path = tmp_path / "m.ckpt"
+        cli.save_checkpoint(str(path), grid, 0.0, 0, psi, state, carry)
+        if offset is None:  # past psi (16 bytes a point) and the gauge blob
+            offset = self.HEADER_SIZE + grid.n**2 * (16 + 8 * (4 + 8 + 2 + 2 + 1))
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + 4] = value.to_bytes(4, "little")
+        raw[-8:] = cli._digest(bytes(raw[:-8]))  # re-sign the edited file
+        path.write_bytes(bytes(raw))
+        with pytest.raises(cli.CheckpointError, match="malformed checkpoint"):
+            cli.load_checkpoint(str(path))
+
     def test_roundtrip_identity(self, tmp_path):
         grid = Grid(d=2, n=16)
         rng = np.random.default_rng(3)
@@ -147,7 +243,7 @@ class TestCheckpoint:
         path = tmp_path / "v1.ckpt"
         cli.save_checkpoint(str(path), grid, 0.0, 0, np.zeros(grid.shape, complex))
         raw = bytearray(path.read_bytes())
-        raw[4:8] = (1).to_bytes(4, "little")  # the digest covers the payload only
+        raw[4:8] = (1).to_bytes(4, "little")  # the version is checked before the digest
         path.write_bytes(bytes(raw))
         with pytest.raises(cli.CheckpointError, match="unsupported checkpoint version 1"):
             cli.load_checkpoint(str(path))
@@ -159,24 +255,9 @@ class TestCheckpoint:
            t=st.floats(0.0, 1e3, allow_nan=False), step=st.integers(0, 2**40))
     def test_roundtrip_gauge_blob_and_carry(self, d, n, nk, ncomp, seed, t, step):
         grid = Grid(d=d, n=n)
-        rng = np.random.default_rng(seed)
-
-        def real(*lead):
-            return rng.standard_normal(lead + grid.shape)
-
-        g = np.eye(d).reshape((d, d) + (1,) * d) + 0.05 * real(d, d)
-        g = 0.5 * (g + np.swapaxes(g, 0, 1))
-        psi = real() + 1j * real()
-        state = ge.GaugeState(grid=grid, psi=psi, metric=geo.MetricField(grid, g),
-                              lam=real(d, d) + 1j * real(d, d), V=real(d),
-                              A=real(d), B=real())
-        shapes = {"ks": (nk,), "metric_integral": (d, d) + grid.shape,
-                  "g_tensor_prev": (d, d) + grid.shape,
-                  "strichartz_prev": (ncomp,), "strichartz_run": (ncomp,),
-                  "energies": (nk,), "lam_norms": (nk,), "sup_energies": (nk,),
-                  "rho_max": (nk,)}
-        carry = {key: rng.standard_normal(shapes.get(key, ()))
-                 for key in ev.CARRY_KEYS}
+        psi, state, carry = random_gauge_state(grid, np.random.default_rng(seed),
+                                               nk, ncomp)
+        g = state.metric.g
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/p.ckpt"
             cli.save_checkpoint(path, grid, t, step, psi, state, carry)
@@ -368,6 +449,14 @@ class TestRun:
         grid = Grid(d=2, n=24)
         cli.save_checkpoint(str(ck), grid, 0.0, 0, np.zeros(grid.shape, complex))
         assert run_cli("run", *BASE, f"--resume={ck}") == 2
+
+    def test_data_file_on_another_length_exits_2(self, tmp_path, capsys):
+        ck = tmp_path / "len.ckpt"
+        grid = Grid(d=2, n=16)
+        cli.save_checkpoint(str(ck), grid, 0.0, 0, np.zeros(grid.shape, complex))
+        assert run_cli("elliptic", *BASE, "--data.kind=file",
+                       f"--data.file={ck}", "--grid.length=6.0") == 2
+        assert "data.file grid does not match" in capsys.readouterr().err
 
     def test_smallness_violation_exits_3(self):
         assert run_cli("run", "--config", "/dev/null", "--grid.n=16",

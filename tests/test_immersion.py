@@ -311,6 +311,24 @@ class TestOracle:
         assert im.OracleConfig(t_end=0.0).t_end == 0.0
         assert im.OracleConfig(t_end=0.05).t_end == 0.05
 
+    def test_no_immersion_step_exceeds_dt_immersion(self, monkeypatch):
+        # 0.02 / 0.0045 = 4.4 steps: five of 0.004, not four of 0.005
+        steps = []
+        smcf_step = im.smcf_step
+
+        def recording(state, dt):
+            steps.append(dt)
+            return smcf_step(state, dt)
+
+        monkeypatch.setattr(im, "smcf_step", recording)
+        grid = Grid(d=2, n=16)
+        cfg = im.OracleConfig(t_end=0.02, dt_gauge=0.01, dt_immersion=0.0045,
+                              elliptic=ECFG)
+        im.oracle_compare(grid, gaussian_psi(grid), cfg)
+        assert len(steps) == 5
+        assert max(steps) <= cfg.dt_immersion
+        assert sum(steps) == pytest.approx(cfg.t_end, rel=1e-15)
+
     def test_default_gauge_side_makes_nine_solves(self, monkeypatch):
         # lawson_rk4 at dt_gauge 0.05 to t_end 0.1: the initial solve and
         # 4 per step, where the split step at 0.0125 made 1 + 8 * 3
