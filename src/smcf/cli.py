@@ -167,48 +167,65 @@ def _parse_bool(v: str) -> bool:
     raise ValueError(f"not a boolean: {v!r}")
 
 
+def _parse_float(v: str) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {v!r}")
+    return x
+
+
 def _parse_optional_float(v: str):
     if v.strip().lower() in ("", "auto", "none"):
         return None
-    return float(v)
+    return _parse_float(v)
 
 
 def _parse_k_list(v: str) -> tuple:
-    ks = tuple(int(p) for p in v.replace(",", " ").split())
-    if not ks or any(k < 0 for k in ks):
-        raise ValueError("k_list must be nonnegative integers")
-    return ks
+    return tuple(int(p) for p in v.replace(",", " ").split())
+
+
+#: a key's parser, by the type of its default
+_PARSERS = {bool: _parse_bool, int: int, float: _parse_float, str: str,
+            tuple: _parse_k_list, type(None): _parse_optional_float}
+
+#: the keys not named ``<section>.<field>``
+_KEY_NAMES = {"grid.d": "dimension", "time.monitor_ks": "monitors.k_list",
+              "time.c_e_budget": "monitors.c_e_budget"}
+
+
+def _owned_keys(section: str, cls):
+    """(``<section>.<field>`` key, field) for each field of the config class
+    ``cls`` without a default factory (nested configs and caches)."""
+    for f in dataclasses.fields(cls):
+        if f.default_factory is dataclasses.MISSING:
+            key = f"{section}.{f.name}"
+            yield _KEY_NAMES.get(key, key), f
+
+
+def _defaults(section: str, cls) -> dict:
+    return {key: f.default for key, f in _owned_keys(section, cls)}
 
 
 _DATA_KINDS = ("gaussian", "single_mode", "file")
 
-# every accepted key: parser and default
+# every accepted key and its default, in echo order; the config classes
+# own theirs, but ``Grid`` declares none for d and n
 _KEY_TABLE = {
-    "dimension": (int, 2),
-    "grid.n": (int, 32),
-    "grid.length": (float, 2.0 * math.pi),
-    "data.kind": (str, "gaussian"),
-    "data.amplitude": (float, 1e-2),
-    "data.width": (float, 0.6),
-    "data.modulation": (float, 1.0),
-    "data.file": (str, ""),
-    "elliptic.tol": (float, 1e-10),
-    "elliptic.max_iter": (int, 200),
-    "elliptic.smallness_threshold": (float, 0.05),
-    "time.dt": (_parse_optional_float, None),
-    "time.t_end": (float, 1.0),
-    "time.scheme": (str, "split_step"),
-    "time.trivial_gauge": (_parse_bool, False),
-    "monitors.k_list": (_parse_k_list, (0, 1, 2)),
-    "monitors.c_e_budget": (float, 100.0),
-    "oracle.t_end": (float, 0.1),
-    "oracle.dt_gauge": (float, 0.05),
-    "oracle.dt_immersion": (float, 0.002),
-    "oracle.construction_tol": (float, 1e-7),
-    "output.csv": (str, ""),
-    "output.checkpoint": (str, ""),
-    "output.checkpoint_every": (int, 0),
-    "output.json": (str, ""),
+    **_defaults("grid", Grid),
+    "dimension": 2,
+    "grid.n": 32,
+    "data.kind": "gaussian",
+    "data.amplitude": 1e-2,
+    "data.width": 0.6,
+    "data.modulation": 1.0,
+    "data.file": "",
+    **_defaults("elliptic", EllipticConfig),
+    **_defaults("time", ev.EvolutionConfig),
+    **_defaults("oracle", im.OracleConfig),
+    "output.csv": "",
+    "output.checkpoint": "",
+    "output.checkpoint_every": 0,
+    "output.json": "",
 }
 
 
@@ -240,7 +257,11 @@ def parse_overrides(tokens: list) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated configuration for every subcommand."""
+    """Fully validated configuration for every subcommand: ``values``
+    holds every key of ``_KEY_TABLE``, floats finite.  The fields of
+    ``Grid``, ``EllipticConfig``, ``EvolutionConfig`` and ``OracleConfig``
+    are keys (see ``_owned_keys``) whose defaults and checks are the
+    class's own; ``grid()`` ... ``oracle()`` build those objects."""
 
     values: dict
 
@@ -249,13 +270,12 @@ class RunConfig:
 
     @staticmethod
     def build(items: dict) -> "RunConfig":
-        values = {k: default for k, (_, default) in _KEY_TABLE.items()}
+        values = dict(_KEY_TABLE)
         for key, raw in items.items():
             if key not in _KEY_TABLE:
                 raise ConfigError(f"unknown configuration key {key!r}")
-            parser, _ = _KEY_TABLE[key]
             try:
-                values[key] = parser(raw) if isinstance(raw, str) else raw
+                values[key] = _PARSERS[type(_KEY_TABLE[key])](raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from exc
         cfg = RunConfig(values=values)
@@ -268,9 +288,9 @@ class RunConfig:
             raise ConfigError(f"data.kind must be one of {_DATA_KINDS}")
         if v["data.kind"] == "file" and not v["data.file"]:
             raise ConfigError("data.kind=file requires data.file")
-        if v["data.amplitude"] < 0:
+        if not v["data.amplitude"] >= 0:
             raise ConfigError("data.amplitude must be nonnegative")
-        if v["data.width"] <= 0:
+        if not v["data.width"] > 0:
             raise ConfigError("data.width must be positive")
         if v["output.checkpoint_every"] < 0:
             raise ConfigError("output.checkpoint_every must be >= 0")
@@ -287,39 +307,21 @@ class RunConfig:
                 if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
                     raise ConfigError(f"{key} path not writable: {path!r}")
 
+    def _build(self, section: str, cls, **nested):
+        return cls(**{f.name: self.values[key]
+                      for key, f in _owned_keys(section, cls)}, **nested)
+
     def grid(self) -> Grid:
-        v = self.values
-        return Grid(d=v["dimension"], n=v["grid.n"], length=v["grid.length"])
+        return self._build("grid", Grid)
 
     def elliptic(self) -> EllipticConfig:
-        v = self.values
-        return EllipticConfig(
-            tol=v["elliptic.tol"],
-            max_iter=v["elliptic.max_iter"],
-            smallness_threshold=v["elliptic.smallness_threshold"],
-        )
+        return self._build("elliptic", EllipticConfig)
 
     def evolution(self) -> ev.EvolutionConfig:
-        v = self.values
-        return ev.EvolutionConfig(
-            dt=v["time.dt"],
-            t_end=v["time.t_end"],
-            scheme=v["time.scheme"],
-            monitor_ks=v["monitors.k_list"],
-            c_e_budget=v["monitors.c_e_budget"],
-            trivial_gauge=v["time.trivial_gauge"],
-            elliptic=self.elliptic(),
-        )
+        return self._build("time", ev.EvolutionConfig, elliptic=self.elliptic())
 
     def oracle(self) -> im.OracleConfig:
-        v = self.values
-        return im.OracleConfig(
-            t_end=v["oracle.t_end"],
-            dt_gauge=v["oracle.dt_gauge"],
-            dt_immersion=v["oracle.dt_immersion"],
-            construction_tol=v["oracle.construction_tol"],
-            elliptic=self.elliptic(),
-        )
+        return self._build("oracle", im.OracleConfig, elliptic=self.elliptic())
 
     def initial_data(self, grid: Grid) -> np.ndarray:
         v = self.values
@@ -335,15 +337,6 @@ class RunConfig:
         r2 = sum((x[a] - c) ** 2 for a in range(grid.d))
         psi = amp * np.exp(-r2 / (2 * width**2)) * np.exp(1j * freq * (x[0] - c))
         return psi - np.mean(psi)
-
-    def echo(self) -> dict:
-        out = {}
-        for key, val in self.values.items():
-            if isinstance(val, tuple):
-                out[key] = list(val)
-            else:
-                out[key] = val
-        return out
 
 
 def load_config(args, extras) -> RunConfig:
@@ -563,7 +556,7 @@ def _cmd_run(args, extras) -> int:
         **totals,
         "rho_within_budget": all(
             r <= ecfg.c_e_budget for r in totals["rho_max"].values()),
-        "config": cfg.echo(),
+        "config": cfg.values,
     }
     _emit(dump_json(summary), cfg["output.json"] or None)
     return EXIT_OK
@@ -599,7 +592,7 @@ def _cmd_elliptic(args, extras) -> int:
             "B_l2": sp.l2_norm(grid, state.B),
         },
         "residuals": _residual_table(state.constraint_report()),
-        "config": cfg.echo(),
+        "config": cfg.values,
     }
     _emit(dump_json(summary), cfg["output.json"] or None)
     return EXIT_OK
@@ -617,7 +610,7 @@ def _cmd_oracle(args, extras) -> int:
             "schema": "smcf-json-1",
             "status": "gauge_failed" if gauge_side else "alignment_failed",
             "message": str(exc),
-            "config": cfg.echo(),
+            "config": cfg.values,
         }), cfg["output.json"] or None)
         return EXIT_SOLVER
     summary = {
@@ -631,7 +624,7 @@ def _cmd_oracle(args, extras) -> int:
             "translation": list(rep.alignment["translation"]),
             "mean_offset": rep.alignment["mean_offset"],
         },
-        "config": cfg.echo(),
+        "config": cfg.values,
     }
     _emit(dump_json(summary), cfg["output.json"] or None)
     return EXIT_OK

@@ -84,28 +84,32 @@ class EvolutionConfig:
     explicitly-treated quasilinear corrections.  ``scheme`` is
     ``split_step`` or ``lawson_rk4`` (see ``step``).  ``trivial_gauge``
     freezes the gauge at g=I, A=V=B=0, lam=0, reducing the flow to the
-    free Schrodinger equation.
+    free Schrodinger equation.  ``monitor_ks`` lists one or more
+    distinct energy orders k >= 0.  The ``smcf`` key of a field is
+    ``time.<field>``, or ``monitors.k_list`` and ``monitors.c_e_budget``
+    for the last two; ``elliptic`` has a section of its own.
     """
 
     dt: float | None = None
     t_end: float = 1.0
     scheme: str = "split_step"
+    trivial_gauge: bool = False
     monitor_ks: tuple = (0, 1, 2)
     c_e_budget: float = 100.0
-    trivial_gauge: bool = False
     elliptic: EllipticConfig = field(default_factory=EllipticConfig)
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
+        if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.dt is not None and self.t_end < self.dt:
             raise ValueError("t_end must be at least one step")
-        if self.t_end <= 0:
+        if not self.t_end > 0:
             raise ValueError("t_end must be positive")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
-        if any(k < 0 for k in self.monitor_ks):
-            raise ValueError("energy orders must be >= 0")
+        ks = self.monitor_ks
+        if not ks or any(k < 0 for k in ks) or len(set(ks)) < len(ks):
+            raise ValueError(f"need distinct energy orders >= 0, got {ks}")
 
     def effective_dt(self, grid: Grid) -> float:
         if self.dt is not None:

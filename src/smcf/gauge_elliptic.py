@@ -64,8 +64,10 @@ class EllipticConfig:
     smallness_threshold: float = 0.05
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("need tol > 0 and max_iter >= 1")
+        if not (self.tol > 0 and self.max_iter >= 1
+                and self.smallness_threshold >= 0):
+            raise ValueError("need tol > 0, max_iter >= 1 and "
+                             "smallness_threshold >= 0")
 
 
 @dataclass(frozen=True)

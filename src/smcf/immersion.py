@@ -415,11 +415,11 @@ class OracleConfig:
     elliptic: EllipticConfig = field(default_factory=EllipticConfig)
 
     def __post_init__(self):
-        if self.t_end < 0:
+        if not self.t_end >= 0:
             raise ValueError("t_end must be nonnegative")
-        if self.dt_gauge <= 0 or self.dt_immersion <= 0:
+        if not (self.dt_gauge > 0 and self.dt_immersion > 0):
             raise ValueError("time steps must be positive")
-        if self.construction_tol <= 0:
+        if not self.construction_tol > 0:
             raise ValueError("construction_tol must be positive")
         if 0 < self.t_end < self.dt_gauge:
             raise ValueError(f"t_end {self.t_end:g} is shorter than one gauge "

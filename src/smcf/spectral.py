@@ -139,8 +139,8 @@ class Grid:
                 f"points per axis must be even, >= 8, with prime factors in "
                 f"{{2, 3, 5}}, got {self.n}"
             )
-        if self.length <= 0:
-            raise ValueError("box length must be positive")
+        if not 0 < self.length < np.inf:
+            raise ValueError(f"box length must be finite and > 0, got {self.length}")
 
     @property
     def shape(self) -> tuple:

@@ -55,6 +55,36 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError):
             cli.RunConfig.build({key: "0"})
 
+    def test_key_table_names_and_order(self):
+        assert list(cli.RunConfig.build({}).values) == [
+            "dimension", "grid.n", "grid.length",
+            "data.kind", "data.amplitude", "data.width", "data.modulation",
+            "data.file",
+            "elliptic.tol", "elliptic.max_iter", "elliptic.smallness_threshold",
+            "time.dt", "time.t_end", "time.scheme", "time.trivial_gauge",
+            "monitors.k_list", "monitors.c_e_budget",
+            "oracle.t_end", "oracle.dt_gauge", "oracle.dt_immersion",
+            "oracle.construction_tol",
+            "output.csv", "output.checkpoint", "output.checkpoint_every",
+            "output.json",
+        ]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", [
+        "grid.length", "data.amplitude", "data.width", "data.modulation",
+        "elliptic.tol", "elliptic.smallness_threshold", "time.dt",
+        "time.t_end", "monitors.c_e_budget", "oracle.t_end",
+        "oracle.dt_gauge", "oracle.dt_immersion", "oracle.construction_tol"])
+    def test_non_finite_float_exits_2(self, key, value, capsys):
+        assert run_cli("elliptic", "--config", "/dev/null", "--grid.n=16",
+                       f"--{key}={value}") == 2
+        err = capsys.readouterr().err
+        assert "configuration:" in err and "Traceback" not in err
+
+    def test_repeated_energy_order_exits_2(self, capsys):
+        assert run_cli("run", *BASE, "--monitors.k_list=1,1") == 2
+        assert "configuration:" in capsys.readouterr().err
+
     def test_defaults_and_types(self):
         cfg = cli.RunConfig.build({})
         assert cfg["grid.n"] == 32

@@ -43,6 +43,10 @@ class TestConfig:
             ev.EvolutionConfig(dt=2.0, t_end=1.0)
         with pytest.raises(ValueError):
             ev.EvolutionConfig(scheme="euler")
+        for bad in ({"dt": np.nan}, {"t_end": np.nan}, {"monitor_ks": ()},
+                    {"monitor_ks": (1, 1)}, {"monitor_ks": (0, -1)}):
+            with pytest.raises(ValueError):
+                ev.EvolutionConfig(**bad)
 
     def test_default_dt(self, grid2):
         cfg = ev.EvolutionConfig()

@@ -38,6 +38,10 @@ class TestConfig:
             ge.EllipticConfig(tol=0.0)
         with pytest.raises(ValueError):
             ge.EllipticConfig(max_iter=0)
+        for bad in ({"tol": np.nan}, {"smallness_threshold": np.nan},
+                    {"smallness_threshold": -1.0}):
+            with pytest.raises(ValueError):
+                ge.EllipticConfig(**bad)
 
 
 class TestRecoverLambda:

@@ -302,6 +302,10 @@ class TestOracle:
             im.OracleConfig(t_end=-1.0)
         with pytest.raises(ValueError):
             im.OracleConfig(dt_gauge=0.0)
+        for bad in ({"t_end": np.nan}, {"dt_gauge": np.nan},
+                    {"dt_immersion": np.nan}, {"construction_tol": np.nan}):
+            with pytest.raises(ValueError):
+                im.OracleConfig(**bad)
 
     def test_t_end_below_one_gauge_step_rejected(self):
         with pytest.raises(ValueError, match="gauge step"):

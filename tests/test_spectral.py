@@ -41,6 +41,11 @@ class TestGrid:
             Grid(d=5, n=16)
         Grid(d=2, n=24)  # 2^3 * 3 is fine
 
+    @pytest.mark.parametrize("length", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_length(self, length):
+        with pytest.raises(ValueError):
+            Grid(d=2, n=16, length=length)
+
     def test_zero_wavenumber_once_per_axis(self, grid2):
         k1 = 2 * np.pi * np.fft.fftfreq(grid2.n, d=grid2.dx)
         assert np.count_nonzero(k1 == 0) == 1
