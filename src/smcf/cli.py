@@ -208,8 +208,8 @@ def _defaults(section: str, cls) -> dict:
 
 _DATA_KINDS = ("gaussian", "single_mode", "file")
 
-# every accepted key and its default, in echo order; the config classes
-# own theirs, but ``Grid`` declares none for d and n
+# every accepted key and its default, in echo order: the config classes'
+# own, and literals (these replace the MISSING d and n of ``Grid`` in place)
 _KEY_TABLE = {
     **_defaults("grid", Grid),
     "dimension": 2,
