@@ -46,7 +46,7 @@ def main():
               f"max |rho| = {np.max(np.abs(rho)) if rho.size else 0:.3g} "
               f"(budget {cfg.c_e_budget:g})")
 
-    dev = ev.metric_consistency(traj)
+    dev = traj.metric_dev
     print(f"\nmetric vs integral of 2G, final deviation: {dev[-1]:.2e}")
 
     r = ev.difference_stability(grid, psi0, 1e-3 * psi0, cfg)

@@ -2,7 +2,8 @@
 harmonic/Coulomb gauge.
 
 Submodules:
-  spectral        periodic grids and every Fourier transform: derivatives,
+  spectral        periodic grids and every Fourier transform and multiplier:
+                  derivatives, g^{ab} d_a d_b, the flat div-curl solve,
                   the Nyquist and zero-mode rules, Littlewood-Paley bands,
                   Sobolev norms, off-grid interpolation, the flat flow
   geometry        metric fields, curvature, covariant derivatives,

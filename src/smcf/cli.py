@@ -294,10 +294,14 @@ class RunConfig:
             raise ConfigError("data.width must be positive")
         if v["output.checkpoint_every"] < 0:
             raise ConfigError("output.checkpoint_every must be >= 0")
-        for name, build in (("grid", self.grid), ("elliptic", self.elliptic),
-                            ("time", self.evolution), ("oracle", self.oracle)):
+        # a step of 0, or one too small for a finite step count, is
+        # rejected by ``ev.step_count`` here and by ``OracleConfig`` itself
+        for name, check in (
+                ("grid", self.grid), ("elliptic", self.elliptic),
+                ("time", lambda: ev.step_count(self.grid(), self.evolution())),
+                ("oracle", self.oracle)):
             try:
-                build()
+                check()
             except ValueError as exc:
                 raise ConfigError(f"bad {name} settings: {exc}") from exc
         for key in ("output.csv", "output.checkpoint", "output.json"):
@@ -566,19 +570,13 @@ def _cmd_run(args, extras) -> int:
 # other subcommands
 
 
-def _residual_table(rep: geo.ConstraintReport) -> dict:
-    return {
-        name: {"l2": res.l2, "linf": res.linf}
-        for name, res in rep.as_dict().items()
-    }
-
-
 def _cmd_elliptic(args, extras) -> int:
     cfg = load_config(args, extras)
     grid = cfg.grid()
     psi0 = cfg.initial_data(grid).astype(complex)
     state = ge.solve_elliptic_system(grid, psi0, cfg.elliptic())
     d = state.diagnostics
+    report = state.constraint_report()
     summary = {
         "schema": "smcf-json-1",
         "outer_iterations": d.get("outer_iterations"),
@@ -591,7 +589,9 @@ def _cmd_elliptic(args, extras) -> int:
             "A_l2": sp.l2_norm(grid, state.A),
             "B_l2": sp.l2_norm(grid, state.B),
         },
-        "residuals": _residual_table(state.constraint_report()),
+        "residuals": {name: {"l2": res.l2, "linf": res.linf}
+                      for name, res in report.as_dict().items()},
+        "nondecay": report.nondecay,
         "config": cfg.values,
     }
     _emit(dump_json(summary), cfg["output.json"] or None)

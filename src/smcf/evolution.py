@@ -57,7 +57,6 @@ __all__ = [
     "step_count",
     "stepper",
     "evolve",
-    "metric_consistency",
     "difference_stability",
     "scattering_profile",
 ]
@@ -280,7 +279,12 @@ def strichartz_entries(grid: Grid, psi: np.ndarray, table) -> np.ndarray:
 def equal_steps(t_end: float, dt: float) -> tuple:
     """(n_steps, step): the fewest equal steps with n_steps * step =
     t_end and step no longer than ``dt``.  A ratio t_end / dt within
-    round-off of a whole number counts as that number."""
+    round-off of a whole number counts as that number.  A dt that is not
+    > 0, or a ratio that is not finite, is a ``ValueError``."""
+    if not dt > 0:
+        raise ValueError(f"time steps must be positive, got {dt:g}")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} is not finite")
     n_steps = max(1, math.ceil(t_end / dt * (1.0 - _STEP_SLACK)))
     return n_steps, t_end / n_steps
 
@@ -461,12 +465,6 @@ def evolve(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig) -> TrajectoryRepo
             key: totals[key] for key in ("sup_hs_norm", "strichartz_total",
                                          "max_constraint_l2")}},
     )
-
-
-def metric_consistency(traj: TrajectoryReport) -> np.ndarray:
-    """L-infinity deviation of the integrated d_t g = 2G from the solved
-    metric per sample time (``Monitor`` integrates with weight dt)."""
-    return traj.metric_dev
 
 
 def difference_stability(grid: Grid, psi0: np.ndarray, dpsi0: np.ndarray,

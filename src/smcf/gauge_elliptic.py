@@ -120,24 +120,6 @@ def _contract(update, x0, cfg, name):
     return geo.fixed_point(step, x0, name, cfg.tol, cfg.max_iter)[0]
 
 
-def _hodge_solve(grid, curl, div):
-    """Flat div-curl solve: d_a u_b - d_b u_a = curl_ab, d_a u_a = div.
-
-    Frequency-wise u_b = (xi_b div + xi_a curl_ab) / (i |xi|^2), i.e.
-    -(i xi_b div + i xi_a curl_ab) / |xi|^2; the zero mode is dropped
-    (torus kernel).  Axes of curl after (a, b), and the matching leading
-    axes of div, are solved side by side.  Real data is solved on the
-    half spectrum.
-    """
-    if np.iscomplexobj(curl) or np.iscomplexobj(div):
-        curl, div = curl.astype(complex, copy=False), div.astype(complex, copy=False)
-    Ch, mult, inverse = sp.spectrum(grid, curl)
-    Dh = sp.spectrum(grid, div)[0]
-    num = np.einsum("b...,...->b...", mult.ik, Dh) \
-        + np.einsum("a...,ab...->b...", mult.ik, Ch)
-    return inverse(mult.inv_lap * num)
-
-
 def _lambda_update(grid, dpsi, metric, A, lam):
     """One update of the lambda div-curl system at (g, A), with dpsi the
     gauged gradient d psi + i A psi.
@@ -157,7 +139,7 @@ def _lambda_update(grid, dpsi, metric, A, lam):
     flat_div = np.einsum("aab...->b...", dlam)
     dlam = geo._add_connection(grid, lam, dlam, 0, 2, metric, A)
     D = dpsi - np.einsum("ca...,cab...->b...", metric.inv, dlam) + flat_div
-    lam_new = _hodge_solve(grid, C, D)  # every column g at once
+    lam_new = sp.hodge_solve(grid, C, D)  # every column g at once
     return 0.5 * (lam_new + np.einsum("ab...->ba...", lam_new))
 
 
@@ -186,28 +168,15 @@ def _metric_rhs(grid, m, lam, psi, dg):
     return rhs
 
 
-def _weighted_second(grid, coeff, g):
-    """Re coeff^{ab}(x) d^2_{ab} g for a symmetric coeff, accumulated
-    pairwise to bound memory."""
-    gh, mult, inverse = sp.spectrum(grid, g)
-    acc = np.zeros(g.shape)
-    for a in range(grid.d):
-        for b in range(a, grid.d):
-            d2 = inverse(mult.kk[a, b] * gh).real
-            fac = 1.0 if a == b else 2.0
-            acc += fac * coeff[a, b] * d2
-    return acc
-
-
 def _weighted_second_sym(grid, coeff, g):
-    """``_weighted_second`` of an exactly symmetric (d, d) stack g: each
-    entry g_cs with c <= s is transformed once, and mirrored.  Entry by
-    entry, because a batch of the d(d+1)/2 entries raised elliptic-3d's
-    peak RSS by about 7 MiB (allocator fragmentation)."""
+    """``sp.hessian_trace`` of an exactly symmetric, real (d, d) stack g:
+    each entry g_cs with c <= s is transformed once, and mirrored.  Entry
+    by entry, because a batch of the d(d+1)/2 entries raised
+    elliptic-3d's peak RSS by about 7 MiB (allocator fragmentation)."""
     out = np.empty(g.shape)
     for c in range(grid.d):
         for s in range(c, grid.d):
-            out[c, s] = out[s, c] = _weighted_second(grid, coeff, g[c, s])
+            out[c, s] = out[s, c] = sp.hessian_trace(grid, coeff, g[c, s])
     return out
 
 
@@ -346,7 +315,7 @@ def _A_update(grid, metric, F, A):
     dA = sp.gradient(grid, A)  # (c, b) = d_c A_b
     div_data = -np.einsum("cb...,cb...->...", metric.inv - _eye(grid), dA) \
         + np.einsum("c...,c...->...", metric.harmonic_defect, A)
-    return _hodge_solve(grid, F, div_data)
+    return sp.hodge_solve(grid, F, div_data)
 
 
 def _solve_A(grid, lam, metric, cfg, A0):
@@ -360,17 +329,17 @@ def _solve_A(grid, lam, metric, cfg, A0):
 def _solve_VB(grid, lam, psi, metric, A, cfg, V0):
     """Advection field V (covariant vector Laplace equation), then the
     temporal connection B (Laplace-Beltrami equation); nothing else in
-    the system reads either."""
+    the system reads either.  Both run the preconditioned sweep
+    ``geo.solve_preconditioned``."""
     source = _advection_source(grid, metric, lam, psi)
 
-    def update_V(V):
+    def residual_V(V):
         dV = geo.covariant_derivative(grid, V, 1, 0, metric)
-        rhs = _advection_rhs(metric, source, V, dV)
-        V_new = V + sp.inverse_laplacian(
-            grid, rhs - _vector_laplacian(grid, metric, V, dV))
-        return sp.mean_zero(grid, V_new)
+        return _advection_rhs(metric, source, V, dV) \
+            - _vector_laplacian(grid, metric, V, dV)
 
-    V = _contract(update_V, V0, cfg, "advection field")
+    V = geo.solve_preconditioned(grid, residual_V, V0, "advection field",
+                                 cfg.tol, cfg.max_iter)
     rhs_B = _temporal_rhs(grid, metric, lam, psi, V, A)
     B = geo.solve_laplace_beltrami(metric, rhs_B, "temporal connection",
                                    cfg.tol, cfg.max_iter)

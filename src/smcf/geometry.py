@@ -4,7 +4,9 @@ Christoffel symbols, (gauge-)covariant derivatives, curvature, the
 intrinsic Sobolev norms built from covariant derivatives, the energy
 functionals, the constraint-residual report for the gauge system, the
 harmonic-coordinate fixing map, ``fixed_point`` (the driver of every
-contraction loop) and ``solve_laplace_beltrami`` (the one Delta_g solve).
+contraction loop) and ``solve_preconditioned`` (the one Picard sweep
+preconditioned by the flat Laplacian, which every Delta_g solve and the
+advection-field solve run).
 
 Tensor fields are numpy arrays with index axes leading and the spatial
 grid trailing, upper indices first.  A rank-(r, s) tensor has shape
@@ -26,6 +28,7 @@ __all__ = [
     "SingularMetricError",
     "NotContractingError",
     "fixed_point",
+    "solve_preconditioned",
     "solve_laplace_beltrami",
     "covariant_derivative",
     "curvature",
@@ -170,10 +173,7 @@ class MetricField:
 
     @classmethod
     def identity(cls, grid: Grid) -> "MetricField":
-        g = np.zeros((grid.d, grid.d) + grid.shape)
-        for a in range(grid.d):
-            g[a, a] = 1.0
-        return cls(grid, g)
+        return cls.from_h(grid, np.zeros((grid.d, grid.d) + grid.shape))
 
     @classmethod
     def from_h(cls, grid: Grid, h: np.ndarray) -> "MetricField":
@@ -202,7 +202,7 @@ class MetricField:
     def laplace_beltrami(self, f: np.ndarray) -> np.ndarray:
         """Delta_g f = g^{ab}(d2_ab f - Gamma^c_ab d_c f) for a scalar f or
         a stack of them; real for a real f."""
-        out = np.einsum("ab...,ab...->...", self.inv, sp.hessian(self.grid, f))
+        out = sp.hessian_trace(self.grid, self.inv, f)
         out -= np.einsum("c...,c...->...", self.harmonic_defect,
                          sp.gradient(self.grid, f))
         return out
@@ -213,23 +213,28 @@ class MetricField:
         return np.einsum("ab...,cab...->c...", self.inv, self.christoffel)
 
 
-def solve_laplace_beltrami(metric: MetricField, rhs: np.ndarray, name: str,
-                           tol: float, max_iter: int) -> np.ndarray:
-    """The mean-zero u with Delta_g u = rhs, up to a constant; leading
-    axes of rhs are solved side by side.
+def solve_preconditioned(grid: Grid, residual, u0: np.ndarray, name: str,
+                         tol: float, max_iter: int) -> np.ndarray:
+    """The mean-zero u with residual(u) = 0, for an equation whose
+    principal part g^{ab} d_a d_b is close to the flat Laplacian.
 
-    Picard sweeps u <- u + Delta^{-1}(rhs - Delta_g u), preconditioned by
-    the flat Laplacian, run through ``fixed_point``; each update is sized
-    by its largest change after the mean is removed.
+    Picard sweeps u <- mean_zero(u + Delta^{-1} residual(u)) from u0, run
+    through ``fixed_point``; each update is sized by its largest change.
     """
-    grid = metric.grid
-
     def sweep(u):
-        u_new = sp.mean_zero(grid, u + sp.inverse_laplacian(
-            grid, rhs - metric.laplace_beltrami(u)))
+        u_new = sp.mean_zero(grid, u + sp.inverse_laplacian(grid, residual(u)))
         return u_new, float(np.max(np.abs(u_new - u)))
 
-    return fixed_point(sweep, np.zeros(np.shape(rhs)), name, tol, max_iter)[0]
+    return fixed_point(sweep, u0, name, tol, max_iter)[0]
+
+
+def solve_laplace_beltrami(metric: MetricField, rhs: np.ndarray, name: str,
+                           tol: float, max_iter: int) -> np.ndarray:
+    """The mean-zero u with Delta_g u = rhs by ``solve_preconditioned``
+    from zero; leading axes of rhs are solved side by side."""
+    return solve_preconditioned(metric.grid,
+                                lambda u: rhs - metric.laplace_beltrami(u),
+                                np.zeros(np.shape(rhs)), name, tol, max_iter)
 
 
 def covariant_derivative(grid, T, nup, nlow, metric=None, A=None):

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 _FRAME_TOL = 1e-10
-# linearized re-fits of the residual phase, translation and offset
+# the most linearized re-fits of the residual phase, translation and offset
 _FIT_SWEEPS = 3
 
 
@@ -140,12 +140,12 @@ def _normal_frame(grid: Grid, F: np.ndarray, linear, nu1: np.ndarray,
 
 def induced_geometry(grid: Grid, F: np.ndarray, linear=None):
     """Induced metric g_ab = dF_a . dF_b and the full mean curvature
-    H = Delta_g F = g^{ab}(d2_ab F - Gamma^c_ab dF_c), with d2F from the
-    Hessian of F and the winding held in dF; normal to the surface to
-    within discretization error."""
+    H = Delta_g F = g^{ab}(d2_ab F - Gamma^c_ab dF_c), with g^{ab} d2_ab F
+    from ``sp.hessian_trace`` and the winding held in dF; normal to the
+    surface to within discretization error."""
     dF = _tangents(grid, F, linear)
     metric = _gram(dF, lambda g: MetricField(grid, g))
-    H = np.einsum("ab...,abi...->i...", metric.inv, sp.hessian(grid, F))
+    H = sp.hessian_trace(grid, metric.inv, F)
     H -= np.einsum("c...,ci...->i...", metric.harmonic_defect, dF)
     return metric, H
 
@@ -179,15 +179,15 @@ def smcf_step(state: ImmersionState, dt: float) -> ImmersionState:
     The frame is transported to each stage position by the
     minimal-rotation projection, and re-derived at the final point.
     J H needs only the normal part of H, so each stage takes
-    g^{ab} d2_ab F . n from one gradient and one Hessian of F; the
-    term g^{ab} Gamma^c_ab dF_c of ``induced_geometry`` is tangent, so
-    orthogonal to (n1, n2) up to round-off, and is not formed.
+    g^{ab} d2_ab F . n from one gradient and one ``sp.hessian_trace`` of
+    F; the term g^{ab} Gamma^c_ab dF_c of ``induced_geometry`` is
+    tangent, so orthogonal to (n1, n2) up to round-off, and is not formed.
     """
     grid, F, lin = state.grid, state.F, state.linear
 
     def vel(Fs):
         ginv, n1, n2 = _normal_frame(grid, Fs, lin, state.nu1, state.nu2)
-        H = np.einsum("ab...,abi...->i...", ginv, sp.hessian(grid, Fs))
+        H = sp.hessian_trace(grid, ginv, Fs)
         h1 = np.einsum("i...,i...->...", H, n1)
         h2 = np.einsum("i...,i...->...", H, n2)
         return h1 * n2 - h2 * n1
@@ -316,29 +316,27 @@ def _phase_translation_fit(grid: Grid, psi: np.ndarray, ref: np.ndarray):
     geometric side's mean is constrained by the immersion), so a
     constant complex offset is fitted alongside.  All parameters come
     from least squares against the reference, linearized and
-    re-applied exactly for a few sweeps.
+    re-applied exactly by ``geo.fixed_point`` until the largest fitted
+    coefficient is at most 1e-14, within ``_FIT_SWEEPS`` sweeps.
     """
-    theta_tot = 0.0
-    shift_tot = np.zeros(grid.d)
-    offset_tot = 0.0 + 0.0j
     one = np.ones(grid.shape, dtype=complex)
-    cur = psi
-    for _ in range(_FIT_SWEEPS):
+
+    def sweep(x):
+        cur, theta, shift, offset = x
         cols = [1j * cur, *sp.gradient(grid, cur), one, 1j * one]
-        Areal = np.stack(
-            [np.concatenate([c.real.ravel(), c.imag.ravel()]) for c in cols],
-            axis=1,
-        )
+        Areal = np.stack([np.concatenate([c.real.ravel(), c.imag.ravel()])
+                          for c in cols], axis=1)
         b = ref - cur
         breal = np.concatenate([b.real.ravel(), b.imag.ravel()])
         coef, *_ = np.linalg.lstsq(Areal, breal, rcond=None)
-        theta_tot += coef[0]
-        shift_tot += coef[1 : 1 + grid.d]
-        offset_tot += coef[1 + grid.d] + 1j * coef[2 + grid.d]
-        cur = np.exp(1j * theta_tot) * sp.translate(grid, psi, shift_tot) + offset_tot
-        if np.max(np.abs(coef)) <= 1e-14:
-            break
-    return cur, theta_tot, shift_tot, offset_tot
+        theta += coef[0]
+        shift = shift + coef[1 : 1 + grid.d]
+        offset += coef[1 + grid.d] + 1j * coef[2 + grid.d]
+        cur = np.exp(1j * theta) * sp.translate(grid, psi, shift) + offset
+        return (cur, theta, shift, offset), float(np.max(np.abs(coef)))
+
+    x0 = (psi, 0.0, np.zeros(grid.d), 0.0 + 0.0j)
+    return geo.fixed_point(sweep, x0, "alignment fit", 1e-14, _FIT_SWEEPS)[0]
 
 
 def align_extracted(grid: Grid, ex: ExtractedGauge, psi_ref: np.ndarray):
@@ -417,8 +415,8 @@ class OracleConfig:
     def __post_init__(self):
         if not self.t_end >= 0:
             raise ValueError("t_end must be nonnegative")
-        if not (self.dt_gauge > 0 and self.dt_immersion > 0):
-            raise ValueError("time steps must be positive")
+        for dt in (self.dt_gauge, self.dt_immersion):
+            ev.equal_steps(self.t_end, dt)  # each side's step count
         if not self.construction_tol > 0:
             raise ValueError("construction_tol must be positive")
         if 0 < self.t_end < self.dt_gauge:

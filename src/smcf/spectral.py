@@ -1,9 +1,11 @@
 """Fourier calculus on a periodic box.
 
-This is the one module that transforms a field or reads a wavenumber;
-everything downstream (tensor calculus, elliptic solves, time stepping,
-the immersion oracle) is built on its operators: spectral derivatives,
-the mean-projected inverse Laplacian and the torus zero-mode rule
+This is the one module that transforms a field or reads a wavenumber
+or multiplier; everything downstream (tensor calculus, elliptic solves,
+time stepping, the immersion oracle) is built on its operators:
+spectral derivatives, the principal part coeff^{ab} d_a d_b
+(``hessian_trace``), the mean-projected inverse Laplacian, the flat
+div-curl solve (``hodge_solve``) and the torus zero-mode rule
 (``mean_zero``), Riesz transforms, Littlewood-Paley band projections,
 Sobolev-weight multipliers and norms, the exact flat flow
 (``free_flow``), translations, the Nyquist-plane rules below
@@ -16,10 +18,10 @@ so a ``(d, d, n, n)`` tensor field can be fed to ``gradient`` as-is.
 Real and complex fields.  A first derivative d_a f is one 1-D
 transform pair along axis a only (``gradient``): ``numpy.fft.rfft`` and
 ``irfft`` for a real field, which return float64, ``fft`` and ``ifft``
-for a complex one.  ``hessian`` and ``inverse_laplacian`` (via
-``spectrum``) use the d-dimensional spectrum: the full one
-(``Grid.fft``) for a complex field and the half one (``Grid.rfft``,
-``numpy.fft.rfftn``), which costs roughly half as much, for a real one.
+for a complex one.  The operators on ``spectrum`` (``hessian``,
+``hessian_trace``, ``hodge_solve``, ``inverse_laplacian``) use the full
+d-dimensional spectrum (``Grid.fft``) for a complex field and the half
+one (``Grid.rfft``), which costs roughly half as much, for a real one.
 A real result has to be the real part of the complex one, so each
 real-field multiplier is the Hermitian part (M(k) + conj M(-k)) / 2 of
 the complex multiplier M.  On an even grid the Nyquist index is its own
@@ -50,8 +52,8 @@ __all__ = [
     "smooth_bump",
     "gradient",
     "hessian",
-    "spectrum",
-    "Multipliers",
+    "hessian_trace",
+    "hodge_solve",
     "laplacian",
     "inverse_laplacian",
     "riesz",
@@ -158,12 +160,9 @@ class Grid:
     def volume(self) -> float:
         return self.length**self.d
 
-    def axis_coords(self) -> np.ndarray:
-        return np.arange(self.n) * self.dx
-
     def coords(self) -> np.ndarray:
         """Coordinate arrays, shape (d,) + shape."""
-        x = self.axis_coords()
+        x = np.arange(self.n) * self.dx
         mesh = np.meshgrid(*([x] * self.d), indexing="ij")
         return np.stack(mesh)
 
@@ -250,11 +249,6 @@ class Grid:
         return self._cache[key]
 
 
-def _check_axis(grid: Grid, axis: int) -> None:
-    if not 0 <= axis < grid.d:
-        raise ValueError(f"axis {axis} out of range for dimension {grid.d}")
-
-
 def spectrum(grid: Grid, f: np.ndarray):
     """(fh, multipliers, inverse transform) for applying multipliers to f.
 
@@ -294,6 +288,36 @@ def hessian(grid: Grid, f: np.ndarray) -> np.ndarray:
     return inverse(_broadcast(grid, mult.kk, fh) * fh)
 
 
+def hessian_trace(grid: Grid, coeff: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """coeff^{ab} d_a d_b f for a symmetric (d, d) + grid coefficient,
+    summed over a <= b with weight 2 off the diagonal: one inverse
+    transform per pair, and no (d, d) Hessian stack.  Real for a real f,
+    complex for a complex one; leading axes of f broadcast."""
+    fh, mult, inverse = spectrum(grid, f)
+    acc = np.zeros(f.shape, dtype=complex if np.iscomplexobj(f) else float)
+    for a in range(grid.d):
+        for b in range(a, grid.d):
+            fac = 1.0 if a == b else 2.0
+            acc += fac * coeff[a, b] * inverse(mult.kk[a, b] * fh)
+    return acc
+
+
+def hodge_solve(grid: Grid, curl: np.ndarray, div: np.ndarray) -> np.ndarray:
+    """Flat div-curl solve: d_a u_b - d_b u_a = curl_ab, d_a u_a = div.
+
+    Frequency-wise u_b = -(i xi_b div + i xi_a curl_ab) / |xi|^2, the zero
+    mode dropped (torus kernel).  Axes of curl after (a, b), and the
+    matching leading axes of div, are solved side by side; real data on
+    the half spectrum."""
+    if np.iscomplexobj(curl) or np.iscomplexobj(div):
+        curl, div = curl.astype(complex, copy=False), div.astype(complex, copy=False)
+    Ch, mult, inverse = spectrum(grid, curl)
+    Dh = spectrum(grid, div)[0]
+    num = np.einsum("b...,...->b...", mult.ik, Dh) \
+        + np.einsum("a...,ab...->b...", mult.ik, Ch)
+    return inverse(mult.inv_lap * num)
+
+
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     return grid.ifft(-grid.k_squared() * grid.fft(f))
 
@@ -310,7 +334,8 @@ def inverse_laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
 
 def riesz(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     """Riesz transform: multiplier xi_axis/|xi|, zero frequency mapped to 0."""
-    _check_axis(grid, axis)
+    if not 0 <= axis < grid.d:
+        raise ValueError(f"axis {axis} out of range for dimension {grid.d}")
     k = grid.wavenumbers()[axis]
     kabs = grid.k_abs()
     mult = np.zeros_like(kabs)

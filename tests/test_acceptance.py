@@ -142,11 +142,11 @@ class TestConstraintPropagation:
                                                       ref_traj):
         assert ref_traj.reports[0].max_l2() <= 1e-8
         assert max(r.max_l2() for r in ref_traj.reports) <= 1e-6
-        drift = ev.metric_consistency(ref_traj)[-1]
+        drift = ref_traj.metric_dev[-1]
         assert drift <= 1e-6
         half = ev.evolve(grid2, psi0, ev.EvolutionConfig(
             dt=0.0125, t_end=1.0, elliptic=ECFG))
-        drift_half = ev.metric_consistency(half)[-1]
+        drift_half = half.metric_dev[-1]
         assert drift / drift_half >= 3.0
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import pathlib
+import shlex
 import stat
 import struct
 import tempfile
@@ -132,6 +134,17 @@ class TestConfigParsing:
         assert run_cli("oracle", "--config", "/dev/null",
                        f"--oracle.construction_tol={tol}") == 2
         assert "configuration: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, override", [
+        ("run", "--time.dt=1e-320"),          # t_end / dt overflows
+        ("run", "--grid.length=1e-300"),      # the default dt underflows to 0
+        ("oracle", "--oracle.dt_immersion=1e-320")])
+    def test_unusable_step_exits_2(self, command, override, capsys):
+        assert run_cli(command, "--config", "/dev/null", "--grid.n=16",
+                       "--elliptic.smallness_threshold=0.5",
+                       "--time.t_end=0.1", override) == 2
+        err = capsys.readouterr().err
+        assert "configuration:" in err and "Traceback" not in err
 
     def test_g17_roundtrip(self):
         for x in (0.1, math.pi, 1e-300, -3.5537e-10):
@@ -525,6 +538,38 @@ class TestElliptic:
         out = capsys.readouterr().out
         assert '"outer_iterations": 1' in out
         assert '"lam_l2": 0' in out
+
+    def test_json_carries_the_dropped_means(self, tmp_path):
+        out = tmp_path / "ell.json"
+        args = ["--config", "/dev/null", "--grid.n=16",
+                "--elliptic.smallness_threshold=0.5"]
+        assert run_cli("elliptic", *args, f"--output.json={out}") == 0
+        summary = json.loads(out.read_text())
+        cfg = cli.RunConfig.build(cli.parse_overrides(args[2:]))
+        grid = cfg.grid()
+        state = ge.solve_elliptic_system(
+            grid, cfg.initial_data(grid).astype(complex), cfg.elliptic())
+        want = state.constraint_report().nondecay
+        assert summary["nondecay"] == want  # 17 digits round-trip a double
+        assert list(summary["nondecay"]) == list(summary["residuals"])
+
+
+def readme_commands(subcommand):
+    """The ``smcf <subcommand>`` lines of README's Command line block."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith(f"smcf {subcommand} ")]
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("subcommand", ["elliptic", "oracle"])
+    def test_example_exits_0(self, subcommand, capsys):
+        commands = readme_commands(subcommand)
+        assert len(commands) == 1
+        assert run_cli(*commands[0]) == 0
+        assert '"schema": "smcf-json-1"' in capsys.readouterr().out
 
 
 class TestOracle:

@@ -62,6 +62,13 @@ class TestConfig:
         assert step <= dt * (1 + 1e-12)
         assert n * step == pytest.approx(t_end, rel=1e-15)
 
+    @pytest.mark.parametrize("t_end, dt", [
+        (0.1, 1e-320),  # t_end / dt overflows
+        (1.0, 0.0), (1.0, -0.1), (1.0, np.nan), (np.inf, 0.1)])
+    def test_equal_steps_rejects_unusable_step(self, t_end, dt):
+        with pytest.raises(ValueError):
+            ev.equal_steps(t_end, dt)
+
 
 class TestRhs:
     def test_zero(self, grid2):
@@ -299,16 +306,14 @@ class TestMetricConsistency:
     def test_zero_data(self, grid2):
         cfg = make_cfg(dt=0.05, t_end=0.1)
         traj = ev.evolve(grid2, np.zeros(grid2.shape, complex), cfg)
-        dev = ev.metric_consistency(traj)
+        dev = traj.metric_dev
         assert np.max(dev) == 0.0
 
     def test_small_and_second_order(self, grid2, reference_run):
-        dev_a = ev.metric_consistency(reference_run)
+        dev_a = reference_run.metric_dev
         assert np.max(dev_a) <= 1e-6
         cfg = make_cfg(dt=0.0125, t_end=0.25)
-        dev_b = ev.metric_consistency(
-            ev.evolve(grid2, gaussian_psi(grid2), cfg)
-        )
+        dev_b = ev.evolve(grid2, gaussian_psi(grid2), cfg).metric_dev
         assert np.max(dev_b) <= np.max(dev_a) / 2.5
 
 

@@ -296,6 +296,25 @@ class TestConstruction:
         assert sp.l2_norm(grid, aligned - psi0) <= 1e-14
 
 
+class TestAlignmentFit:
+    def shifted(self, grid):
+        psi = sp.drop_nyquist(grid, gaussian_psi(grid))
+        ref = np.exp(1e-7j) * sp.translate(grid, psi, np.array([1e-7, -2e-7]))
+        return psi, ref + 1e-9
+
+    def test_recovers_phase_translation_and_offset(self, grid2):
+        psi, ref = self.shifted(grid2)
+        cur, theta, shift, offset = im._phase_translation_fit(grid2, psi, ref)
+        assert abs(theta - 1e-7) <= 1e-12
+        assert np.max(np.abs(shift - [1e-7, -2e-7])) <= 1e-12
+        assert sp.l2_norm(grid2, cur - ref) <= 1e-14
+
+    def test_sweep_limit_of_one_raises(self, grid2, monkeypatch):
+        monkeypatch.setattr(im, "_FIT_SWEEPS", 1)
+        with pytest.raises(geo.NotContractingError, match="alignment fit"):
+            im._phase_translation_fit(grid2, *self.shifted(grid2))
+
+
 class TestOracle:
     def test_config_validation(self):
         with pytest.raises(ValueError):

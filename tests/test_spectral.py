@@ -290,6 +290,26 @@ class TestRealPath:
             assert np.max(np.abs(grid.ifft(grid.fft(f)) - f)) <= 1e-13
 
 
+class TestHessianTrace:
+    """``hessian_trace`` sums the pairs a <= b of coeff^{ab} d_a d_b f; it
+    must equal the contraction of coeff with the whole ``hessian``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 4), rank=st.integers(0, 1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_contracted_hessian(self, d, rank, seed):
+        grid, rng = Grid(d=d, n=8), np.random.default_rng(seed)
+        coeff = rng.standard_normal((d, d) + grid.shape)
+        coeff = coeff + np.einsum("ab...->ba...", coeff)
+        f = nyquist_rich_field(grid, (d,) * rank, seed)
+        for field in (f, f + 1j * nyquist_rich_field(grid, (d,) * rank, seed + 1)):
+            want = np.einsum("ab...,ab...->...", coeff, sp.hessian(grid, field))
+            got = sp.hessian_trace(grid, coeff, field)
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestFlowAndTranslate:
     @pytest.mark.parametrize("axis, m", [(0, 3), (1, -5)])
     def test_translate_by_grid_steps_is_roll(self, grid2, axis, m):
@@ -314,9 +334,10 @@ class TestFlowAndTranslate:
 
 class TestOwnership:
     """``spectral`` is the only module that transforms a field or reads
-    a wavenumber (see the module docstring)."""
+    a wavenumber or multiplier (see the module docstring)."""
 
-    PATTERN = re.compile(r"np\.fft|\b(i?r?fft|wavenumbers|k_squared|k_abs)\(")
+    PATTERN = re.compile(r"np\.fft|\b(i?r?fft|wavenumbers|k_squared|k_abs"
+                         r"|spectrum|multipliers|axis_ik)\(")
 
     def test_no_transform_outside_spectral(self):
         src = pathlib.Path(sp.__file__).parent
