@@ -195,7 +195,7 @@ _KEY_NAMES = {"grid.d": "dimension", "time.monitor_ks": "monitors.k_list",
 
 def _owned_keys(section: str, cls):
     """(``<section>.<field>`` key, field) for each field of the config class
-    ``cls`` without a default factory (nested configs and caches)."""
+    ``cls`` without a default factory (nested configs)."""
     for f in dataclasses.fields(cls):
         if f.default_factory is dataclasses.MISSING:
             key = f"{section}.{f.name}"
@@ -292,6 +292,12 @@ class RunConfig:
             raise ConfigError("data.amplitude must be nonnegative")
         if not v["data.width"] > 0:
             raise ConfigError("data.width must be positive")
+        if v["data.kind"] == "single_mode":  # amp exp(i m x_0) must be periodic
+            turns = v["data.modulation"] * v["grid.length"] / (2.0 * np.pi)
+            if not (math.isfinite(turns) and math.isclose(
+                    turns, round(turns), rel_tol=1e-12, abs_tol=1e-12)):
+                raise ConfigError("data.kind=single_mode needs data.modulation "
+                                  f"* grid.length / (2 pi) whole, got {turns:.17g}")
         if v["output.checkpoint_every"] < 0:
             raise ConfigError("output.checkpoint_every must be >= 0")
         # a step of 0, or one too small for a finite step count, is

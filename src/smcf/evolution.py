@@ -280,12 +280,16 @@ def equal_steps(t_end: float, dt: float) -> tuple:
     """(n_steps, step): the fewest equal steps with n_steps * step =
     t_end and step no longer than ``dt``.  A ratio t_end / dt within
     round-off of a whole number counts as that number.  A dt that is not
-    > 0, or a ratio that is not finite, is a ``ValueError``."""
+    > 0, a ratio that is not finite, or more than 2**53 steps (past which
+    the times i * step are no longer distinct floats) is a ``ValueError``."""
     if not dt > 0:
         raise ValueError(f"time steps must be positive, got {dt:g}")
     if not math.isfinite(t_end / dt):
         raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} is not finite")
     n_steps = max(1, math.ceil(t_end / dt * (1.0 - _STEP_SLACK)))
+    if n_steps > 2**53:
+        raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} needs {n_steps:.3g} "
+                         f"steps, more than 2**53")
     return n_steps, t_end / n_steps
 
 

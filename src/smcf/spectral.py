@@ -20,8 +20,9 @@ transform pair along axis a only (``gradient``): ``numpy.fft.rfft`` and
 ``irfft`` for a real field, which return float64, ``fft`` and ``ifft``
 for a complex one.  The operators on ``spectrum`` (``hessian``,
 ``hessian_trace``, ``hodge_solve``, ``inverse_laplacian``) use the full
-d-dimensional spectrum (``Grid.fft``) for a complex field and the half
-one (``Grid.rfft``), which costs roughly half as much, for a real one.
+d-dimensional spectrum (``Grid.fft``, multipliers on ``Grid.full``) for a
+complex field and the half one (``Grid.rfft`` and ``Grid.half``), which
+costs roughly half as much, for a real one.
 A real result has to be the real part of the complex one, so each
 real-field multiplier is the Hermitian part (M(k) + conj M(-k)) / 2 of
 the complex multiplier M.  On an even grid the Nyquist index is its own
@@ -43,7 +44,7 @@ of an ``smcf`` process.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,43 +76,60 @@ __all__ = [
 ]
 
 
-class Multipliers:
-    """The Fourier multipliers of the derivative operators on one spectrum,
-    each built on first use, leading index axes first: ``ik`` is i k_a,
-    shape (d,) + spectrum; ``kk`` is -k_a k_b, shape (d, d) + spectrum;
-    ``inv_lap`` is -1/|k|^2, zero at k = 0.  On the half spectrum
-    (``real``) they are the Hermitian parts of the full-spectrum ones (see
-    the module docstring)."""
+class Spectrum:
+    """The wavenumbers and multipliers of one transform, each built on
+    first use, leading index axes first: ``Grid.full`` for ``Grid.fft``,
+    ``Grid.half`` for ``Grid.rfft`` (last axis cut after mode n/2).  ``ik``
+    is i k_a, (d,) + spectrum; ``kk`` is -k_a k_b, (d, d) + spectrum;
+    ``inv_lap`` is -1/|k|^2, zero at k = 0.  On the half spectrum ``ik``
+    and ``kk`` are the Hermitian parts of the full ones (see the module
+    docstring)."""
 
-    def __init__(self, k: np.ndarray, real: bool):
-        self.k = k  # wavenumber components on this spectrum, (d,) + spectrum
-        self.real = real
+    def __init__(self, k: np.ndarray, half: bool):
+        self.k = k  # wavenumber components, (d,) + spectrum
+        self.half = half
+
+    @property
+    def line(self) -> np.ndarray:
+        """The last axis's 1-D wavenumbers, 2 pi/L times 0, 1, ..., -n/2, ..., -1."""
+        return self.k[(-1,) + (0,) * (len(self.k) - 1)]
 
     @functools.cached_property
-    def _nyquist(self) -> np.ndarray:
+    def nyquist(self) -> np.ndarray:
         """Where each axis is at its Nyquist index, (d,) + spectrum."""
-        return self.k == np.min(self.k)
+        return self.k == np.min(self.line)
 
     @functools.cached_property
     def ik(self) -> np.ndarray:
-        k = np.where(self._nyquist, 0.0, self.k) if self.real else self.k
-        return 1j * k
+        return 1j * (np.where(self.nyquist, 0.0, self.k) if self.half else self.k)
+
+    @functools.cached_property
+    def axis_ik(self) -> list:
+        """The 1-D i k of each axis a, shaped (m,) + (1,) * (d-1-a) to
+        multiply a 1-D transform along spatial axis a (``gradient``): on
+        the half line of ``rfft`` its Nyquist entry is zero, as in ``ik``."""
+        d = len(self.k)
+        line = self.ik[(-1,) + (0,) * (d - 1)]
+        return [line.reshape((-1,) + (1,) * (d - 1 - a)) for a in range(d)]
 
     @functools.cached_property
     def kk(self) -> np.ndarray:
         kk = -self.k[:, np.newaxis] * self.k[np.newaxis, :]
-        if self.real:
-            nyq = self._nyquist
-            kk *= nyq[:, np.newaxis] == nyq[np.newaxis, :]
+        if self.half:
+            kk *= self.nyquist[:, np.newaxis] == self.nyquist[np.newaxis, :]
         return kk
 
     @functools.cached_property
+    def k2(self) -> np.ndarray:
+        return np.sum(self.k * self.k, axis=0)
+
+    @functools.cached_property
+    def k_abs(self) -> np.ndarray:
+        return np.sqrt(self.k2)
+
+    @functools.cached_property
     def inv_lap(self) -> np.ndarray:
-        k2 = np.sum(self.k * self.k, axis=0)
-        inv_lap = np.zeros_like(k2)
-        nz = k2 > 0
-        inv_lap[nz] = -1.0 / k2[nz]
-        return inv_lap
+        return np.divide(-1.0, self.k2, out=np.zeros_like(self.k2), where=self.k2 > 0)
 
 
 @dataclass(frozen=True)
@@ -121,13 +139,13 @@ class Grid:
     ``n`` points per axis (even, at least 8, FFT-friendly: prime
     factors 2, 3, 5 only), side length
     ``length`` (default 2*pi).  Wavenumbers are the integer lattice
-    scaled by 2*pi/L.
+    scaled by 2*pi/L; ``full`` and ``half`` hold them and the multipliers
+    built from them.
     """
 
     d: int
     n: int
     length: float = 2.0 * np.pi
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.d <= 4:
@@ -166,24 +184,16 @@ class Grid:
         mesh = np.meshgrid(*([x] * self.d), indexing="ij")
         return np.stack(mesh)
 
-    def wavenumbers(self) -> np.ndarray:
-        """Wavenumber component arrays, shape (d,) + shape."""
-        if "k" not in self._cache:
-            k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-            mesh = np.meshgrid(*([k1] * self.d), indexing="ij")
-            self._cache["k"] = np.stack(mesh)
-        return self._cache["k"]
+    @functools.cached_property
+    def full(self) -> Spectrum:
+        """The spectrum of ``fft``."""
+        line = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+        return Spectrum(np.stack(np.meshgrid(*[line] * self.d, indexing="ij")), False)
 
-    def k_squared(self) -> np.ndarray:
-        if "k2" not in self._cache:
-            k = self.wavenumbers()
-            self._cache["k2"] = np.sum(k * k, axis=0)
-        return self._cache["k2"]
-
-    def k_abs(self) -> np.ndarray:
-        if "kabs" not in self._cache:
-            self._cache["kabs"] = np.sqrt(self.k_squared())
-        return self._cache["kabs"]
+    @functools.cached_property
+    def half(self) -> Spectrum:
+        """The spectrum of ``rfft``: a view of the full wavenumbers."""
+        return Spectrum(self.full.k[..., : self.n // 2 + 1], True)
 
     @property
     def spatial_axes(self) -> tuple:
@@ -221,44 +231,17 @@ class Grid:
                 np.fft.ifft(fh, axis=ax, out=fh)
         return np.fft.irfft(fh, self.n, axis=-1)
 
-    def axis_ik(self, real: bool) -> list:
-        """The 1-D i k multiplier of each axis a, shaped (m,) + (1,) * (d-1-a)
-        to multiply a transform along spatial axis a: on the ``rfft`` half
-        line (``real``) its Nyquist entry is zero (``irfft`` would drop that
-        imaginary bin anyway), on the full line it is the i k of
-        ``wavenumbers``."""
-        key = "ik_half" if real else "ik_full"
-        if key not in self._cache:
-            if real:
-                k1 = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
-                k1[-1] = 0.0
-            else:
-                k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-            ik = 1j * k1
-            self._cache[key] = [ik.reshape((-1,) + (1,) * (self.d - 1 - a))
-                                for a in range(self.d)]
-        return self._cache[key]
-
-    def multipliers(self, real: bool) -> Multipliers:
-        """The derivative multipliers on the full spectrum, or with
-        ``real`` on the half spectrum of ``rfft``."""
-        key = "half" if real else "full"
-        if key not in self._cache:
-            k = self.wavenumbers()
-            self._cache[key] = Multipliers(k[..., : self.n // 2 + 1] if real else k, real)
-        return self._cache[key]
-
 
 def spectrum(grid: Grid, f: np.ndarray):
-    """(fh, multipliers, inverse transform) for applying multipliers to f.
+    """(fh, ``Spectrum``, inverse transform) for applying multipliers to f.
 
-    A real f gets its half spectrum, the Hermitian-part multipliers and
-    ``Grid.irfft``; a complex f its full spectrum, the plain multipliers
-    and ``Grid.ifft``.
+    A real f gets its half spectrum, ``Grid.half`` and ``Grid.irfft``; a
+    complex f its full spectrum, ``Grid.full`` and ``Grid.ifft``.  The
+    transforms are looked up on every call, never stored.
     """
     real = not np.iscomplexobj(f)
     fh = grid.rfft(f) if real else grid.fft(f)
-    return fh, grid.multipliers(real), grid.irfft if real else grid.ifft
+    return fh, grid.half if real else grid.full, grid.irfft if real else grid.ifft
 
 
 def _broadcast(grid: Grid, mult: np.ndarray, fh: np.ndarray) -> np.ndarray:
@@ -274,7 +257,7 @@ def gradient(grid: Grid, f: np.ndarray) -> np.ndarray:
     real = not np.iscomplexobj(f)
     fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     out = np.empty((grid.d,) + np.shape(f), dtype=float if real else complex)
-    for a, ik in enumerate(grid.axis_ik(real)):
+    for a, ik in enumerate((grid.half if real else grid.full).axis_ik):
         fh = fwd(f, axis=a - grid.d)
         fh *= ik
         inv(fh, grid.n, axis=a - grid.d, out=out[a])
@@ -284,8 +267,8 @@ def gradient(grid: Grid, f: np.ndarray) -> np.ndarray:
 def hessian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """All second partial derivatives d_a d_b f, shape (d, d) + f.shape,
     from the -k_a k_b multiplier."""
-    fh, mult, inverse = spectrum(grid, f)
-    return inverse(_broadcast(grid, mult.kk, fh) * fh)
+    fh, spec, inverse = spectrum(grid, f)
+    return inverse(_broadcast(grid, spec.kk, fh) * fh)
 
 
 def hessian_trace(grid: Grid, coeff: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -293,12 +276,12 @@ def hessian_trace(grid: Grid, coeff: np.ndarray, f: np.ndarray) -> np.ndarray:
     summed over a <= b with weight 2 off the diagonal: one inverse
     transform per pair, and no (d, d) Hessian stack.  Real for a real f,
     complex for a complex one; leading axes of f broadcast."""
-    fh, mult, inverse = spectrum(grid, f)
+    fh, spec, inverse = spectrum(grid, f)
     acc = np.zeros(f.shape, dtype=complex if np.iscomplexobj(f) else float)
     for a in range(grid.d):
         for b in range(a, grid.d):
             fac = 1.0 if a == b else 2.0
-            acc += fac * coeff[a, b] * inverse(mult.kk[a, b] * fh)
+            acc += fac * coeff[a, b] * inverse(spec.kk[a, b] * fh)
     return acc
 
 
@@ -311,15 +294,15 @@ def hodge_solve(grid: Grid, curl: np.ndarray, div: np.ndarray) -> np.ndarray:
     the half spectrum."""
     if np.iscomplexobj(curl) or np.iscomplexobj(div):
         curl, div = curl.astype(complex, copy=False), div.astype(complex, copy=False)
-    Ch, mult, inverse = spectrum(grid, curl)
+    Ch, spec, inverse = spectrum(grid, curl)
     Dh = spectrum(grid, div)[0]
-    num = np.einsum("b...,...->b...", mult.ik, Dh) \
-        + np.einsum("a...,ab...->b...", mult.ik, Ch)
-    return inverse(mult.inv_lap * num)
+    num = np.einsum("b...,...->b...", spec.ik, Dh) \
+        + np.einsum("a...,ab...->b...", spec.ik, Ch)
+    return inverse(spec.inv_lap * num)
 
 
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
-    return grid.ifft(-grid.k_squared() * grid.fft(f))
+    return grid.ifft(-grid.full.k2 * grid.fft(f))
 
 
 def inverse_laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -328,20 +311,15 @@ def inverse_laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     The constant mode lies in the kernel of the torus Laplacian, so its
     contribution to ``f`` is discarded (``field_mean`` gives it).
     """
-    fh, mult, inverse = spectrum(grid, f)
-    return inverse(mult.inv_lap * fh)
+    fh, spec, inverse = spectrum(grid, f)
+    return inverse(spec.inv_lap * fh)
 
 
 def riesz(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     """Riesz transform: multiplier xi_axis/|xi|, zero frequency mapped to 0."""
     if not 0 <= axis < grid.d:
         raise ValueError(f"axis {axis} out of range for dimension {grid.d}")
-    k = grid.wavenumbers()[axis]
-    kabs = grid.k_abs()
-    mult = np.zeros_like(kabs)
-    nz = kabs > 0
-    mult[nz] = k[nz] / kabs[nz]
-    return grid.ifft(mult * grid.fft(f))
+    return grid.ifft(grid.full.k[axis] * np.sqrt(-grid.full.inv_lap) * grid.fft(f))
 
 
 def riesz_pairs(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -349,11 +327,7 @@ def riesz_pairs(grid: Grid, f: np.ndarray) -> np.ndarray:
     multiplier k_a k_b / |k|^2, zero at k = 0.  At g = I, A = 0 this is
     the closed-form solution of the div-curl system for lambda."""
     fh = grid.fft(f)
-    k = grid.wavenumbers()
-    k2 = grid.k_squared()
-    denom = np.where(k2 > 0, k2, 1.0)
-    out = np.einsum("a...,b...->ab...", k, k) * np.where(k2 > 0, fh / denom, 0.0)
-    return grid.ifft(out)
+    return grid.ifft(_broadcast(grid, grid.full.kk * grid.full.inv_lap, fh) * fh)
 
 
 def smooth_bump(r: np.ndarray) -> np.ndarray:
@@ -377,7 +351,7 @@ def smooth_bump(r: np.ndarray) -> np.ndarray:
 
 def num_bands(grid: Grid) -> int:
     """Smallest J with every grid frequency inside the support of S_0..S_J."""
-    kmax = float(np.max(grid.k_abs()))
+    kmax = float(np.max(grid.full.k_abs))
     j = 0
     while 2.0**j < kmax:
         j += 1
@@ -385,20 +359,15 @@ def num_bands(grid: Grid) -> int:
 
 
 def _band_multiplier(grid: Grid, j: int, kind: str) -> np.ndarray:
-    kabs = grid.k_abs()
-    if kind == "P":
-        return smooth_bump(kabs / 2.0**j) - smooth_bump(kabs / 2.0 ** (j - 1))
-    if kind == "S":
-        if j < 0:
-            raise ValueError("band index must be >= 0 for S_j")
-        if j == 0:
-            return smooth_bump(kabs)
-        return smooth_bump(kabs / 2.0**j) - smooth_bump(kabs / 2.0 ** (j - 1))
-    if kind == "S_le":
-        if j < 0:
-            raise ValueError("band index must be >= 0 for S_{<=j}")
-        return smooth_bump(kabs / 2.0**j)
-    raise ValueError(f"unknown projection kind {kind!r}")
+    if kind not in ("P", "S", "S_le"):
+        raise ValueError(f"unknown projection kind {kind!r}")
+    if kind != "P" and j < 0:
+        raise ValueError(f"band index must be >= 0 for kind {kind!r}, got {j}")
+    kabs = grid.full.k_abs
+    low = smooth_bump(kabs / 2.0**j)  # S_{<=j}
+    if kind == "S_le" or (kind == "S" and j == 0):
+        return low
+    return low - smooth_bump(kabs / 2.0 ** (j - 1))
 
 
 def lp_project(grid: Grid, f: np.ndarray, j: int, kind: str = "S") -> np.ndarray:
@@ -417,7 +386,7 @@ def sobolev_multiplier(grid: Grid, f: np.ndarray, s: float, kind: str = "bessel"
     this discards the mean, which is the same torus-kernel convention
     as ``inverse_laplacian``.
     """
-    k2 = grid.k_squared()
+    k2 = grid.full.k2
     if kind == "bessel":
         mult = (1.0 + k2) ** (s / 2.0)
     elif kind == "riesz":
@@ -431,13 +400,12 @@ def sobolev_multiplier(grid: Grid, f: np.ndarray, s: float, kind: str = "bessel"
 
 def free_flow(grid: Grid, f: np.ndarray, t: float) -> np.ndarray:
     """Exact flat propagator exp(i t Delta)."""
-    return grid.ifft(np.exp(-1j * grid.k_squared() * t) * grid.fft(f))
+    return grid.ifft(np.exp(-1j * grid.full.k2 * t) * grid.fft(f))
 
 
 def translate(grid: Grid, f: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """f(. + shift) evaluated spectrally (exact for band-limited f)."""
-    k = grid.wavenumbers()
-    phase = np.exp(1j * np.einsum("a...,a->...", k, shift))
+    phase = np.exp(1j * np.einsum("a...,a->...", grid.full.k, shift))
     return grid.ifft(phase * grid.fft(f))
 
 
@@ -450,10 +418,7 @@ def drop_nyquist(grid: Grid, f: np.ndarray) -> np.ndarray:
     against them are performed on Nyquist-free fields.
     """
     fh = grid.fft(f)
-    for ax in range(grid.d):
-        sl = [slice(None)] * fh.ndim
-        sl[fh.ndim - grid.d + ax] = grid.n // 2
-        fh[tuple(sl)] = 0.0
+    fh[..., np.any(grid.full.nyquist, axis=0)] = 0.0
     return grid.ifft(fh)
 
 
@@ -461,14 +426,14 @@ def trig_interp(grid, f, points, chunk=4096):
     """Evaluate the trigonometric interpolant of f at arbitrary points.
 
     ``points`` has shape (d, m); leading tensor axes of f broadcast.
-    Separable evaluation over the ``Grid.wavenumbers`` modes (Nyquist
+    Separable evaluation over the ``Grid.full`` modes (Nyquist
     included): one phase table exp(i x_a k) per axis, then one
     contraction per axis, so a chunk of p points costs d*n*p
     exponentials and O(N*p) multiply-adds, not N*p exponentials.
     """
     f = np.asarray(f)
     fh = grid.fft(f) / grid.n**grid.d
-    k = grid.wavenumbers()[0].reshape(grid.n, -1)[:, 0]  # the 1-D wavenumber set
+    k = grid.full.line
     m = points.shape[1]
     out = np.empty(f.shape[: f.ndim - grid.d] + (m,), dtype=complex)
     for start in range(0, m, chunk):
@@ -525,7 +490,7 @@ def _weighted_l2(grid: Grid, fh: np.ndarray, w: np.ndarray) -> float:
 
 def hs_norm(grid: Grid, f: np.ndarray, s: float) -> float:
     """Flat Sobolev norm ||<D>^s f||_{L^2}, computed Fourier-side."""
-    return _weighted_l2(grid, grid.fft(f), (1.0 + grid.k_squared()) ** s)
+    return _weighted_l2(grid, grid.fft(f), (1.0 + grid.full.k2) ** s)
 
 
 def flat_sobolev_norm(grid, T, k):
@@ -535,7 +500,7 @@ def flat_sobolev_norm(grid, T, k):
     the norm the intrinsic one degenerates to at g=I, A=0.
     """
     fh = grid.fft(np.asarray(T))
-    k2 = grid.k_squared()
+    k2 = grid.full.k2
     w = np.zeros_like(k2)
     p = np.ones_like(k2)
     for _ in range(k + 1):

@@ -101,7 +101,7 @@ class TestLinearResponse:
 class TestNormEquivalence:
     def test_intrinsic_vs_flat_on_random_tensors(self, grid2, converged2):
         rng = np.random.default_rng(7)
-        decay = np.exp(-0.5 * grid2.k_squared() / 9.0)
+        decay = np.exp(-0.5 * grid2.full.k2 / 9.0)
         for _ in range(20):
             T = np.empty((2, 2) + grid2.shape, complex)
             for a in range(2):
@@ -240,7 +240,7 @@ class TestRoughDataMachinery:
             noise = (rng.standard_normal(grid.shape)
                      + 1j * rng.standard_normal(grid.shape))
             f = grid.ifft(
-                np.exp(-0.5 * grid.k_squared() / rng.uniform(4, 25))
+                np.exp(-0.5 * grid.full.k2 / rng.uniform(4, 25))
                 * grid.fft(noise)
             )
             out.append(1e-2 * f / sp.hs_norm(grid, f, table.s_d))

@@ -146,6 +146,35 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "configuration:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, override", [
+        ("run", "--time.dt=1e-300"),  # about 1e299 steps
+        ("oracle", "--oracle.dt_immersion=1e-300")])
+    def test_step_count_past_2_53_exits_2(self, command, override, capsys,
+                                          monkeypatch):
+        def no_transform(self, f):
+            raise AssertionError("a solve started")
+        monkeypatch.setattr(Grid, "fft", no_transform)
+        monkeypatch.setattr(Grid, "rfft", no_transform)
+        assert run_cli(command, "--config", "/dev/null", "--grid.n=16",
+                       "--time.t_end=0.1", override) == 2
+        err = capsys.readouterr().err
+        assert "configuration:" in err and "2**53" in err
+
+    @pytest.mark.parametrize("modulation, length, ok", [
+        ("1.5", "6.283185307179586", False), ("2", "6.283185307179586", True),
+        ("1", "12.566370614359172", True), ("0.5", "12.566370614359172", True),
+        ("1", "10", False)])
+    def test_single_mode_must_be_periodic(self, modulation, length, ok):
+        items = {"data.kind": "single_mode", "data.modulation": modulation,
+                 "grid.length": length}
+        if ok:
+            cli.RunConfig.build(items)
+            return
+        with pytest.raises(cli.ConfigError, match="single_mode"):
+            cli.RunConfig.build(items)
+        assert run_cli("elliptic", "--config", "/dev/null",
+                       *(f"--{k}={v}" for k, v in items.items())) == 2
+
     def test_g17_roundtrip(self):
         for x in (0.1, math.pi, 1e-300, -3.5537e-10):
             assert float(cli.g17(x)) == x

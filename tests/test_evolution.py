@@ -62,8 +62,15 @@ class TestConfig:
         assert step <= dt * (1 + 1e-12)
         assert n * step == pytest.approx(t_end, rel=1e-15)
 
+    def test_equal_steps_up_to_2_53(self):
+        n, step = ev.equal_steps(1.0, 1e-14)
+        assert n == pytest.approx(1e14, rel=1e-12) and step <= 1e-14 * (1 + 1e-12)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            ev.equal_steps(1.0, 2.0**-54)
+
     @pytest.mark.parametrize("t_end, dt", [
         (0.1, 1e-320),  # t_end / dt overflows
+        (0.1, 1e-300),  # finite, but about 1e299 steps
         (1.0, 0.0), (1.0, -0.1), (1.0, np.nan), (np.inf, 0.1)])
     def test_equal_steps_rejects_unusable_step(self, t_end, dt):
         with pytest.raises(ValueError):
@@ -116,7 +123,7 @@ class TestStep:
         cfg = make_cfg(trivial_gauge=True, dt=0.05, t_end=1.0)
         st = ev.trivial_state(grid2, psi)
         psi1, _ = ev.step(grid2, psi, st, cfg, dt=0.05)
-        exact = grid2.ifft(np.exp(-1j * grid2.k_squared() * 0.05) * grid2.fft(psi))
+        exact = grid2.ifft(np.exp(-1j * grid2.full.k2 * 0.05) * grid2.fft(psi))
         assert np.max(np.abs(psi1 - exact)) <= 1e-12
 
     def test_free_subflow_reversible(self, grid2):
@@ -133,7 +140,7 @@ class TestStep:
                        scheme="lawson_rk4")
         st = ev.trivial_state(grid2, psi)
         psi1, _ = ev.step(grid2, psi, st, cfg, dt=0.05)
-        exact = grid2.ifft(np.exp(-1j * grid2.k_squared() * 0.05) * grid2.fft(psi))
+        exact = grid2.ifft(np.exp(-1j * grid2.full.k2 * 0.05) * grid2.fft(psi))
         assert np.max(np.abs(psi1 - exact)) <= 1e-12
 
     def test_lawson_free_subflow_reversible(self, grid2):

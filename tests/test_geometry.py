@@ -378,7 +378,7 @@ def direct_trig_sum(grid, f, points):
     """The interpolant as a direct sum over all N = n^d modes (O(N) per point)."""
     fh = grid.fft(np.asarray(f)) / grid.n**grid.d
     lead = fh.shape[: fh.ndim - grid.d]
-    K = grid.wavenumbers().reshape(grid.d, -1)
+    K = grid.full.k.reshape(grid.d, -1)
     phase = np.exp(1j * points.T @ K)  # (points, modes)
     return np.einsum("pm,...m->...p", phase, fh.reshape(lead + (-1,)))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import re
 
@@ -45,6 +46,9 @@ class TestGrid:
     def test_rejects_bad_length(self, length):
         with pytest.raises(ValueError):
             Grid(d=2, n=16, length=length)
+
+    def test_fields_are_d_n_length(self):
+        assert [f.name for f in dataclasses.fields(Grid)] == ["d", "n", "length"]
 
     def test_zero_wavenumber_once_per_axis(self, grid2):
         k1 = 2 * np.pi * np.fft.fftfreq(grid2.n, d=grid2.dx)
@@ -242,8 +246,8 @@ class TestGradientPerAxis:
         lead = (d,) * rank
         f = nyquist_rich_field(grid, lead, seed)
         for field in (f, f + 1j * nyquist_rich_field(grid, lead, seed + 1)):
-            fh, mult, inverse = sp.spectrum(grid, field)
-            want = inverse(sp._broadcast(grid, mult.ik, fh) * fh)
+            fh, spec, inverse = sp.spectrum(grid, field)
+            want = inverse(sp._broadcast(grid, spec.ik, fh) * fh)
             got = sp.gradient(grid, field)
             assert got.dtype == want.dtype
             assert got.shape == want.shape
@@ -288,6 +292,56 @@ class TestRealPath:
             assert np.max(np.abs(grid.irfft(grid.rfft(f)) - f)) <= 1e-13
             assert np.max(np.abs(grid.rfft(f) - grid.fft(f)[..., :5])) <= 1e-12
             assert np.max(np.abs(grid.ifft(grid.fft(f)) - f)) <= 1e-13
+
+
+def at_minus_k(grid, m):
+    """m(-k): each spatial axis indexed by j -> -j mod n."""
+    neg = -np.arange(grid.n) % grid.n
+    for ax in range(m.ndim - grid.d, m.ndim):
+        m = np.take(m, neg, axis=ax)
+    return m
+
+
+class TestSpectra:
+    """``Grid.half`` is the first n/2 + 1 entries of ``Grid.full`` on the
+    last axis, with the odd-order rule applied once: its ``ik`` and ``kk``
+    are the Hermitian parts (M(k) + conj M(-k)) / 2 of the full ones."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 4), n=st.sampled_from([8, 10, 12]))
+    def test_half_is_cut_hermitian_part_of_full(self, d, n):
+        grid = Grid(d=d, n=n)
+        full, half, cut = grid.full, grid.half, (Ellipsis, slice(0, n // 2 + 1))
+        assert np.shares_memory(half.k, full.k)  # a view, no new array
+        for name in ("k", "k2", "inv_lap"):
+            assert np.array_equal(getattr(half, name), getattr(full, name)[cut])
+        for name in ("ik", "kk"):
+            m = getattr(full, name)
+            assert np.array_equal(getattr(half, name),
+                                  ((m + np.conj(at_minus_k(grid, m))) / 2)[cut])
+
+    def test_transforms_looked_up_on_the_class(self, monkeypatch):
+        # perfbench/spans.py wraps Grid.fft and Grid.ifft on the class only
+        # after the spectra are built, so no spectrum may hold a transform
+        grid = Grid(d=2, n=8)
+        f = nyquist_rich_field(grid, (), seed=3)
+        ops = (sp.hessian, sp.inverse_laplacian,
+               lambda g, u: sp.hodge_solve(g, np.zeros((2, 2) + u.shape, u.dtype), u))
+        fields = ((f, {"rfft", "irfft"}), (f.astype(complex), {"fft", "ifft"}))
+        for field, _ in fields:  # every spectrum and multiplier built
+            for op in ops:
+                op(grid, field)
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            def counted(self, x, _name=name, _orig=getattr(Grid, name)):
+                calls.append(_name)
+                return _orig(self, x)
+            monkeypatch.setattr(Grid, name, counted)
+        for field, names in fields:
+            for op in ops:
+                calls.clear()
+                op(grid, field)
+                assert set(calls) == names
 
 
 class TestHessianTrace:
@@ -336,8 +390,7 @@ class TestOwnership:
     """``spectral`` is the only module that transforms a field or reads
     a wavenumber or multiplier (see the module docstring)."""
 
-    PATTERN = re.compile(r"np\.fft|\b(i?r?fft|wavenumbers|k_squared|k_abs"
-                         r"|spectrum|multipliers|axis_ik)\(")
+    PATTERN = re.compile(r"np\.fft|\.(full|half)\.|\b(i?r?fft|spectrum|Spectrum)\(")
 
     def test_no_transform_outside_spectral(self):
         src = pathlib.Path(sp.__file__).parent
