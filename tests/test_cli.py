@@ -138,27 +138,19 @@ class TestConfigParsing:
     @pytest.mark.parametrize("command, override", [
         ("run", "--time.dt=1e-320"),          # t_end / dt overflows
         ("run", "--grid.length=1e-300"),      # the default dt underflows to 0
-        ("oracle", "--oracle.dt_immersion=1e-320")])
-    def test_unusable_step_exits_2(self, command, override, capsys):
-        assert run_cli(command, "--config", "/dev/null", "--grid.n=16",
-                       "--elliptic.smallness_threshold=0.5",
-                       "--time.t_end=0.1", override) == 2
-        err = capsys.readouterr().err
-        assert "configuration:" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("command, override", [
-        ("run", "--time.dt=1e-300"),  # about 1e299 steps
+        ("oracle", "--oracle.dt_immersion=1e-320"),
+        ("run", "--time.dt=1e-300"),  # about 1e299 steps, past 2**53
         ("oracle", "--oracle.dt_immersion=1e-300")])
-    def test_step_count_past_2_53_exits_2(self, command, override, capsys,
-                                          monkeypatch):
+    def test_unusable_step_exits_2(self, command, override, capsys, monkeypatch):
         def no_transform(self, f):
             raise AssertionError("a solve started")
         monkeypatch.setattr(Grid, "fft", no_transform)
         monkeypatch.setattr(Grid, "rfft", no_transform)
         assert run_cli(command, "--config", "/dev/null", "--grid.n=16",
+                       "--elliptic.smallness_threshold=0.5",
                        "--time.t_end=0.1", override) == 2
         err = capsys.readouterr().err
-        assert "configuration:" in err and "2**53" in err
+        assert "configuration:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("modulation, length, ok", [
         ("1.5", "6.283185307179586", False), ("2", "6.283185307179586", True),

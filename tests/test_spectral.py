@@ -51,8 +51,7 @@ class TestGrid:
         assert [f.name for f in dataclasses.fields(Grid)] == ["d", "n", "length"]
 
     def test_zero_wavenumber_once_per_axis(self, grid2):
-        k1 = 2 * np.pi * np.fft.fftfreq(grid2.n, d=grid2.dx)
-        assert np.count_nonzero(k1 == 0) == 1
+        assert np.count_nonzero(grid2.full.line == 0) == 1
 
 
 class TestDerivative:
