@@ -300,10 +300,13 @@ class RunConfig:
                                   f"* grid.length / (2 pi) whole, got {turns:.17g}")
         if v["output.checkpoint_every"] < 0:
             raise ConfigError("output.checkpoint_every must be >= 0")
-        # a step of 0, or one too small for a finite step count, is
-        # rejected by ``ev.step_count`` here and by ``OracleConfig`` itself
+        # every subcommand solves the gauge, whose dimension rule (d >= 2)
+        # ``nrm.exponents`` owns; a step of 0, or one too small for a finite
+        # step count, is rejected by ``ev.step_count`` here and by
+        # ``OracleConfig`` itself
         for name, check in (
-                ("grid", self.grid), ("elliptic", self.elliptic),
+                ("grid", lambda: nrm.exponents(self.grid().d)),
+                ("elliptic", self.elliptic),
                 ("time", lambda: ev.step_count(self.grid(), self.evolution())),
                 ("oracle", self.oracle)):
             try:
@@ -337,7 +340,8 @@ class RunConfig:
         v = self.values
         kind = v["data.kind"]
         if kind == "file":
-            return _load_on_grid(v["data.file"], grid, "data.file")["psi"]
+            return _on_grid(load_checkpoint(v["data.file"]), grid,
+                            "data.file")["psi"]
         amp, width, freq = (v["data.amplitude"], v["data.width"],
                             v["data.modulation"])
         x = grid.coords()
@@ -457,10 +461,9 @@ def load_checkpoint(path: str) -> dict:
             "extras": extras}
 
 
-def _load_on_grid(path: str, grid: Grid, what: str) -> dict:
-    """``load_checkpoint(path)``, which must lie on ``grid``: the same d
-    and n, and a side length within 1e-12."""
-    loaded = load_checkpoint(path)
+def _on_grid(loaded: dict, grid: Grid, what: str) -> dict:
+    """``loaded`` (from ``load_checkpoint``), which must lie on ``grid``:
+    the same d and n, and a side length within 1e-12."""
     got = loaded["grid"]
     if (got.d, got.n) != (grid.d, grid.n) or not math.isclose(
             got.length, grid.length, rel_tol=0, abs_tol=1e-12):
@@ -519,7 +522,8 @@ def _cmd_run(args, extras) -> int:
 
     start, state, carry = 0, None, None
     if args.resume:
-        loaded = _load_on_grid(args.resume, grid, "resume checkpoint")
+        loaded = _on_grid(load_checkpoint(args.resume), grid,
+                          "resume checkpoint")
         if loaded["state"] is None:
             raise ConfigError("resume checkpoint has no gauge/accumulator blob")
         psi, state, carry = loaded["psi"], loaded["state"], loaded["extras"]
@@ -637,13 +641,12 @@ def _cmd_oracle(args, extras) -> int:
 
 
 def _cmd_norms(args, extras) -> int:
-    cfg_items = parse_overrides(extras)  # RunConfig.build rejects unknown keys
     loaded = load_checkpoint(args.checkpoint)
-    grid = loaded["grid"]
-    cfg_items.setdefault("dimension", str(grid.d))
-    cfg_items.setdefault("grid.n", str(grid.n))
-    cfg_items["grid.length"] = repr(grid.length)
-    cfg = RunConfig.build(cfg_items)
+    grid = loaded["grid"]  # the default grid; an override must match it
+    cfg = RunConfig.build({"dimension": str(grid.d), "grid.n": str(grid.n),
+                           "grid.length": repr(grid.length),
+                           **parse_overrides(extras)})
+    _on_grid(loaded, cfg.grid(), "checkpoint")
     ks = cfg["monitors.k_list"]
     psi = loaded["psi"]
     state = loaded["state"]

@@ -63,7 +63,8 @@ __all__ = [
 
 _SCHEMES = ("split_step", "lawson_rk4")
 
-#: relative round-off in t_end / dt that ``equal_steps`` does not round up
+#: round-off in t_end / dt, relative to it, within which ``equal_steps``
+#: counts the ratio as the nearest whole number
 _STEP_SLACK = 1e-12
 
 #: rho is NaN where its denominator is at or below this floor
@@ -284,9 +285,13 @@ def equal_steps(t_end: float, dt: float) -> tuple:
     the times i * step are no longer distinct floats) is a ``ValueError``."""
     if not dt > 0:
         raise ValueError(f"time steps must be positive, got {dt:g}")
-    if not math.isfinite(t_end / dt):
+    ratio = t_end / dt
+    if not math.isfinite(ratio):
         raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} is not finite")
-    n_steps = max(1, math.ceil(t_end / dt * (1.0 - _STEP_SLACK)))
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) > _STEP_SLACK * ratio:
+        n_steps = math.ceil(ratio)
+    n_steps = max(1, n_steps)
     if n_steps > 2**53:
         raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} needs {n_steps:.3g} "
                          f"steps, more than 2**53")

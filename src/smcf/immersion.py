@@ -1,10 +1,11 @@
 """Gauge-free integrator on the immersion itself.
 
-Evolves a periodic immersion F (a closed curve in R^3 for d=1, a
-doubly-periodic surface in R^4 for d=2) directly by the skew
-mean curvature flow d_t F = J H, where H is the mean curvature vector
-and J rotates the orthonormal normal frame (nu1, nu2) by +pi/2.  All
-spatial derivatives are spectral in the parameter domain.
+Evolves a periodic immersion F of the d-torus in R^{d+2}, for any d
+(a closed curve in R^3 for d=1, a surface in R^4 for d=2), directly
+by the skew mean curvature flow d_t F = J H, where H is the mean
+curvature vector and J rotates the orthonormal normal frame (nu1, nu2)
+by +pi/2.  All spatial derivatives are spectral in the parameter
+domain.
 
 The module also extracts the gauge variables (g, lambda, psi, A) from
 an immersion by the literal defining formulas, and provides the
@@ -23,6 +24,7 @@ import numpy as np
 from smcf import evolution as ev
 from smcf import gauge_elliptic as ge
 from smcf import geometry as geo
+from smcf import norms as nrm
 from smcf import spectral as sp
 from smcf.gauge_elliptic import EllipticConfig
 from smcf.geometry import MetricField
@@ -39,7 +41,6 @@ __all__ = [
     "gauge_fix_frame",
     "circle_state",
     "sphere_state",
-    "flat_patch_state",
     "graph_state",
     "immersion_from_psi",
     "OracleConfig",
@@ -83,8 +84,6 @@ class ImmersionState:
 
     def __post_init__(self):
         d = self.grid.d
-        if d not in (1, 2):
-            raise ValueError("immersions are supported for d in {1, 2}")
         if self.F.shape != (d + 2,) + self.grid.shape:
             raise ValueError(f"F shape {self.F.shape} does not match grid")
         if self.linear is not None and self.linear.shape != (d + 2, d):
@@ -278,26 +277,17 @@ def sphere_state(n: int = 64, radius: float = 1.0) -> ImmersionState:
     return ImmersionState(grid=grid, F=F, nu1=radial, nu2=e4)
 
 
-def flat_patch_state(grid: Grid) -> ImmersionState:
-    """The flat plane patch F = (x1, x2, 0, 0) with frame (e3, e4)."""
-    return graph_state(grid, np.zeros(grid.shape, dtype=complex))
-
-
 def graph_state(grid: Grid, w: np.ndarray) -> ImmersionState:
-    """Normal graph over the flat patch: F = (x1, x2, Re w, Im w), with
-    the frame obtained by projecting (e3, e4) onto the normal space."""
-    if grid.d != 2:
-        raise ValueError("graph immersions need a two-dimensional parameter grid")
-    zero = np.zeros(grid.shape)
-    F = np.stack([zero, zero, w.real, w.imag])
-    lin = np.zeros((4, 2))
-    lin[0, 0] = 1.0
-    lin[1, 1] = 1.0
-    e3 = np.zeros((4,) + grid.shape)
-    e3[2] = 1.0
-    e4 = np.zeros((4,) + grid.shape)
-    e4[3] = 1.0
-    nu1, nu2 = _normal_frame(grid, F, lin, e3, e4)[1:]
+    """Normal graph over the flat torus: F = (x, Re w, Im w) in R^{d+2},
+    with the frame obtained by projecting (e_{d+1}, e_{d+2}) onto the
+    normal space; w = 0 is the flat patch."""
+    d = grid.d
+    F = np.zeros((d + 2,) + grid.shape)
+    F[d], F[d + 1] = w.real, w.imag
+    lin = np.eye(d + 2, d)
+    e = np.zeros((2, d + 2) + grid.shape)
+    e[0, d] = e[1, d + 1] = 1.0
+    nu1, nu2 = _normal_frame(grid, F, lin, *e)[1:]
     return ImmersionState(grid=grid, F=F, nu1=nu1, nu2=nu2, linear=lin)
 
 
@@ -459,10 +449,10 @@ def oracle_compare(grid: Grid, psi0: np.ndarray, cfg: OracleConfig) -> OracleRep
     and the zero-mode drift (see ``OracleReport``).  To see convergence
     in the steps, compare ``psi_aligned - psi_gauge`` across runs.
     A gauge-side evolution that stops contracting raises
-    ``GaugeEvolutionError``.
+    ``GaugeEvolutionError``.  Any d >= 2 runs; a lower d is the gauge
+    side's ``ValueError`` (``norms.exponents``).
     """
-    if grid.d != 2:
-        raise ValueError("the oracle comparison runs on two-dimensional grids")
+    nrm.exponents(grid.d)  # the gauge side's dimension rule, before the construction
     psi0 = sp.drop_nyquist(grid, psi0.astype(complex))
     state = immersion_from_psi(grid, psi0, tol=cfg.construction_tol)
 

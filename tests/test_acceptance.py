@@ -183,11 +183,14 @@ class TestOracleSolitons:
 
 
 class TestGaugeVsImmersion:
-    def test_discrepancy_small_with_joint_convergence(self, grid2, psi0):
-        base = im.oracle_compare(grid2, psi0, im.OracleConfig(
+    @pytest.mark.parametrize("grid", [Grid(d=2, n=32), Grid(d=3, n=12)],
+                             ids=["32^2", "12^3"])
+    def test_discrepancy_small_with_joint_convergence(self, grid):
+        psi0 = gaussian_psi(grid)
+        base = im.oracle_compare(grid, psi0, im.OracleConfig(
             t_end=0.1, dt_gauge=0.05, dt_immersion=0.004,
             elliptic=ECFG_WIDE))
-        half = im.oracle_compare(grid2, psi0, im.OracleConfig(
+        half = im.oracle_compare(grid, psi0, im.OracleConfig(
             t_end=0.1, dt_gauge=0.025, dt_immersion=0.002,
             elliptic=ECFG_WIDE))
         assert base.discrepancy <= 1e-4
@@ -199,16 +202,24 @@ class TestGaugeVsImmersion:
         # immersion side's error dominates R.  The dt-independent
         # floors (construction residual, torus metric zero mode) are the
         # same in all three runs and cancel in R_j - R_ref.
-        ref = im.oracle_compare(grid2, psi0, im.OracleConfig(
+        ref = im.oracle_compare(grid, psi0, im.OracleConfig(
             t_end=0.1, dt_gauge=0.00625, dt_immersion=0.0005,
             elliptic=ECFG_WIDE))
 
         def residual(rep):
             return rep.psi_aligned - rep.psi_gauge
 
-        e_base = sp.l2_norm(grid2, residual(base) - residual(ref))
-        e_half = sp.l2_norm(grid2, residual(half) - residual(ref))
+        e_base = sp.l2_norm(grid, residual(base) - residual(ref))
+        e_half = sp.l2_norm(grid, residual(half) - residual(ref))
         assert 3.0 <= e_base / e_half <= 17.0
+
+    def test_four_dimensions(self):
+        # the paper's regime d >= 4: one Lawson step on 8^4, with psi wide
+        # enough that about 1% of its norm sits on Nyquist planes
+        grid = Grid(d=4, n=8)
+        rep = im.oracle_compare(grid, gaussian_psi(grid, amp=3e-3, width=1.0),
+                                im.OracleConfig(t_end=0.05, elliptic=ECFG_WIDE))
+        assert rep.discrepancy <= 1e-8
 
 
 class TestExponentArithmetic:

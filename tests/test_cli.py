@@ -140,7 +140,10 @@ class TestConfigParsing:
         ("run", "--grid.length=1e-300"),      # the default dt underflows to 0
         ("oracle", "--oracle.dt_immersion=1e-320"),
         ("run", "--time.dt=1e-300"),  # about 1e299 steps, past 2**53
-        ("oracle", "--oracle.dt_immersion=1e-300")])
+        ("oracle", "--oracle.dt_immersion=1e-300"),
+        ("run", "--dimension=1"),  # the gauge system needs d >= 2
+        ("elliptic", "--dimension=1"),
+        ("oracle", "--dimension=1")])
     def test_unusable_step_exits_2(self, command, override, capsys, monkeypatch):
         def no_transform(self, f):
             raise AssertionError("a solve started")
@@ -551,6 +554,28 @@ class TestNorms:
                 1.0, abs(row[col])
             )
 
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        ck = tmp_path / "n.ckpt"
+        grid = Grid(d=2, n=16)
+        psi = 1e-3 * np.exp(1j * grid.coords()[0])
+        cli.save_checkpoint(str(ck), grid, 0.0, 0, psi)
+        return str(ck)
+
+    @pytest.mark.parametrize("override", ["--grid.n=32", "--dimension=3",
+                                          "--grid.length=3"])
+    def test_other_grid_exits_2(self, checkpoint, override, capsys):
+        assert run_cli("norms", "--checkpoint", checkpoint, override) == 2
+        assert "checkpoint grid does not match" in capsys.readouterr().err
+
+    def test_grid_defaults_to_the_checkpoint(self, checkpoint, capsys):
+        assert run_cli("norms", "--checkpoint", checkpoint) == 0
+        plain = capsys.readouterr().out
+        assert run_cli("norms", "--checkpoint", checkpoint, "--dimension=2",
+                       "--grid.n=16", f"--grid.length={2 * math.pi!r}") == 0
+        assert capsys.readouterr().out == plain
+        assert '"gauge_state": "re-solved"' in plain
+
 
 class TestElliptic:
     def test_zero_data_one_iteration(self, capsys):
@@ -588,12 +613,23 @@ class TestReadmeExamples:
     @pytest.mark.parametrize("subcommand", ["elliptic", "oracle"])
     def test_example_exits_0(self, subcommand, capsys):
         commands = readme_commands(subcommand)
-        assert len(commands) == 1
-        assert run_cli(*commands[0]) == 0
-        assert '"schema": "smcf-json-1"' in capsys.readouterr().out
+        assert commands
+        for command in commands:
+            assert run_cli(*command) == 0
+            assert '"schema": "smcf-json-1"' in capsys.readouterr().out
 
 
 class TestOracle:
+    def test_three_dimensions_exit_0(self, tmp_path):
+        out = tmp_path / "oracle.json"
+        assert run_cli("oracle", "--config", "/dev/null", "--dimension=3",
+                       "--grid.n=8", "--elliptic.smallness_threshold=0.5",
+                       f"--output.json={out}") == 0
+        summary = json.loads(out.read_text())
+        assert summary["status"] == "ok"
+        assert summary["discrepancy"] <= 1e-6
+        assert len(summary["alignment"]["translation"]) == 3
+
     def test_alignment_failure_exits_3(self, tmp_path, capsys):
         code = run_cli("oracle", "--config", "/dev/null", "--grid.n=16",
                        "--oracle.t_end=0", "--oracle.construction_tol=1e-30",

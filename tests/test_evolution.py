@@ -55,7 +55,8 @@ class TestConfig:
     @pytest.mark.parametrize("dt, t_end, n_steps", [
         (0.05, 0.074, 2), (0.05, 0.124, 3),  # rounded up, not to nearest
         (0.05, 0.15, 3), (0.02, 0.14, 7),    # t_end / dt = 3 - 4e-16, 7 + 9e-16
-        (0.025, 0.25, 10)])
+        (0.025, 0.25, 10), (0.002, 0.1, 50), (0.003, 0.1, 34),
+        (0.0045, 0.02, 5)])
     def test_step_count(self, grid2, dt, t_end, n_steps):
         n, step = ev.step_count(grid2, ev.EvolutionConfig(dt=dt, t_end=t_end))
         assert n == n_steps
@@ -63,8 +64,10 @@ class TestConfig:
         assert n * step == pytest.approx(t_end, rel=1e-15)
 
     def test_equal_steps_up_to_2_53(self):
-        n, step = ev.equal_steps(1.0, 1e-14)
-        assert n == pytest.approx(1e14, rel=1e-12) and step <= 1e-14 * (1 + 1e-12)
+        # whole counts, not round-off short of them
+        for dt, n_steps in ((1e-12, 10**12), (1e-13, 10**13), (1e-14, 10**14)):
+            n, step = ev.equal_steps(1.0, dt)
+            assert n == n_steps and step <= dt * (1 + 1e-12)
         with pytest.raises(ValueError, match="2\\*\\*53"):
             ev.equal_steps(1.0, 2.0**-54)
 

@@ -75,12 +75,6 @@ class TestImmersionState:
             im.ImmersionState(grid=circle.grid, F=circle.F,
                               nu1=2.0 * circle.nu1, nu2=circle.nu2)
 
-    def test_dimension_rejected(self):
-        grid = Grid(d=3, n=8)
-        F = np.zeros((5,) + grid.shape)
-        with pytest.raises(ValueError):
-            im.ImmersionState(grid=grid, F=F, nu1=F, nu2=F)
-
 
 class TestInducedGeometry:
     def test_circle_curvature(self, circle):
@@ -94,9 +88,18 @@ class TestInducedGeometry:
         assert np.max(np.abs(speed - 2.0 / 2.0)) <= 1e-6
 
     def test_flat_patch(self, grid2):
-        state = im.flat_patch_state(grid2)
-        _, H = im.induced_geometry(grid2, state.F, state.linear)
-        assert np.max(np.abs(H)) <= 1e-12
+        # the graph of w = 0 is the flat d-torus in R^{d+2}, framed by
+        # (e_{d+1}, e_{d+2})
+        for grid in (grid2, Grid(d=3, n=8)):
+            d = grid.d
+            state = im.graph_state(grid, np.zeros(grid.shape, dtype=complex))
+            assert state.F.shape == (d + 2,) + grid.shape
+            np.testing.assert_array_equal(state.linear, np.eye(d + 2, d))
+            e = np.eye(d + 2).reshape((d + 2, d + 2) + (1,) * d)
+            assert np.max(np.abs(state.nu1 - e[d])) <= 1e-15
+            assert np.max(np.abs(state.nu2 - e[d + 1])) <= 1e-15
+            _, H = im.induced_geometry(grid, state.F, state.linear)
+            assert np.max(np.abs(H)) <= 1e-12
 
     def test_degenerate(self, circle):
         with pytest.raises(im.DegenerateImmersionError):
