@@ -205,10 +205,12 @@ def _residual_rhs(grid: Grid, psi: np.ndarray, state: GaugeState) -> np.ndarray:
 def resolve_gauge(grid: Grid, psi: np.ndarray, cfg: EvolutionConfig,
                   warm: GaugeState | None = None) -> GaugeState:
     """Gauge state of psi: the elliptic solve, or the flat gauge under
-    ``trivial_gauge``."""
+    ``trivial_gauge``.  Its constraint report is built on the first
+    ``constraint_report()``, so a stage state builds none."""
     if cfg.trivial_gauge:
         return trivial_state(grid, psi)
-    return ge.solve_elliptic_system(grid, psi, cfg.elliptic, warm=warm)
+    return ge.solve_elliptic_system(grid, psi, cfg.elliptic, warm=warm,
+                                    report=False)
 
 
 def _nan_guard(psi: np.ndarray, t: float) -> None:

@@ -371,7 +371,8 @@ def _outer_start(grid, warm):
 
 
 def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
-                          warm: GaugeState | None = None) -> GaugeState:
+                          warm: GaugeState | None = None, *,
+                          report: bool = True) -> GaugeState:
     """Block Gauss-Seidel sweeps over (lambda, g, A) to a joint fixed
     point, then V and B once on the converged (lambda, g, A).
 
@@ -387,10 +388,14 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
     changed most in its last sweep.  ``warm`` seeds the sweep (and the
     V solve) from a previously converged state (e.g. the previous time
     step); the result is still iterated to the same tolerance.
+
+    ``report=False`` leaves ``diagnostics["residuals"]`` to the first
+    ``constraint_report()``, so a state nobody reads (a stepper stage)
+    builds no report.  The eager default serves ``perfbench/workloads.py``,
+    the last reader of the key; once it reads ``constraint_report()``, the
+    keyword and the eager fill go, and every solve is lazy.
     """
     cfg = cfg or EllipticConfig()
-    if grid.d < 2:
-        raise ValueError("the div-curl structure needs dimension >= 2")
     table = nrm.exponents(grid.d)
     size = sp.hs_norm(grid, psi, table.s_d)
     if size > cfg.smallness_threshold:
@@ -427,12 +432,11 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
     del dg  # the sweep's alone; not kept through the V and B solves
     V, B = _solve_VB(grid, lam, psi, metric, A, cfg, V)
 
-    state = GaugeState(grid=grid, psi=psi, metric=metric, lam=lam, V=V, A=A, B=B)
-    state.diagnostics.update(
-        outer_iterations=sweeps,
-        final_update=final_update,
-        residuals=state.constraint_report(),
-    )
+    state = GaugeState(grid=grid, psi=psi, metric=metric, lam=lam, V=V, A=A, B=B,
+                       diagnostics={"outer_iterations": sweeps,
+                                    "final_update": final_update})
+    if report:
+        state.constraint_report()
     return state
 
 

@@ -59,7 +59,7 @@ def ref_traj(grid2, psi0):
 
 class TestEllipticSolvability:
     def test_d2_and_d3_converge_small_residuals(self, converged2):
-        rep2 = converged2.diagnostics["residuals"]
+        rep2 = converged2.constraint_report()
         assert rep2.max_l2() <= 1e-8
         assert rep2.max_linf() <= 1e-8
 
@@ -67,14 +67,14 @@ class TestEllipticSolvability:
         t0 = time.time()
         st3 = ge.solve_elliptic_system(grid3, gaussian_psi(grid3), ECFG)
         assert time.time() - t0 <= 60.0
-        rep3 = st3.diagnostics["residuals"]
+        rep3 = st3.constraint_report()
         assert rep3.max_l2() <= 1e-8
         assert rep3.max_linf() <= 1e-8
 
     def test_d4_smoke(self):
         grid4 = Grid(d=4, n=16)
         st4 = ge.solve_elliptic_system(grid4, gaussian_psi(grid4), ECFG_WIDE)
-        rep4 = st4.diagnostics["residuals"]
+        rep4 = st4.constraint_report()
         assert rep4.max_l2() <= 1e-6
         assert rep4.max_linf() <= 1e-6
 

@@ -312,6 +312,56 @@ class TestMonitor:
                                                           m, A, k)
 
 
+def report_bytes(report):
+    """Every Residual and nondecay value of a report, as raw bytes."""
+    values = [v for r in report.as_dict().values() for v in (r.l2, r.linf)]
+    return np.array(values + list(report.nondecay.values())).tobytes()
+
+
+class TestLazyReport:
+    # a stage or step state builds its constraint report on first read:
+    # the stepper alone builds none, a monitored run one per sample
+    @pytest.mark.parametrize("scheme, monitored, reports", [
+        ("split_step", False, 0), ("split_step", True, 4),
+        ("lawson_rk4", True, 4)])
+    def test_reports_per_run(self, grid2, monkeypatch, scheme, monitored,
+                             reports):
+        calls = []
+        build = geo.constraint_residuals
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(geo, "constraint_residuals", counting)
+        cfg = make_cfg(dt=0.05, t_end=0.15, scheme=scheme)
+        monitor = ev.Monitor(grid2, cfg)
+        for _, _, psi, state in ev.stepper(grid2, gaussian_psi(grid2), cfg):
+            if monitored:
+                monitor.record(psi, state)
+        assert len(calls) == reports
+
+    def test_lazy_report_is_the_eager_one(self, grid2, monkeypatch):
+        solves = []
+        solve = ge.solve_elliptic_system
+
+        def recording(*args, **kwargs):
+            solves.append((args, kwargs))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(ge, "solve_elliptic_system", recording)
+        cfg = make_cfg(dt=0.05, t_end=0.15)
+        psi = gaussian_psi(grid2, amp=3e-2)
+        st0 = ev.resolve_gauge(grid2, psi, cfg)
+        _, st1 = ev.step(grid2, psi, st0, cfg)
+        assert "residuals" not in st1.diagnostics
+        (grid, psi1, ecfg), kwargs = solves[-1]
+        assert psi1 is st1.psi and kwargs.pop("report") is False
+        eager = solve(grid, psi1, ecfg, **kwargs).diagnostics["residuals"]
+        assert report_bytes(st1.constraint_report()) == report_bytes(eager)
+        assert st1.constraint_report() is st1.diagnostics["residuals"]
+
+
 class TestMetricConsistency:
     def test_zero_data(self, grid2):
         cfg = make_cfg(dt=0.05, t_end=0.1)

@@ -157,7 +157,7 @@ class TestSolveEllipticSystem:
         assert d["final_update"] <= CFG.tol
 
     def test_all_constraints_small(self, grid2, converged):
-        rep = converged.diagnostics["residuals"]
+        rep = converged.constraint_report()
         assert rep.max_l2() <= 10 * CFG.tol
         assert rep.max_linf() <= 10 * CFG.tol
 

@@ -370,6 +370,20 @@ class TestOracle:
         im.oracle_compare(grid, gaussian_psi(grid), im.OracleConfig(elliptic=ECFG))
         assert len(calls) == 9
 
+    def test_builds_no_constraint_report(self, monkeypatch):
+        # the gauge side reads psi only, so none of its solves builds one
+        calls = []
+        build = geo.constraint_residuals
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(geo, "constraint_residuals", counting)
+        grid = Grid(d=2, n=16)
+        im.oracle_compare(grid, gaussian_psi(grid), im.OracleConfig(elliptic=ECFG))
+        assert calls == []
+
     def test_dimension_rejected(self):
         grid = Grid(d=1, n=32)
         with pytest.raises(ValueError):
