@@ -11,8 +11,9 @@ elliptic system:
   * a div-curl system for A with the Coulomb condition built in,
   * a Laplace-Beltrami equation for B.
 
-lambda, g and A are found together by block Gauss-Seidel sweeps, one
-update of each per sweep; V and B once from the converged three.
+g, lambda and A are found together by block Gauss-Seidel sweeps, one
+update of each per sweep in that order; V and B once from the converged
+three.
 
 All torus zero modes are projected out (the compatibility integrals
 that vanish on decaying data need not vanish on the torus); discarded
@@ -103,6 +104,11 @@ def _raise1(metric, T):
 def _raise2(metric, T):
     """T^{ab} = g^{am} g^{bn} T_{mn}."""
     return np.einsum("am...,bn...,mn...->ab...", metric.inv, metric.inv, T)
+
+
+def _raised(metric, lam):
+    """(lam^a_b, lam^{ab}): the raised pair that the V and B sources read."""
+    return _raise1(metric, lam), _raise2(metric, lam)
 
 
 def _eye(grid):
@@ -243,11 +249,11 @@ def _grad_up(metric, dV):
     return np.einsum("ac...,bc...->ab...", metric.inv, dV.real)
 
 
-def _advection_source(grid, metric, lam, psi):
+def _advection_source(grid, metric, lam, lam_up, psi):
     """The V-independent parts of the advection right-hand side:
-    (rhs at V = 0, W with rhs linear in V through -W V)."""
-    lam_up1 = _raise1(metric, lam)
-    lam_up2 = _raise2(metric, lam)
+    (rhs at V = 0, W with rhs linear in V through -W V); lam_up is
+    ``_raised(metric, lam)``."""
+    lam_up1, lam_up2 = lam_up
     M = (lam_up2 * np.conj(psi)).imag                     # Im(lam^{ag} psi-bar)
     dM = geo.covariant_derivative(grid, M, 2, 0, metric)  # (a, g, c)
     rhs0 = 2.0 * np.einsum("aga...->g...", dM).real
@@ -272,14 +278,15 @@ def advection_equation_residual(grid, metric, lam, psi, V):
     """Literal left-minus-right of the advection equation (mean-projected)."""
     dV = geo.covariant_derivative(grid, V, 1, 0, metric)
     res = _vector_laplacian(grid, metric, V, dV).real \
-        - _advection_rhs(metric, _advection_source(grid, metric, lam, psi), V, dV)
+        - _advection_rhs(metric, _advection_source(
+            grid, metric, lam, _raised(metric, lam), psi), V, dV)
     return sp.mean_zero(grid, res)
 
 
-def _temporal_rhs(grid, metric, lam, psi, V, A):
-    """Right-hand side of the temporal-connection equation."""
-    lam_up1 = _raise1(metric, lam)
-    lam_up2 = _raise2(metric, lam)
+def _temporal_rhs(grid, metric, lam, lam_up, psi, V, A):
+    """Right-hand side of the temporal-connection equation; lam_up is
+    ``_raised(metric, lam)``."""
+    lam_up1, lam_up2 = lam_up
     N = (lam_up1 * np.conj(psi)).real                      # Re(lam^s_g psi-bar)
     dN = geo.covariant_derivative(grid, N, 1, 1, metric)   # (s, c, g)
     wvec = np.einsum("ssg...->g...", dN).real
@@ -299,7 +306,7 @@ def _temporal_rhs(grid, metric, lam, psi, V, A):
 def temporal_equation_residual(grid, metric, lam, psi, V, A, B):
     """Literal left-minus-right of the temporal equation (mean-projected)."""
     res = metric.laplace_beltrami(B).real \
-        - _temporal_rhs(grid, metric, lam, psi, V, A)
+        - _temporal_rhs(grid, metric, lam, _raised(metric, lam), psi, V, A)
     return sp.mean_zero(grid, res)
 
 
@@ -330,8 +337,9 @@ def _solve_VB(grid, lam, psi, metric, A, cfg, V0):
     """Advection field V (covariant vector Laplace equation), then the
     temporal connection B (Laplace-Beltrami equation); nothing else in
     the system reads either.  Both run the preconditioned sweep
-    ``geo.solve_preconditioned``."""
-    source = _advection_source(grid, metric, lam, psi)
+    ``geo.solve_preconditioned``.  lambda is raised once for both."""
+    lam_up = _raised(metric, lam)
+    source = _advection_source(grid, metric, lam, lam_up, psi)
 
     def residual_V(V):
         dV = geo.covariant_derivative(grid, V, 1, 0, metric)
@@ -340,7 +348,7 @@ def _solve_VB(grid, lam, psi, metric, A, cfg, V0):
 
     V = geo.solve_preconditioned(grid, residual_V, V0, "advection field",
                                  cfg.tol, cfg.max_iter)
-    rhs_B = _temporal_rhs(grid, metric, lam, psi, V, A)
+    rhs_B = _temporal_rhs(grid, metric, lam, lam_up, psi, V, A)
     B = geo.solve_laplace_beltrami(metric, rhs_B, "temporal connection",
                                    cfg.tol, cfg.max_iter)
     return V, B
@@ -358,13 +366,18 @@ def solve_VAB(grid, lam, psi, metric, cfg: EllipticConfig, warm=None):
     return V, A, B
 
 
-def _outer_start(grid, warm):
-    """The (lambda, metric, dg, A) the outer sweep starts from: the warm
-    state's, or zero on the flat metric, with dg = ``sp.gradient`` of
-    the metric's g.  Built in the solver's call, so that no frame keeps
-    a cold start alive through the sweeps."""
+def _outer_start(grid, psi, warm):
+    """The (lambda, metric, dg, A) the outer sweep starts from, with
+    dg = ``sp.gradient`` of the metric's g: zero on the flat metric, or
+    the warm state's with lambda moved by its linear response to the
+    change in psi.  At g = I, A = 0 lambda solves to ``sp.riesz_pairs``
+    of psi, and the rest of the system is at least quadratic in psi, so
+    the moved lambda is exact to first order in the change.  Built in
+    the solver's call, so that no frame keeps the start alive through
+    the sweeps."""
     if warm is not None:
-        return warm.lam, warm.metric, sp.gradient(grid, warm.metric.g), warm.A
+        return (warm.lam + sp.riesz_pairs(grid, psi - warm.psi), warm.metric,
+                sp.gradient(grid, warm.metric.g), warm.A)
     return (np.zeros((grid.d, grid.d) + grid.shape, dtype=complex),
             *_metric_of_h(grid, np.zeros((grid.d, grid.d) + grid.shape)),
             np.zeros((grid.d,) + grid.shape))
@@ -373,21 +386,25 @@ def _outer_start(grid, warm):
 def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
                           warm: GaugeState | None = None, *,
                           report: bool = True) -> GaugeState:
-    """Block Gauss-Seidel sweeps over (lambda, g, A) to a joint fixed
+    """Block Gauss-Seidel sweeps over (g, lambda, A) to a joint fixed
     point, then V and B once on the converged (lambda, g, A).
 
-    Each sweep makes one ``_lambda_update`` at (g, A), one
-    ``_metric_update`` of g at the new lambda, one ``MetricField`` of the
-    new g and one ``_A_update`` at the new (lambda, g).  The gradient of
-    g rides in the iterate, so g is differentiated once per sweep.
-    lambda reads (g, A), g reads lambda and A reads (lambda, g); none of
-    them reads V or B, so the sweep is triangular in them.  The loop
-    stops on ``geo.fixed_point``'s rule; ``final_update`` is the last
-    sweep's largest change of (lambda, g, A), and a sweep that fails to
-    contract raises ``NotContractingError`` naming the subsystem that
-    changed most in its last sweep.  ``warm`` seeds the sweep (and the
-    V solve) from a previously converged state (e.g. the previous time
-    step); the result is still iterated to the same tolerance.
+    Each sweep makes one ``_metric_update`` of g at the iterate's
+    lambda, one ``MetricField`` of the new g, one ``_lambda_update`` at
+    (new g, A) and one ``_A_update`` at the new (lambda, g).  g reads
+    lambda, lambda reads (g, A) and A reads (lambda, g); none of them
+    reads V or B, so the sweep is triangular in them, and the returned
+    A is the one computed from the returned (lambda, g).  The gradient
+    of g rides in the iterate, so g is differentiated once per sweep,
+    and the superseded metric is freed before the lambda update.  The
+    loop stops on ``geo.fixed_point``'s rule; ``final_update`` is the
+    last sweep's largest change of (lambda, g, A), and a sweep that
+    fails to contract raises ``NotContractingError`` naming the
+    subsystem that changed most in its last sweep.  ``warm`` seeds the
+    sweep (and the V solve) from a previously converged state (e.g. the
+    previous time stage), with lambda moved by its linear response to
+    the change in psi (``_outer_start``); the result is still iterated
+    to the same tolerance, and an unchanged psi takes one sweep.
 
     ``report=False`` leaves ``diagnostics["residuals"]`` to the first
     ``constraint_report()``, so a state nobody reads (a stepper stage)
@@ -410,19 +427,21 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
 
     def sweep(x):
         lam, metric, dg, A = x
-        lam_new = _lambda_update(grid, dpsi + 1j * A * psi, metric, A, lam)
+        del x  # fixed_point keeps no other reference, so the old metric can go
         metric_new, dg_new = _metric_of_h(
-            grid, _metric_update(grid, metric, dg, lam_new, psi))
+            grid, _metric_update(grid, metric, dg, lam, psi))
+        changes["metric equation"] = float(np.max(np.abs(metric_new.g - metric.g)))
+        del metric, dg
+        lam_new = _lambda_update(grid, dpsi + 1j * A * psi, metric_new, A, lam)
         A_new = _A_update(grid, metric_new, _coulomb_curl(metric_new, lam_new), A)
         changes["lambda recovery"] = float(np.max(np.abs(lam_new - lam)))
-        changes["metric equation"] = float(np.max(np.abs(metric_new.g - metric.g)))
         changes["Coulomb connection"] = float(np.max(np.abs(A_new - A)))
         size = float(np.max(list(changes.values())))  # NaN-propagating
         return (lam_new, metric_new, dg_new, A_new), size
 
     try:
         (lam, metric, dg, A), sweeps, final_update = geo.fixed_point(
-            sweep, _outer_start(grid, warm), "outer elliptic sweep",
+            sweep, _outer_start(grid, psi, warm), "outer elliptic sweep",
             cfg.tol, cfg.max_iter)
     except geo.NotContractingError as exc:
         worst = max(changes, key=lambda k: np.nan_to_num(changes[k], nan=np.inf))
@@ -476,8 +495,8 @@ def linearize_fd(grid, psi, dpsi, cfg: EllipticConfig | None = None,
     if tau is None:
         base = sp.l2_norm(grid, psi)
         tau = 1e-4 * (base if base > 0 else 1.0) / sp.l2_norm(grid, dpsi)
-    plus = solve_elliptic_system(grid, psi + tau * dpsi, cfg)
-    minus = solve_elliptic_system(grid, psi - tau * dpsi, cfg)
+    plus = solve_elliptic_system(grid, psi + tau * dpsi, cfg, report=False)
+    minus = solve_elliptic_system(grid, psi - tau * dpsi, cfg, report=False)
     inv2t = 1.0 / (2.0 * tau)
     dlam = (plus.lam - minus.lam) * inv2t
     dh = (plus.metric.g - minus.metric.g) * inv2t

@@ -63,7 +63,9 @@ _STALL_LIMIT = 10
 def fixed_point(step, x, name, tol, max_iter):
     """Iterate x <- step(x) from the given x; ``step`` returns
     (x_next, size), where size measures the update that produced x_next.
-    The starting iterate is not kept once the first step has run.
+    The loop keeps no reference to the iterate it hands to ``step`` (the
+    start included), so ``step`` can free the iterate's parts as soon as
+    it has superseded them.
 
     Returns (x, iterations, size) at the first size <= tol.  Raises
     ``NotContractingError`` naming the loop after ``max_iter`` steps,
@@ -73,8 +75,10 @@ def fixed_point(step, x, name, tol, max_iter):
     """
     last = np.inf
     stall = 0
+    held = [x]  # step(held.pop()) hands the iterate over
+    del x
     for it in range(1, max_iter + 1):
-        x, size = step(x)
+        x, size = step(held.pop())
         if not np.isfinite(size):
             raise NotContractingError(f"{name}: update size is {size}", residual=size)
         if size <= tol:
@@ -84,6 +88,8 @@ def fixed_point(step, x, name, tol, max_iter):
             raise NotContractingError(f"{name}: update size stopped decreasing",
                                       residual=size)
         last = size
+        held.append(x)
+        del x
     raise NotContractingError(f"{name}: no convergence in {max_iter} iterations",
                               residual=last)
 

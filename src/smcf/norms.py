@@ -84,8 +84,7 @@ def wsp_norm(grid: Grid, f: np.ndarray, s: float, p: float) -> float:
     if p == 2:
         return sp.hs_norm(grid, f, s)
     total = 0.0
-    for j in range(sp.num_bands(grid) + 1):
-        band = sp.lp_project(grid, f, j, "S")
+    for j, band in enumerate(sp.lp_bands(grid, f)):
         total += (2.0 ** (j * s) * sp.lp_norm(grid, band, p)) ** 2
     return float(np.sqrt(total))
 
@@ -194,11 +193,10 @@ def frequency_envelope(grid: Grid, psi0: np.ndarray, table: ExponentTable,
                        delta: float = 0.01) -> FrequencyEnvelope:
     if delta <= 0:
         raise ValueError("envelope slack must be positive")
-    nj = sp.num_bands(grid) + 1
     band_norms = np.array(
-        [sp.hs_norm(grid, sp.lp_project(grid, psi0, j, "S"), table.s_d) for j in range(nj)]
+        [sp.hs_norm(grid, band, table.s_d) for band in sp.lp_bands(grid, psi0)]
     )
-    j = np.arange(nj)
+    j = np.arange(len(band_norms))
     weights = 2.0 ** (-delta * np.abs(j[:, None] - j[None, :]))
     c = np.max(weights * band_norms[None, :], axis=1)
     return FrequencyEnvelope(delta=delta, c=c, band_norms=band_norms)

@@ -60,6 +60,7 @@ __all__ = [
     "riesz",
     "riesz_pairs",
     "lp_project",
+    "lp_bands",
     "num_bands",
     "sobolev_multiplier",
     "free_flow",
@@ -377,6 +378,14 @@ def lp_project(grid: Grid, f: np.ndarray, j: int, kind: str = "S") -> np.ndarray
     collects all bands j <= 0) or S_le (the cumulative S_{<=j}).
     """
     return grid.ifft(_band_multiplier(grid, j, kind) * grid.fft(f))
+
+
+def lp_bands(grid: Grid, f: np.ndarray):
+    """S_0 f, ..., S_J f (J = ``num_bands``), one at a time, from one
+    transform of f; each band equals ``lp_project(grid, f, j, "S")``."""
+    fh = grid.fft(f)
+    for j in range(num_bands(grid) + 1):
+        yield grid.ifft(_band_multiplier(grid, j, "S") * fh)
 
 
 def sobolev_multiplier(grid: Grid, f: np.ndarray, s: float, kind: str = "bessel"):

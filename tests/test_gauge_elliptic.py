@@ -1,8 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smcf import evolution as ev
 from smcf import gauge_elliptic as ge
 from smcf import geometry as geo
 from smcf import spectral as sp
@@ -109,6 +112,20 @@ class TestSolveMetric:
 
 
 class TestSolveVAB:
+    def test_lambda_raised_once(self, grid2, converged, monkeypatch):
+        calls, raise2 = [], ge._raise2
+
+        def counted(*args):
+            calls.append(1)
+            return raise2(*args)
+
+        monkeypatch.setattr(ge, "_raise2", counted)
+        V, B = ge._solve_VB(grid2, converged.lam, converged.psi, converged.metric,
+                            converged.A, CFG, converged.V)
+        assert len(calls) == 1
+        assert np.max(np.abs(V - converged.V)) <= 10 * CFG.tol
+        assert np.max(np.abs(B - converged.B)) <= 10 * CFG.tol
+
     def test_trivial(self, grid2):
         lam = np.zeros((2, 2) + grid2.shape, dtype=complex)
         m = MetricField.identity(grid2)
@@ -272,6 +289,58 @@ class TestJointSweep:
         assert CFG.tol < info.value.residual < 1.0
 
 
+class TestWarmStart:
+    """A warm solve starts lambda from its linear response to the change
+    in psi, and each sweep updates g, then lambda, then A."""
+
+    @pytest.mark.parametrize("scheme, sweeps", [("split_step", [2, 1, 2]),
+                                                ("lawson_rk4", [2, 1, 2, 1])])
+    def test_stage_sweep_counts(self, grid2, converged, monkeypatch, scheme, sweeps):
+        counts, solve = [], ge.solve_elliptic_system
+
+        def counted(*args, **kwargs):
+            st = solve(*args, **kwargs)
+            counts.append(st.diagnostics["outer_iterations"])
+            return st
+
+        monkeypatch.setattr(ge, "solve_elliptic_system", counted)
+        cfg = ev.EvolutionConfig(dt=0.025, t_end=1.0, scheme=scheme, elliptic=CFG)
+        ev.step(grid2, converged.psi, converged, cfg)
+        assert counts == sweeps
+
+    def test_reaches_the_cold_fixed_point(self, grid2, converged):
+        psi = gaussian_psi(grid2, amp=1.2e-2, width=0.55, wave=2)
+        warm = ge.solve_elliptic_system(grid2, psi, CFG, warm=converged)
+        cold = ge.solve_elliptic_system(grid2, psi, CFG)
+        for key in ("lam", "V", "A", "B"):
+            diff = np.max(np.abs(getattr(warm, key) - getattr(cold, key)))
+            assert diff <= 10 * CFG.tol, key
+        assert np.max(np.abs(warm.metric.g - cold.metric.g)) <= 10 * CFG.tol
+
+    def test_unchanged_psi_takes_one_sweep(self, grid2, converged):
+        st = ge.solve_elliptic_system(grid2, converged.psi.copy(), CFG,
+                                      warm=converged)
+        assert st.diagnostics["outer_iterations"] == 1
+
+    def test_no_superseded_metric_in_the_lambda_update(self, grid2, monkeypatch):
+        made, live = weakref.WeakSet(), []
+        init, update = MetricField.__init__, ge._lambda_update
+
+        def tracked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.add(self)
+
+        def counted_update(*args, **kwargs):
+            live.append(len(made))
+            return update(*args, **kwargs)
+
+        monkeypatch.setattr(MetricField, "__init__", tracked_init)
+        monkeypatch.setattr(ge, "_lambda_update", counted_update)
+        st = ge.solve_elliptic_system(grid2, gaussian_psi(grid2), CFG)
+        assert len(live) == st.diagnostics["outer_iterations"] >= 2
+        assert live == [1] * len(live)
+
+
 class TestLinearizeFd:
     def test_at_zero_matches_flat_recovery(self, grid2):
         dpsi = gaussian_psi(grid2, amp=1.0)
@@ -287,6 +356,17 @@ class TestLinearizeFd:
         r2 = ge.linearize_fd(grid2, psi, dpsi, CFG, tau=r1.tau / 2)
         scale = np.max(np.abs(r1.dlam))
         assert np.max(np.abs(r1.dlam - r2.dlam)) / scale <= 1e-6
+
+    def test_builds_no_constraint_report(self, grid2, monkeypatch):
+        calls, residuals = [], geo.constraint_residuals
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return residuals(*args, **kwargs)
+
+        monkeypatch.setattr(geo, "constraint_residuals", counted)
+        ge.linearize_fd(grid2, gaussian_psi(grid2), gaussian_psi(grid2, wave=2), CFG)
+        assert calls == []
 
     def test_bound_ratio(self, grid2):
         psi = gaussian_psi(grid2)

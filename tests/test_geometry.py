@@ -1,4 +1,5 @@
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -91,6 +92,25 @@ class TestFixedPoint:
         assert "5 iterations" in str(info.value)
         assert len(calls) == 5
         assert info.value.residual == pytest.approx(2.0 ** -4)
+
+
+    def test_step_holds_the_only_reference_to_its_iterate(self):
+        class Iterate:
+            def __init__(self, value):
+                self.value = value
+
+        dead = []
+
+        def step(x):
+            value, ref = x.value, weakref.ref(x)
+            del x
+            dead.append(ref() is None)
+            return Iterate(0.5 * value), 0.5 * value
+
+        x, iterations, _ = geo.fixed_point(step, Iterate(1.0), "halving", 1e-3, 50)
+        assert iterations == len(dead) == 10
+        assert all(dead)  # the start too
+        assert x.value == 2.0 ** -10
 
 
 class TestMetricField:

@@ -83,6 +83,20 @@ class TestWspNorm:
         proxy = np.sqrt(proxy)
         assert 0.25 <= proxy / exact <= 4.0
 
+    def test_one_transform_of_f(self, grid2, monkeypatch):
+        rng = np.random.default_rng(1)
+        f = rng.standard_normal(grid2.shape) + 1j * rng.standard_normal(grid2.shape)
+        s, p = 1.5, 4.0
+        per_band = 0.0
+        for j in range(sp.num_bands(grid2) + 1):
+            band = sp.lp_project(grid2, f, j, "S")
+            per_band += (2.0 ** (j * s) * sp.lp_norm(grid2, band, p)) ** 2
+        calls = []
+        fft = Grid.fft
+        monkeypatch.setattr(Grid, "fft", lambda g, x: calls.append(1) or fft(g, x))
+        assert norms.wsp_norm(grid2, f, s, p) == float(np.sqrt(per_band))
+        assert len(calls) == 1
+
     def test_rejects_p_below_2(self, grid2):
         with pytest.raises(ValueError):
             norms.wsp_norm(grid2, gaussian(grid2), 1.0, 1.5)
