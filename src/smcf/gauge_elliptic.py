@@ -368,19 +368,24 @@ def solve_VAB(grid, lam, psi, metric, cfg: EllipticConfig, warm=None):
 
 def _outer_start(grid, psi, warm):
     """The (lambda, metric, dg, A) the outer sweep starts from, with
-    dg = ``sp.gradient`` of the metric's g: zero on the flat metric, or
-    the warm state's with lambda moved by its linear response to the
-    change in psi.  At g = I, A = 0 lambda solves to ``sp.riesz_pairs``
-    of psi, and the rest of the system is at least quadratic in psi, so
-    the moved lambda is exact to first order in the change.  Built in
+    dg = ``sp.gradient`` of the metric's g.  At g = I, A = 0 lambda
+    solves to ``sp.riesz_pairs`` of psi, and the rest of the system is
+    at least quadratic in psi.  A cold start is therefore that flat
+    closed form: lambda = R_a R_b psi on the flat metric, and A its
+    Coulomb update at g = I.  (A sweep from lambda = 0 would update g
+    from a zero right-hand side, then reach this same iterate.)  A warm
+    start is the warm state's, with lambda moved by its linear response
+    to the change in psi, exact to first order in the change.  Built in
     the solver's call, so that no frame keeps the start alive through
     the sweeps."""
     if warm is not None:
         return (warm.lam + sp.riesz_pairs(grid, psi - warm.psi), warm.metric,
                 sp.gradient(grid, warm.metric.g), warm.A)
-    return (np.zeros((grid.d, grid.d) + grid.shape, dtype=complex),
-            *_metric_of_h(grid, np.zeros((grid.d, grid.d) + grid.shape)),
-            np.zeros((grid.d,) + grid.shape))
+    lam = sp.riesz_pairs(grid, psi)
+    metric, dg = _metric_of_h(grid, np.zeros((grid.d, grid.d) + grid.shape))
+    A = _A_update(grid, metric, _coulomb_curl(metric, lam),
+                  np.zeros((grid.d,) + grid.shape))
+    return lam, metric, dg, A
 
 
 def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
@@ -403,8 +408,10 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
     subsystem that changed most in its last sweep.  ``warm`` seeds the
     sweep (and the V solve) from a previously converged state (e.g. the
     previous time stage), with lambda moved by its linear response to
-    the change in psi (``_outer_start``); the result is still iterated
-    to the same tolerance, and an unchanged psi takes one sweep.
+    the change in psi; without it the sweep starts from the flat closed
+    form, lambda = R_a R_b psi and A its Coulomb update at g = I
+    (``_outer_start``).  The result is still iterated to the same
+    tolerance, and zero data or an unchanged psi takes one sweep.
 
     ``report=False`` leaves ``diagnostics["residuals"]`` to the first
     ``constraint_report()``, so a state nobody reads (a stepper stage)

@@ -38,7 +38,6 @@ __all__ = [
     "induced_geometry",
     "smcf_step",
     "extract_gauge",
-    "gauge_fix_frame",
     "circle_state",
     "sphere_state",
     "graph_state",
@@ -221,21 +220,6 @@ def _coulomb_angle(grid: Grid, metric: MetricField, A: np.ndarray) -> np.ndarray
     dA = geo.covariant_derivative(grid, A, 0, 1, metric).real  # (c, a)
     rhs = -np.einsum("ca...,ca...->...", metric.inv, dA)
     return geo.solve_laplace_beltrami(metric, rhs, "Coulomb angle solve", 1e-10, 200)
-
-
-def gauge_fix_frame(state: ImmersionState) -> ImmersionState:
-    """Rotate the normal frame into the Coulomb gauge div_g A = 0.
-
-    The rotation angle solves Delta_g theta = -div_g A with zero mean,
-    so a constant pre-rotation of the frame is left untouched.
-    """
-    ex = extract_gauge(state)
-    theta = _coulomb_angle(state.grid, ex.metric, ex.A)
-    c, s = np.cos(theta), np.sin(theta)
-    nu1 = c * state.nu1 + s * state.nu2
-    nu2 = -s * state.nu1 + c * state.nu2
-    return ImmersionState(grid=state.grid, F=state.F, nu1=nu1, nu2=nu2,
-                          linear=state.linear)
 
 
 # --------------------------------------------------------------------------

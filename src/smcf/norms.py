@@ -193,9 +193,7 @@ def frequency_envelope(grid: Grid, psi0: np.ndarray, table: ExponentTable,
                        delta: float = 0.01) -> FrequencyEnvelope:
     if delta <= 0:
         raise ValueError("envelope slack must be positive")
-    band_norms = np.array(
-        [sp.hs_norm(grid, band, table.s_d) for band in sp.lp_bands(grid, psi0)]
-    )
+    band_norms = sp.band_hs_norms(grid, psi0, table.s_d)
     j = np.arange(len(band_norms))
     weights = 2.0 ** (-delta * np.abs(j[:, None] - j[None, :]))
     c = np.max(weights * band_norms[None, :], axis=1)

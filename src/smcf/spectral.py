@@ -61,6 +61,7 @@ __all__ = [
     "riesz_pairs",
     "lp_project",
     "lp_bands",
+    "band_hs_norms",
     "num_bands",
     "sobolev_multiplier",
     "free_flow",
@@ -73,7 +74,6 @@ __all__ = [
     "linf_norm",
     "lp_norm",
     "hs_norm",
-    "flat_sobolev_norm",
 ]
 
 
@@ -326,9 +326,12 @@ def riesz(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
 def riesz_pairs(grid: Grid, f: np.ndarray) -> np.ndarray:
     """R_a R_b f for every pair of axes, shape (d, d) + f.shape: the
     multiplier k_a k_b / |k|^2, zero at k = 0.  At g = I, A = 0 this is
-    the closed-form solution of the div-curl system for lambda."""
-    fh = grid.fft(f)
-    return grid.ifft(_broadcast(grid, grid.full.kk * grid.full.inv_lap, fh) * fh)
+    the closed-form solution of the div-curl system for lambda.  Formed
+    from ``ik`` (i k_a i k_b = -k_a k_b), which the complex solves build
+    anyway, so no (d, d) multiplier is kept."""
+    spec = grid.full
+    return grid.ifft(np.einsum("a...,b...,...->ab...", spec.ik, spec.ik,
+                               spec.inv_lap * grid.fft(f)))
 
 
 def smooth_bump(r: np.ndarray) -> np.ndarray:
@@ -386,6 +389,16 @@ def lp_bands(grid: Grid, f: np.ndarray):
     fh = grid.fft(f)
     for j in range(num_bands(grid) + 1):
         yield grid.ifft(_band_multiplier(grid, j, "S") * fh)
+
+
+def band_hs_norms(grid: Grid, f: np.ndarray, s: float) -> np.ndarray:
+    """||S_j f||_{H^s} for j = 0..J (J = ``num_bands``), each read off
+    one transform of f with the weight (1 + |k|^2)^s m_j^2 of the band
+    multiplier m_j; entry j equals ``hs_norm`` of ``lp_bands``' j-th."""
+    fh = grid.fft(f)
+    weight = (1.0 + grid.full.k2) ** s
+    return np.array([_weighted_l2(grid, fh, weight * _band_multiplier(grid, j, "S") ** 2)
+                     for j in range(num_bands(grid) + 1)])
 
 
 def sobolev_multiplier(grid: Grid, f: np.ndarray, s: float, kind: str = "bessel"):
@@ -501,18 +514,3 @@ def hs_norm(grid: Grid, f: np.ndarray, s: float) -> float:
     """Flat Sobolev norm ||<D>^s f||_{L^2}, computed Fourier-side."""
     return _weighted_l2(grid, grid.fft(f), (1.0 + grid.full.k2) ** s)
 
-
-def flat_sobolev_norm(grid, T, k):
-    """Flat counterpart of the intrinsic norm: sqrt(sum_{l<=k} ||d^l T||^2_{L2}).
-
-    Computed Fourier-side with the weight sum_{l<=k} |xi|^{2l}; this is
-    the norm the intrinsic one degenerates to at g=I, A=0.
-    """
-    fh = grid.fft(np.asarray(T))
-    k2 = grid.full.k2
-    w = np.zeros_like(k2)
-    p = np.ones_like(k2)
-    for _ in range(k + 1):
-        w += p
-        p = p * k2
-    return _weighted_l2(grid, fh, w)

@@ -99,7 +99,8 @@ class TestLinearResponse:
 
 
 class TestNormEquivalence:
-    def test_intrinsic_vs_flat_on_random_tensors(self, grid2, converged2):
+    def test_intrinsic_vs_flat_on_random_tensors(self, grid2, converged2,
+                                                 flat_sobolev_norm):
         rng = np.random.default_rng(7)
         decay = np.exp(-0.5 * grid2.full.k2 / 9.0)
         for _ in range(20):
@@ -113,7 +114,7 @@ class TestNormEquivalence:
                 ratio = (
                     geo.intrinsic_norm(grid2, T, 0, 2, converged2.metric,
                                        converged2.A, k)
-                    / sp.flat_sobolev_norm(grid2, T, k)
+                    / flat_sobolev_norm(grid2, T, k)
                 )
                 assert 0.9 <= ratio <= 1.1
 

@@ -275,18 +275,48 @@ class TestJointSweep:
         st = ge.solve_elliptic_system(grid2, gaussian_psi(grid2), CFG)
         sweeps = st.diagnostics["outer_iterations"]
         assert sweeps >= 2
-        # the flat start, then one per sweep; one lambda and one A update
+        # the flat start, then one per sweep; the start's A update, then
+        # one lambda and one A update per sweep
         assert counts["metric"] == sweeps + 1
-        assert counts["hodge"] == 2 * sweeps
+        assert counts["hodge"] == 2 * sweeps + 1
 
     def test_failure_names_the_subsystem(self, grid2):
-        # a cold start moves lambda by O(amplitude), g and A by its square
+        # a cold start is lambda's flat closed form at g = I, so the first
+        # sweep moves g by O(amplitude^2) from the identity (7.7e-6), and
+        # lambda and A by less
         cfg = ge.EllipticConfig(max_iter=1, smallness_threshold=0.25)
         with pytest.raises(geo.NotContractingError) as info:
             ge.solve_elliptic_system(grid2, gaussian_psi(grid2), cfg)
         assert "outer elliptic sweep" in str(info.value)
-        assert "largest change in the lambda recovery" in str(info.value)
+        assert "largest change in the metric equation" in str(info.value)
         assert CFG.tol < info.value.residual < 1.0
+
+
+class TestColdStart:
+    """A cold solve starts from the flat closed form: lambda = R_a R_b psi
+    on the flat metric, and A its Coulomb update at g = I."""
+
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 12)])
+    def test_acceptance_gaussian_takes_two_sweeps(self, d, n):
+        grid = Grid(d=d, n=n)
+        st = ge.solve_elliptic_system(grid, gaussian_psi(grid), CFG, report=False)
+        assert st.diagnostics["outer_iterations"] == 2
+
+    def test_start_is_the_flat_closed_form(self, grid2):
+        psi = gaussian_psi(grid2)
+        lam, metric, dg, A = ge._outer_start(grid2, psi, None)
+        assert np.array_equal(lam, sp.riesz_pairs(grid2, psi))
+        assert np.array_equal(metric.g, np.broadcast_to(ge._eye(grid2), metric.g.shape))
+        assert not np.any(dg)
+        # the flat Coulomb system: curl Im(lam_ga conj(lam)_bg), divergence 0
+        curl = np.einsum("ga...,bg...->ab...", lam, np.conj(lam)).imag
+        want = sp.hodge_solve(grid2, curl, np.zeros(grid2.shape))
+        assert np.max(np.abs(A - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.max(np.abs(A)) > 0
+
+    def test_zero_data_takes_one_sweep(self, grid2):
+        st = ge.solve_elliptic_system(grid2, np.zeros(grid2.shape, complex), CFG)
+        assert st.diagnostics["outer_iterations"] == 1
 
 
 class TestWarmStart:

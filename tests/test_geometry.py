@@ -327,18 +327,18 @@ class TestNormsAndEnergy:
         dens = geo.tensor_norm_sq_field(grid2, T, 0, 1, m)
         assert np.min(dens) >= -1e-14
 
-    def test_flat_reduction(self, grid2):
+    def test_flat_reduction(self, grid2, flat_sobolev_norm):
         f = smooth_scalar(grid2, seed=25, complex_valued=True)
         for k in range(4):
             a = geo.intrinsic_norm(grid2, f, 0, 0, None, None, k)
-            b = sp.flat_sobolev_norm(grid2, f, k)
+            b = flat_sobolev_norm(grid2, f, k)
             assert abs(a - b) / b <= 1e-10
 
-    def test_identity_metric_matches_flat(self, grid2):
+    def test_identity_metric_matches_flat(self, grid2, flat_sobolev_norm):
         m = geo.MetricField.identity(grid2)
         f = smooth_scalar(grid2, seed=26, complex_valued=True)
         a = geo.intrinsic_norm(grid2, f, 0, 0, m, None, 3)
-        b = sp.flat_sobolev_norm(grid2, f, 3)
+        b = flat_sobolev_norm(grid2, f, 3)
         assert abs(a - b) / b <= 1e-10
 
     def test_monotone_in_k(self, grid2):

@@ -194,6 +194,31 @@ class TestEnvelope:
             for k in range(nj):
                 assert env.c[j] <= 2.0 ** (0.02 * abs(j - k)) * env.c[k] + 1e-14
 
+    def test_band_norms_from_one_spectrum(self, monkeypatch):
+        grid = Grid(d=2, n=64)
+        t = norms.exponents(2)
+        rng = np.random.default_rng(7)
+        f = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        want = [sp.hs_norm(grid, band, t.s_d) for band in sp.lp_bands(grid, f)]
+        calls = {"fft": 0, "ifft": 0}
+        fft, ifft = Grid.fft, Grid.ifft
+
+        def counting_fft(self, *args):
+            calls["fft"] += 1
+            return fft(self, *args)
+
+        def counting_ifft(self, *args):
+            calls["ifft"] += 1
+            return ifft(self, *args)
+
+        monkeypatch.setattr(Grid, "fft", counting_fft)
+        monkeypatch.setattr(Grid, "ifft", counting_ifft)
+        env = norms.frequency_envelope(grid, f, t)
+        assert calls == {"fft": 1, "ifft": 0}
+        assert len(env.band_norms) == len(want)
+        for got, ref in zip(env.band_norms, want):
+            assert abs(got - ref) <= 1e-14 * ref
+
     def test_minimality(self, grid2):
         # lowering the envelope at its argmax of band contribution
         # breaks domination: c is the minimal slowly-varying majorant
