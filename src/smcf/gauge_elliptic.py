@@ -133,18 +133,26 @@ def _lambda_update(grid, dpsi, metric, A, lam):
     Covariant curl-freeness and the gauged divergence identity are
     rewritten as a flat Hodge system per column, with the metric and
     connection corrections taken at ``lam``; the result is symmetrized.
+    The divergence data is contracted before it is connected:
+    g^{ca} nabla^A_c lam_ab = g^{ca} d_c lam_ab - H^s lam_sb
+    - Gamma^s_{cb} lam^c_s + i A^a lam_ab, H = ``metric.harmonic_defect``.
     """
     Gam = metric.christoffel
-    # flat curl data (a, b, g): Gamma and A corrections of the covariant curl
-    gl = np.einsum("sag...,bs...->abg...", Gam, lam) \
-        - 1j * np.einsum("a...,bg...->abg...", A, lam)
-    C = gl - np.einsum("abg...->bag...", gl)
+
+    def gl(a, b):  # Gamma^s_{ag} lam_{bs} - i A_a lam_{bg}, for the pairs (a, b)
+        return np.einsum("spg...,ps...->pg...", Gam[:, a], lam[b]) \
+            - 1j * A[a][:, np.newaxis] * lam[b]
+
+    i, j = np.triu_indices(grid.d, 1)  # the curl pairs, in ``sp.hodge_solve``'s order
+    C = gl(i, j) - gl(j, i)  # flat curl data (pair, g)
     # flat divergence data: move the non-flat part of the gauged
     # covariant divergence to the right-hand side
-    dlam = sp.gradient(grid, lam)  # (c, a, b), flat
-    flat_div = np.einsum("aab...->b...", dlam)
-    dlam = geo._add_connection(grid, lam, dlam, 0, 2, metric, A)
-    D = dpsi - np.einsum("ca...,cab...->b...", metric.inv, dlam) + flat_div
+    D = dpsi - np.einsum("ca...,cab...->b...", metric.inv - _eye(grid),
+                         sp.gradient_sym(grid, lam))
+    D += np.einsum("s...,sb...->b...", metric.harmonic_defect, lam)
+    D += np.einsum("scb...,cs...->b...", Gam, _raise1(metric, lam))
+    A_up = np.einsum("ac...,c...->a...", metric.inv, A)
+    D -= 1j * np.einsum("a...,ab...->b...", A_up, lam)
     lam_new = sp.hodge_solve(grid, C, D)  # every column g at once
     return 0.5 * (lam_new + np.einsum("ab...->ba...", lam_new))
 
@@ -161,7 +169,7 @@ def recover_lambda(grid, psi, metric, A, cfg: EllipticConfig) -> np.ndarray:
 def _metric_rhs(grid, m, lam, psi, dg):
     """Right-hand side of the harmonic-coordinate metric equation;
     ``dg`` is ``sp.gradient`` of m.g, (c, a, b) = d_c g_ab."""
-    dginv = sp.gradient(grid, m.inv)  # (c, a, b) = d_c g^{ab}
+    dginv = sp.gradient_sym(grid, m.inv)  # (c, a, b) = d_c g^{ab}
     t = np.einsum("gab...,bas...->gs...", dginv, dg)
     rhs = -t - np.einsum("gs...->sg...", t)
     rhs += np.einsum("gab...,sab...->gs...", dg, dginv)
@@ -189,7 +197,7 @@ def _weighted_second_sym(grid, coeff, g):
 def metric_equation_residual(grid, metric, lam, psi):
     """Literal left-minus-right of the metric equation (mean-projected)."""
     lhs = _weighted_second_sym(grid, metric.inv, metric.g)
-    res = lhs - _metric_rhs(grid, metric, lam, psi, sp.gradient(grid, metric.g))
+    res = lhs - _metric_rhs(grid, metric, lam, psi, sp.gradient_sym(grid, metric.g))
     return sp.mean_zero(grid, res)
 
 
@@ -216,7 +224,7 @@ def _metric_of_h(grid, h):
     ``_metric_update``.  A g that is not positive definite is a
     ``LostPositivityError``."""
     g = h + _eye(grid)
-    dg = sp.gradient(grid, g)
+    dg = sp.gradient_sym(grid, g)
     try:
         return MetricField(grid, g, dg), dg
     except geo.SingularMetricError as exc:
@@ -235,13 +243,20 @@ def solve_metric(grid, lam, psi, cfg: EllipticConfig, g0: MetricField | None = N
 
 def _vector_laplacian(grid, metric, V, dV):
     """Covariant vector Laplacian g^{bc} nabla_b nabla_c V^g, with
-    dV = nabla V in index order (g, c).  The flat second derivatives of V
-    come from ``sp.hessian``, not from differentiating dV (which would
-    drop the diagonal Nyquist mode of a real V)."""
-    flat = np.einsum("bcg...->bgc...", sp.hessian(grid, V)) \
-        + sp.gradient(grid, np.einsum("gcs...,s...->gc...", metric.christoffel, V))
-    d2 = geo._add_connection(grid, dV, flat, 1, 1, metric, None)  # (g, c2, c1)
-    return np.einsum("bc...,gbc...->g...", metric.inv, d2)
+    dV = nabla V in index order (g, c), contracted before it is
+    connected: g^{bc} d_b d_c V^g + g^{bc} d_b(Gamma^g_{cs} V^s)
+    + Gamma^g_{bs} g^{bc} dV^s_c - H^s dV^g_s, H = ``metric.harmonic_defect``.
+    The flat second derivatives of V come from ``sp.hessian_trace``, not
+    from differentiating dV (which would drop the diagonal Nyquist mode
+    of a real V)."""
+    Gam = metric.christoffel
+    out = sp.hessian_trace(grid, metric.inv, V)
+    out += np.einsum("bc...,bgc...->g...", metric.inv,
+                     sp.gradient(grid, np.einsum("gcs...,s...->gc...", Gam, V)))
+    out += np.einsum("gbs...,bs...->g...", Gam,
+                     np.einsum("bc...,sc...->bs...", metric.inv, dV))
+    out -= np.einsum("s...,gs...->g...", metric.harmonic_defect, dV)
+    return out
 
 
 def _grad_up(metric, dV):
@@ -254,13 +269,17 @@ def _advection_source(grid, metric, lam, lam_up, psi):
     (rhs at V = 0, W with rhs linear in V through -W V); lam_up is
     ``_raised(metric, lam)``."""
     lam_up1, lam_up2 = lam_up
+    Gam = metric.christoffel
     M = (lam_up2 * np.conj(psi)).imag                     # Im(lam^{ag} psi-bar)
-    dM = geo.covariant_derivative(grid, M, 2, 0, metric)  # (a, g, c)
-    rhs0 = 2.0 * np.einsum("aga...->g...", dM).real
+    # 2 nabla_a M^{ag} = 2 (d_a M^{ag} + Gamma^a_{as} M^{sg} + Gamma^g_{as} M^{as})
+    div = sp.divergence(grid, M)
+    div += np.einsum("s...,sg...->g...", np.einsum("aas...->s...", Gam), M)
+    div += np.einsum("gas...,as...->g...", Gam, M)
+    rhs0 = 2.0 * div
     W = (lam_up1 * np.conj(psi)).real \
         - np.einsum("as...,ag...->gs...", lam, np.conj(lam_up2)).real
     lam_psi_up = (psi * np.conj(lam_up2)).imag            # Im(psi lam-bar^{ab})
-    rhs0 += 2.0 * np.einsum("ab...,gab...->g...", lam_psi_up, metric.christoffel)
+    rhs0 += 2.0 * np.einsum("ab...,gab...->g...", lam_psi_up, Gam)
     return rhs0, W
 
 
@@ -287,15 +306,18 @@ def _temporal_rhs(grid, metric, lam, lam_up, psi, V, A):
     """Right-hand side of the temporal-connection equation; lam_up is
     ``_raised(metric, lam)``."""
     lam_up1, lam_up2 = lam_up
+    Gam = metric.christoffel
     N = (lam_up1 * np.conj(psi)).real                      # Re(lam^s_g psi-bar)
-    dN = geo.covariant_derivative(grid, N, 1, 1, metric)   # (s, c, g)
-    wvec = np.einsum("ssg...->g...", dN).real
-    dw = geo.covariant_derivative(grid, wvec, 0, 1, metric).real
-    rhs = -np.einsum("cg...,cg...->...", metric.inv, dw)
-    rhs += 0.5 * metric.laplace_beltrami((psi * np.conj(psi)).real).real
+    # w_g = nabla_s N^s_g = d_s N^s_g + Gamma^s_{sm} N^m_g - Gamma^m_{sg} N^s_m
+    w = sp.divergence(grid, N)
+    w += np.einsum("m...,mg...->g...", np.einsum("ssm...->m...", Gam), N)
+    w -= np.einsum("msg...,sm...->g...", Gam, N)
     u = np.einsum("sg...,sb...,b...->g...", lam_up1, np.conj(lam), V).imag
-    du = geo.covariant_derivative(grid, u, 0, 1, metric).real
-    rhs += np.einsum("cg...,cg...->...", metric.inv, du)
+    # g^{cg} nabla_c (u - w)_g = g^{cg} d_c (u - w)_g - H^m (u - w)_m
+    u -= w
+    rhs = np.einsum("cg...,cg...->...", metric.inv, sp.gradient(grid, u))
+    rhs -= np.einsum("m...,m...->...", metric.harmonic_defect, u)
+    rhs += 0.5 * metric.laplace_beltrami((psi * np.conj(psi)).real)
     gradV_up = _grad_up(metric, geo.covariant_derivative(grid, V, 1, 0, metric))
     sym = 2.0 * (psi * np.conj(lam_up2)).imag \
         + gradV_up + np.einsum("ab...->ba...", gradV_up)
@@ -311,8 +333,11 @@ def temporal_equation_residual(grid, metric, lam, psi, V, A, B):
 
 
 def _coulomb_curl(metric, lam):
-    """Curl data of the Coulomb system, Im(lam^g_a conj(lam)_{bg})."""
-    return np.einsum("ga...,bg...->ab...", _raise1(metric, lam), np.conj(lam)).imag
+    """Curl data of the Coulomb system, Im(lam^g_a conj(lam)_{bg}), for
+    the pairs a < b, in ``sp.hodge_solve``'s order."""
+    a, b = np.triu_indices(metric.grid.d, 1)
+    return np.einsum("gp...,pg...->p...", _raise1(metric, lam)[:, a],
+                     np.conj(lam[b])).imag
 
 
 def _A_update(grid, metric, F, A):
@@ -337,7 +362,9 @@ def _solve_VB(grid, lam, psi, metric, A, cfg, V0):
     """Advection field V (covariant vector Laplace equation), then the
     temporal connection B (Laplace-Beltrami equation); nothing else in
     the system reads either.  Both run the preconditioned sweep
-    ``geo.solve_preconditioned``.  lambda is raised once for both."""
+    ``geo.solve_preconditioned``.  lambda is raised once for both.  V
+    starts at V0, or, for V0 = None (a cold solve), at the first sweep's
+    iterate from V = 0, mean_zero(Delta^{-1} of the residual there)."""
     lam_up = _raised(metric, lam)
     source = _advection_source(grid, metric, lam, lam_up, psi)
 
@@ -346,6 +373,8 @@ def _solve_VB(grid, lam, psi, metric, A, cfg, V0):
         return _advection_rhs(metric, source, V, dV) \
             - _vector_laplacian(grid, metric, V, dV)
 
+    if V0 is None:  # the residual at V = 0 is source[0]
+        V0 = sp.mean_zero(grid, sp.inverse_laplacian(grid, source[0]))
     V = geo.solve_preconditioned(grid, residual_V, V0, "advection field",
                                  cfg.tol, cfg.max_iter)
     rhs_B = _temporal_rhs(grid, metric, lam, lam_up, psi, V, A)
@@ -359,8 +388,8 @@ def solve_VAB(grid, lam, psi, metric, cfg: EllipticConfig, warm=None):
 
     ``warm`` is an optional (V, A, ...) tuple of starting iterates.
     """
-    zero = np.zeros((grid.d,) + grid.shape)
-    V0, A0 = (zero, zero) if warm is None else (warm[0], warm[1])
+    V0, A0 = (None, np.zeros((grid.d,) + grid.shape)) if warm is None \
+        else (warm[0], warm[1])
     A = _solve_A(grid, lam, metric, cfg, A0)
     V, B = _solve_VB(grid, lam, psi, metric, A, cfg, V0)
     return V, A, B
@@ -380,11 +409,11 @@ def _outer_start(grid, psi, warm):
     the sweeps."""
     if warm is not None:
         return (warm.lam + sp.riesz_pairs(grid, psi - warm.psi), warm.metric,
-                sp.gradient(grid, warm.metric.g), warm.A)
+                sp.gradient_sym(grid, warm.metric.g), warm.A)
     lam = sp.riesz_pairs(grid, psi)
     metric, dg = _metric_of_h(grid, np.zeros((grid.d, grid.d) + grid.shape))
-    A = _A_update(grid, metric, _coulomb_curl(metric, lam),
-                  np.zeros((grid.d,) + grid.shape))
+    # _A_update at A = 0 and g = I, where its divergence data is zero
+    A = sp.hodge_solve(grid, _coulomb_curl(metric, lam), np.zeros(grid.shape))
     return lam, metric, dg, A
 
 
@@ -428,7 +457,7 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
             f"threshold {cfg.smallness_threshold:g}"
         )
 
-    V = warm.V if warm is not None else np.zeros((grid.d,) + grid.shape)
+    V0 = None if warm is None else warm.V
     dpsi = sp.gradient(grid, psi)
     changes = {}  # the last sweep's largest change, by subsystem
 
@@ -456,7 +485,7 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
             f"{exc}; largest change in the {worst} ({changes[worst]:.3e})",
             residual=exc.residual) from exc
     del dg  # the sweep's alone; not kept through the V and B solves
-    V, B = _solve_VB(grid, lam, psi, metric, A, cfg, V)
+    V, B = _solve_VB(grid, lam, psi, metric, A, cfg, V0)
 
     state = GaugeState(grid=grid, psi=psi, metric=metric, lam=lam, V=V, A=A, B=B,
                        diagnostics={"outer_iterations": sweeps,

@@ -171,7 +171,7 @@ class MetricField:
         self.inv, det = _ldl_inverse(self.g)
         self.sqrt_det = np.sqrt(det)
         self.christoffel = self._christoffel(
-            sp.gradient(grid, self.g) if dg is None else dg)
+            sp.gradient_sym(grid, self.g) if dg is None else dg)
 
     @functools.cached_property
     def min_eigenvalue(self) -> float:
@@ -237,10 +237,12 @@ def solve_preconditioned(grid: Grid, residual, u0: np.ndarray, name: str,
 def solve_laplace_beltrami(metric: MetricField, rhs: np.ndarray, name: str,
                            tol: float, max_iter: int) -> np.ndarray:
     """The mean-zero u with Delta_g u = rhs by ``solve_preconditioned``
-    from zero; leading axes of rhs are solved side by side."""
-    return solve_preconditioned(metric.grid,
-                                lambda u: rhs - metric.laplace_beltrami(u),
-                                np.zeros(np.shape(rhs)), name, tol, max_iter)
+    from mean_zero(Delta^{-1} rhs), the first sweep's iterate from zero;
+    leading axes of rhs are solved side by side."""
+    grid = metric.grid
+    return solve_preconditioned(grid, lambda u: rhs - metric.laplace_beltrami(u),
+                                sp.mean_zero(grid, sp.inverse_laplacian(grid, rhs)),
+                                name, tol, max_iter)
 
 
 def covariant_derivative(grid, T, nup, nlow, metric=None, A=None):
@@ -296,11 +298,14 @@ def curvature(metric: MetricField):
     """
     grid = metric.grid
     Gam = metric.christoffel
-    dGam = sp.gradient(grid, Gam)  # dGam[m, c, a, b] = d_m Gamma^c_{ab}
-    # the terms come in pairs that differ by a <-> b
-    half = (np.einsum("asbg...->sgab...", dGam)
-            + np.einsum("mbg...,sam...->sgab...", Gam, Gam))
+    # dGam[m, c, a, b] = d_m Gamma^c_{ab}, from the pairs a <= b
+    dGam = np.moveaxis(sp.gradient_sym(grid, np.moveaxis(Gam, 0, 2)), 3, 1)
+    # the terms come in pairs that differ by a <-> b; half is a view of
+    # dGam, summed into in place, so at most three (d,)*4 stacks are alive
+    half = np.einsum("asbg...->sgab...", dGam)
+    half += np.einsum("mbg...,sam...->sgab...", Gam, Gam)
     riem_up = half - np.einsum("sgab...->sgba...", half)
+    del dGam, half
     riemann = np.einsum("ms...,mgab...->sgab...", metric.g, riem_up)
     ricci = np.einsum("sgsb...->gb...", riem_up)
     return riemann, ricci
@@ -419,7 +424,9 @@ def _residual_norms(grid, field, mean_project=True):
     size = float(np.sqrt(np.sum(np.abs(np.atleast_1d(mean)) ** 2)))
     if mean_project:
         field = field - mean[(...,) + (np.newaxis,) * grid.d]
-    return Residual(sp.l2_norm(grid, field), sp.linf_norm(grid, field)), size
+    a2 = sp._abs2(field, grid)  # as l2_norm and linf_norm form it
+    return Residual(float(np.sqrt(np.sum(a2) * grid.cell_volume)),
+                    float(np.sqrt(np.max(a2)))), size
 
 
 def gauss_bilinear(lam):
@@ -450,7 +457,10 @@ def constraint_residuals(grid, psi, metric, lam, A, mean_project=True):
 
     # Riemann lowered is R_{abcs} with first index lowered from R^m_{bcs};
     # the Gauss equation pairs it as R_{sgab}.
-    report("gauss", curvature(metric)[0] - gauss_bilinear(lam))
+    gauss = curvature(metric)[0]
+    gauss -= gauss_bilinear(lam)
+    report("gauss", gauss)
+    del gauss
 
     dlam = covariant_derivative(grid, lam, 0, 2, metric, A)  # index order (c, a, b)
     report("codazzi", dlam - np.einsum("acb...->cab...", dlam))

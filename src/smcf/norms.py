@@ -191,9 +191,12 @@ class FrequencyEnvelope:
 
 def frequency_envelope(grid: Grid, psi0: np.ndarray, table: ExponentTable,
                        delta: float = 0.01) -> FrequencyEnvelope:
+    return _envelope(sp.band_hs_norms(grid, psi0, [(table.s_d, "S")])[0], delta)
+
+
+def _envelope(band_norms: np.ndarray, delta: float) -> FrequencyEnvelope:
     if delta <= 0:
         raise ValueError("envelope slack must be positive")
-    band_norms = sp.band_hs_norms(grid, psi0, table.s_d)
     j = np.arange(len(band_norms))
     weights = 2.0 ** (-delta * np.abs(j[:, None] - j[None, :]))
     c = np.max(weights * band_norms[None, :], axis=1)
@@ -225,26 +228,16 @@ class RegularizationReport:
 
 def regularization_report(grid: Grid, psi0: np.ndarray, table: ExponentTable,
                           delta: float = 0.01, sigma: float = 1.0) -> RegularizationReport:
-    env = frequency_envelope(grid, psi0, table, delta)
-    nj = len(env.c)
-    high, diff = [], []
-    for k in range(nj):
-        ck = env.c[k]
-        if ck <= 0:
-            high.append(0.0)
-            diff.append(0.0)
-            continue
-        low = regularize(grid, psi0, k)
-        high.append(sp.hs_norm(grid, low, table.s_d + sigma) / (2.0 ** (sigma * k) * ck))
-        if k + 1 < nj:
-            step = regularize(grid, psi0, k + 1) - low
-            diff.append(
-                sp.hs_norm(grid, step, -1.0) / (2.0 ** (-(table.s_d + 1) * k) * ck)
-            )
-        else:
-            diff.append(0.0)
-    high = np.array(high)
-    diff = np.array(diff)
+    """Every ratio is read off one transform of psi0: S_{<=k} is the
+    cumulative band multiplier, and S_{<=k+1} - S_{<=k} is the band S_{k+1}."""
+    bands, low, step = sp.band_hs_norms(
+        grid, psi0, [(table.s_d, "S"), (table.s_d + sigma, "S_le"), (-1.0, "S")])
+    c = _envelope(bands, delta).c
+    high, diff = np.zeros(len(c)), np.zeros(len(c))
+    for k in np.flatnonzero(c > 0):
+        high[k] = low[k] / (2.0 ** (sigma * k) * c[k])
+        if k + 1 < len(c):
+            diff[k] = step[k + 1] / (2.0 ** (-(table.s_d + 1) * k) * c[k])
     return RegularizationReport(
         sigma=sigma,
         c_high=float(high.max(initial=0.0)),

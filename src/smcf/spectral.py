@@ -5,11 +5,12 @@ or multiplier; everything downstream (tensor calculus, elliptic solves,
 time stepping, the immersion oracle) is built on its operators:
 spectral derivatives, the principal part coeff^{ab} d_a d_b
 (``hessian_trace``), the mean-projected inverse Laplacian, the flat
-div-curl solve (``hodge_solve``) and the torus zero-mode rule
-(``mean_zero``), Riesz transforms, Littlewood-Paley band projections,
-Sobolev-weight multipliers and norms, the exact flat flow
-(``free_flow``), translations, the Nyquist-plane rules below
-(``drop_nyquist``) and off-grid evaluation (``trig_interp``).
+div-curl solve (``hodge_solve``, its curl given on the pairs a < b) and
+the torus zero-mode rule (``mean_zero``), Riesz transforms,
+Littlewood-Paley band projections, Sobolev-weight multipliers and
+norms, the exact flat flow (``free_flow``), translations, the
+Nyquist-plane rules below (``drop_nyquist``) and off-grid evaluation
+(``trig_interp``).
 
 Fields are plain numpy arrays whose *last* ``d`` axes are the spatial
 grid; leading axes (tensor indices) broadcast through every operator,
@@ -18,11 +19,15 @@ so a ``(d, d, n, n)`` tensor field can be fed to ``gradient`` as-is.
 Real and complex fields.  A first derivative d_a f is one 1-D
 transform pair along axis a only (``gradient``): ``numpy.fft.rfft`` and
 ``irfft`` for a real field, which return float64, ``fft`` and ``ifft``
-for a complex one.  The operators on ``spectrum`` (``hessian``,
-``hessian_trace``, ``hodge_solve``, ``inverse_laplacian``) use the full
-d-dimensional spectrum (``Grid.fft``, multipliers on ``Grid.full``) for a
-complex field and the half one (``Grid.rfft`` and ``Grid.half``), which
-costs roughly half as much, for a real one.
+for a complex one.  ``divergence`` forms sum_a d_a T[a] from one such
+pair per a, and ``gradient_sym`` differentiates a stack symmetric in
+its first two index axes (a metric, its inverse, lambda, the lower pair
+of the Christoffel symbols) from its d(d+1)/2 entries a <= b.  The
+operators on ``spectrum`` (``hessian``, ``hessian_trace``,
+``hodge_solve``, ``inverse_laplacian``) use the full d-dimensional
+spectrum (``Grid.fft``, multipliers on ``Grid.full``) for a complex
+field and the half one (``Grid.rfft`` and ``Grid.half``), which costs
+roughly half as much, for a real one.
 A real result has to be the real part of the complex one, so each
 real-field multiplier is the Hermitian part (M(k) + conj M(-k)) / 2 of
 the complex multiplier M.  On an even grid the Nyquist index is its own
@@ -52,6 +57,8 @@ __all__ = [
     "Grid",
     "smooth_bump",
     "gradient",
+    "gradient_sym",
+    "divergence",
     "hessian",
     "hessian_trace",
     "hodge_solve",
@@ -265,6 +272,32 @@ def gradient(grid: Grid, f: np.ndarray) -> np.ndarray:
     return out
 
 
+def gradient_sym(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """``gradient`` of a stack symmetric in its two leading index axes,
+    f[a, b] = f[b, a]: only the d(d+1)/2 entries a <= b are transformed,
+    and each result is mirrored into (b, a)."""
+    a, b = np.triu_indices(grid.d)
+    upper = gradient(grid, f[a, b])  # (c, pair) + the rest
+    out = np.empty((grid.d,) + np.shape(f), dtype=upper.dtype)
+    out[:, a, b] = upper
+    out[:, b, a] = upper
+    return out
+
+
+def divergence(grid: Grid, T: np.ndarray) -> np.ndarray:
+    """sum_a d_a T[a]: one 1-D transform pair of T[a] along axis a per a,
+    under ``gradient``'s Nyquist rule; the axes of T after the first one
+    are kept."""
+    real = not np.iscomplexobj(T)
+    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    out = np.zeros(np.shape(T)[1:], dtype=float if real else complex)
+    for a, ik in enumerate((grid.half if real else grid.full).axis_ik):
+        fh = fwd(T[a], axis=a - grid.d)
+        fh *= ik
+        out += inv(fh, grid.n, axis=a - grid.d)
+    return out
+
+
 def hessian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """All second partial derivatives d_a d_b f, shape (d, d) + f.shape,
     from the -k_a k_b multiplier."""
@@ -287,18 +320,22 @@ def hessian_trace(grid: Grid, coeff: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def hodge_solve(grid: Grid, curl: np.ndarray, div: np.ndarray) -> np.ndarray:
-    """Flat div-curl solve: d_a u_b - d_b u_a = curl_ab, d_a u_a = div.
+    """Flat div-curl solve: d_a u_b - d_b u_a = curl_p for each pair
+    p = (a, b), a < b, in ``np.triu_indices(d, 1)`` order, and
+    d_a u_a = div.
 
-    Frequency-wise u_b = -(i xi_b div + i xi_a curl_ab) / |xi|^2, the zero
-    mode dropped (torus kernel).  Axes of curl after (a, b), and the
-    matching leading axes of div, are solved side by side; real data on
-    the half spectrum."""
+    Frequency-wise u_b = -(i xi_b div + sum_a i xi_a curl_ab) / |xi|^2,
+    curl_ba = -curl_ab, the zero mode dropped (torus kernel).  Axes of
+    curl after the pair axis, and the matching leading axes of div, are
+    solved side by side; real data on the half spectrum."""
     if np.iscomplexobj(curl) or np.iscomplexobj(div):
         curl, div = curl.astype(complex, copy=False), div.astype(complex, copy=False)
     Ch, spec, inverse = spectrum(grid, curl)
     Dh = spectrum(grid, div)[0]
-    num = np.einsum("b...,...->b...", spec.ik, Dh) \
-        + np.einsum("a...,ab...->b...", spec.ik, Ch)
+    num = _broadcast(grid, spec.ik, Dh) * Dh
+    for p, (a, b) in enumerate(zip(*np.triu_indices(grid.d, 1))):
+        num[b] += spec.ik[a] * Ch[p]
+        num[a] -= spec.ik[b] * Ch[p]
     return inverse(spec.inv_lap * num)
 
 
@@ -391,14 +428,19 @@ def lp_bands(grid: Grid, f: np.ndarray):
         yield grid.ifft(_band_multiplier(grid, j, "S") * fh)
 
 
-def band_hs_norms(grid: Grid, f: np.ndarray, s: float) -> np.ndarray:
-    """||S_j f||_{H^s} for j = 0..J (J = ``num_bands``), each read off
-    one transform of f with the weight (1 + |k|^2)^s m_j^2 of the band
-    multiplier m_j; entry j equals ``hs_norm`` of ``lp_bands``' j-th."""
+def band_hs_norms(grid: Grid, f: np.ndarray, orders) -> np.ndarray:
+    """||m_j f||_{H^s} for each (s, kind) of ``orders`` and j = 0..J
+    (J = ``num_bands``), m_j the multiplier of ``lp_project`` of that
+    kind: one row per order, every entry read off one transform of f
+    with the weight (1 + |k|^2)^s m_j^2.  For (s, "S"), entry j equals
+    ``hs_norm`` of ``lp_bands``' j-th."""
     fh = grid.fft(f)
-    weight = (1.0 + grid.full.k2) ** s
-    return np.array([_weighted_l2(grid, fh, weight * _band_multiplier(grid, j, "S") ** 2)
+    rows = []
+    for s, kind in orders:
+        weight = (1.0 + grid.full.k2) ** s
+        rows.append([_weighted_l2(grid, fh, weight * _band_multiplier(grid, j, kind) ** 2)
                      for j in range(num_bands(grid) + 1)])
+    return np.array(rows)
 
 
 def sobolev_multiplier(grid: Grid, f: np.ndarray, s: float, kind: str = "bessel"):

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -308,8 +309,10 @@ class TestColdStart:
         assert np.array_equal(lam, sp.riesz_pairs(grid2, psi))
         assert np.array_equal(metric.g, np.broadcast_to(ge._eye(grid2), metric.g.shape))
         assert not np.any(dg)
-        # the flat Coulomb system: curl Im(lam_ga conj(lam)_bg), divergence 0
+        # the flat Coulomb system: curl Im(lam_ga conj(lam)_bg) on the pairs
+        # a < b, divergence 0
         curl = np.einsum("ga...,bg...->ab...", lam, np.conj(lam)).imag
+        curl = curl[np.triu_indices(2, 1)]
         want = sp.hodge_solve(grid2, curl, np.zeros(grid2.shape))
         assert np.max(np.abs(A - want)) <= 1e-15 * np.max(np.abs(want))
         assert np.max(np.abs(A)) > 0
@@ -444,7 +447,7 @@ class TestRealPath:
     def test_hodge_solve(self, d, rank, seed):
         grid, rng = Grid(d=d, n=8), np.random.default_rng(seed)
         lead = (d,) * rank
-        curl = nyquist_rich_field(grid, (d, d) + lead, rng)
+        curl = nyquist_rich_field(grid, (d * (d - 1) // 2,) + lead, rng)  # pairs a < b
         div = nyquist_rich_field(grid, lead, rng)
         assert_real_part(sp.hodge_solve(grid, curl, div),
                          sp.hodge_solve(grid, curl.astype(complex), div.astype(complex)))
@@ -494,3 +497,150 @@ class TestRealPath:
         m = rough_metric(grid2, rng)
         handed = MetricField(grid2, m.g, sp.gradient(grid2, m.g))
         assert np.array_equal(handed.christoffel, m.christoffel)
+
+
+# The forms below build the whole (gauged) covariant derivative and then
+# read its trace, as the solver did before it contracted first; they are
+# the references for the contract-first forms.
+
+def lambda_update_full(grid, dpsi, metric, A, lam):
+    Gam = metric.christoffel
+    gl = np.einsum("sag...,bs...->abg...", Gam, lam) \
+        - 1j * np.einsum("a...,bg...->abg...", A, lam)
+    C = gl - np.einsum("abg...->bag...", gl)  # exactly antisymmetric
+    dlam = geo.covariant_derivative(grid, lam, 0, 2, metric, A)
+    D = dpsi - np.einsum("ca...,cab...->b...", metric.inv, dlam) \
+        + np.einsum("aab...->b...", sp.gradient(grid, lam))
+    lam_new = sp.hodge_solve(grid, C[np.triu_indices(grid.d, 1)], D)
+    return 0.5 * (lam_new + np.einsum("ab...->ba...", lam_new))
+
+
+def vector_laplacian_full(grid, metric, V, dV):
+    flat = np.einsum("bcg...->bgc...", sp.hessian(grid, V)) \
+        + sp.gradient(grid, np.einsum("gcs...,s...->gc...", metric.christoffel, V))
+    d2 = geo._add_connection(grid, dV, flat, 1, 1, metric, None)  # (g, c2, c1)
+    return np.einsum("bc...,gbc...->g...", metric.inv, d2)
+
+
+def advection_rhs0_full(grid, metric, lam, psi):
+    lam_up2 = ge._raise2(metric, lam)
+    M = (lam_up2 * np.conj(psi)).imag
+    dM = geo.covariant_derivative(grid, M, 2, 0, metric)  # (a, g, c)
+    rhs0 = 2.0 * np.einsum("aga...->g...", dM)
+    lam_psi_up = (psi * np.conj(lam_up2)).imag
+    return rhs0 + 2.0 * np.einsum("ab...,gab...->g...", lam_psi_up, metric.christoffel)
+
+
+def temporal_rhs_full(grid, metric, lam, psi, V, A):
+    lam_up1, lam_up2 = ge._raised(metric, lam)
+    N = (lam_up1 * np.conj(psi)).real
+    dN = geo.covariant_derivative(grid, N, 1, 1, metric)  # (s, c, g)
+    dw = geo.covariant_derivative(grid, np.einsum("ssg...->g...", dN), 0, 1, metric)
+    rhs = -np.einsum("cg...,cg...->...", metric.inv, dw)
+    rhs += 0.5 * metric.laplace_beltrami((psi * np.conj(psi)).real)
+    u = np.einsum("sg...,sb...,b...->g...", lam_up1, np.conj(lam), V).imag
+    du = geo.covariant_derivative(grid, u, 0, 1, metric)
+    rhs += np.einsum("cg...,cg...->...", metric.inv, du)
+    gradV_up = ge._grad_up(metric, geo.covariant_derivative(grid, V, 1, 0, metric))
+    sym = 2.0 * (psi * np.conj(lam_up2)).imag \
+        + gradV_up + np.einsum("ab...->ba...", gradV_up)
+    return rhs + np.einsum("bg...,bg...->...", sym, sp.gradient(grid, A))
+
+
+def assert_close(got, want, rtol=1e-13):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestContractFirst:
+    """The solver contracts covariant divergences before it adds the
+    connection; on rough metrics and data the result must be the full
+    covariant derivative's trace."""
+
+    @pytest.fixture(params=[(2, 10), (3, 8), (4, 8)], ids=["2d", "3d", "4d"])
+    def data(self, request):
+        d, n = request.param
+        grid, rng = Grid(d=d, n=n), np.random.default_rng(d)
+        lam = nyquist_rich_field(grid, (d, d), rng) \
+            + 1j * nyquist_rich_field(grid, (d, d), rng)
+        return dict(grid=grid, metric=rough_metric(grid, rng),
+                    lam=lam + np.einsum("ab...->ba...", lam),
+                    psi=nyquist_rich_field(grid, (), rng)
+                    + 1j * nyquist_rich_field(grid, (), rng),
+                    A=nyquist_rich_field(grid, (d,), rng),
+                    V=nyquist_rich_field(grid, (d,), rng))
+
+    def test_lambda_update(self, data):
+        grid, psi, A = data["grid"], data["psi"], data["A"]
+        dpsi = sp.gradient(grid, psi) + 1j * A * psi
+        args = (grid, dpsi, data["metric"], A, data["lam"])
+        assert_close(ge._lambda_update(*args), lambda_update_full(*args))
+
+    def test_vector_laplacian(self, data):
+        grid, metric, V = data["grid"], data["metric"], data["V"]
+        dV = geo.covariant_derivative(grid, V, 1, 0, metric)
+        assert_close(ge._vector_laplacian(grid, metric, V, dV),
+                     vector_laplacian_full(grid, metric, V, dV))
+
+    def test_advection_source(self, data):
+        grid, metric, lam, psi = (data[k] for k in ("grid", "metric", "lam", "psi"))
+        got = ge._advection_source(grid, metric, lam, ge._raised(metric, lam), psi)[0]
+        assert_close(got, advection_rhs0_full(grid, metric, lam, psi))
+
+    def test_temporal_rhs(self, data):
+        grid, metric, lam = data["grid"], data["metric"], data["lam"]
+        args = (data["psi"], data["V"], data["A"])
+        got = ge._temporal_rhs(grid, metric, lam, ge._raised(metric, lam), *args)
+        assert_close(got, temporal_rhs_full(grid, metric, lam, *args))
+
+
+class TestFirstIterate:
+    """A cold V solve starts at its first sweep's iterate from V = 0, so
+    its residual at zero (the V-independent source) is never evaluated."""
+
+    def test_cold_solve_evaluates_residual_V_once(self, grid2, monkeypatch):
+        calls, laplacian = [], ge._vector_laplacian
+
+        def counted(*args):
+            calls.append(1)
+            return laplacian(*args)
+
+        monkeypatch.setattr(ge, "_vector_laplacian", counted)
+        st = ge.solve_elliptic_system(grid2, gaussian_psi(grid2), CFG, report=False)
+        # from zero the first sweep would land on the start, and the
+        # second would confirm it: two evaluations
+        assert len(calls) == 1
+        assert np.max(np.abs(st.V)) > 1e3 * CFG.tol
+
+    def test_start_is_the_first_sweep(self, grid2, converged, monkeypatch):
+        starts, solve = [], geo.solve_preconditioned
+
+        def recorded(grid, residual, u0, *args):
+            starts.append((u0, residual))
+            return solve(grid, residual, u0, *args)
+
+        monkeypatch.setattr(geo, "solve_preconditioned", recorded)
+        ge._solve_VB(grid2, converged.lam, converged.psi, converged.metric,
+                     converged.A, CFG, None)
+        assert len(starts) == 2
+        for u0, residual in starts:  # the V solve, then the B solve
+            zero = np.zeros_like(u0)
+            want = sp.mean_zero(grid2, sp.inverse_laplacian(grid2, residual(zero)))
+            assert np.array_equal(u0, want)
+            assert np.max(np.abs(u0)) > 0
+
+
+class TestMemory:
+    def test_cold_solve_traced_peak(self):
+        # the solve's traced numpy peak, in complex scalar fields of the grid
+        grid = Grid(d=3, n=12)
+        psi = gaussian_psi(grid)
+        ge.solve_elliptic_system(grid, psi, CFG, report=False)  # spectra built
+        tracemalloc.start()
+        try:
+            ge.solve_elliptic_system(grid, psi, CFG, report=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * 16 * grid.n**grid.d

@@ -250,6 +250,30 @@ class TestRegularization:
         assert 0 < rep.c_diff <= 4.0
 
 
+    def test_ratios_from_one_spectrum(self, monkeypatch):
+        grid, t, sigma = Grid(d=2, n=64), norms.exponents(2), 1.0
+        f = gaussian(grid) * np.exp(1j * grid.coords()[0])
+        # the ratios from the regularized fields themselves
+        c = norms.frequency_envelope(grid, f, t).c
+        high = [sp.hs_norm(grid, norms.regularize(grid, f, k), t.s_d + sigma)
+                / (2.0 ** (sigma * k) * c[k]) for k in range(len(c))]
+        diff = [sp.hs_norm(grid, norms.regularize(grid, f, k + 1)
+                           - norms.regularize(grid, f, k), -1.0)
+                / (2.0 ** (-(t.s_d + 1) * k) * c[k]) for k in range(len(c) - 1)] + [0.0]
+        calls = {"fft": 0, "ifft": 0}
+        for name in calls:
+            def counted(self, x, _name=name, _orig=getattr(Grid, name)):
+                calls[_name] += 1
+                return _orig(self, x)
+            monkeypatch.setattr(Grid, name, counted)
+        rep = norms.regularization_report(grid, f, t, sigma=sigma)
+        assert calls == {"fft": 1, "ifft": 0}
+        for got, want in ((rep.high_ratios, high), (rep.diff_ratios, diff)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        assert rep.c_high == np.max(rep.high_ratios) > 0
+        assert rep.c_diff == np.max(rep.diff_ratios) > 0
+
+
 class TestInterpNorm:
     def test_zero(self, grid2):
         assert norms.interp_norm(grid2, [], 2.0, 4.0) == 0.0
