@@ -138,13 +138,8 @@ def _lambda_update(grid, dpsi, metric, A, lam):
     - Gamma^s_{cb} lam^c_s + i A^a lam_ab, H = ``metric.harmonic_defect``.
     """
     Gam = metric.christoffel
-
-    def gl(a, b):  # Gamma^s_{ag} lam_{bs} - i A_a lam_{bg}, for the pairs (a, b)
-        return np.einsum("spg...,ps...->pg...", Gam[:, a], lam[b]) \
-            - 1j * A[a][:, np.newaxis] * lam[b]
-
-    i, j = np.triu_indices(grid.d, 1)  # the curl pairs, in ``sp.hodge_solve``'s order
-    C = gl(i, j) - gl(j, i)  # flat curl data (pair, g)
+    # flat curl data (pair, g), its pairs in ``sp.hodge_solve``'s order
+    C = geo._connection_curl(metric, A, lam)
     # flat divergence data: move the non-flat part of the gauged
     # covariant divergence to the right-hand side
     D = dpsi - np.einsum("ca...,cab...->b...", metric.inv - _eye(grid),

@@ -16,7 +16,7 @@ grid trailing, upper indices first.  A rank-(r, s) tensor has shape
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "Residual",
     "ConstraintReport",
     "constraint_residuals",
-    "gauss_bilinear",
     "harmonic_coordinate_fix",
 ]
 
@@ -94,16 +93,14 @@ def fixed_point(step, x, name, tol, max_iter):
                               residual=last)
 
 
-def _ldl_inverse(g):
-    """Inverse and determinant of a symmetric matrix field, shape (d, d) + grid.
-
-    One LDL^T factorisation vectorised over the grid: the loops run over
-    the d x d index entries, each an array over the points.  Raises
-    ``SingularMetricError`` at the first pivot that is not > 0 (so the
-    field is positive definite by Sylvester's criterion; NaN fails the
-    comparison too).  Returns (inv, det), inv C-contiguous with the index
-    axes first.
-    """
+def _ldl(g):
+    """LDL^T factors of a symmetric matrix field, shape (d, d) + grid, as
+    lists (L, D, X) of the strictly lower entries L[i][j] of the unit
+    triangular factor, the pivots D[j] and the strictly lower entries
+    X[i][j] of L^{-1}.  The loops run over the d x d index entries, each
+    an array over the points.  Raises ``SingularMetricError`` at the first
+    pivot that is not > 0 (so the field is positive definite by
+    Sylvester's criterion; NaN fails the comparison too)."""
     d = g.shape[0]
     L = [[None] * d for _ in range(d)]  # strictly lower unit-triangular part
     D = []
@@ -131,7 +128,14 @@ def _ldl_inverse(g):
             for k in range(j + 1, i):
                 acc = acc - L[i][k] * X[k][j]
             X[i][j] = acc
-    # back solve: g^{-1} = X^T D^{-1} X, symmetric
+    return L, D, X
+
+
+def _ldl_inverse(g):
+    """(g^{-1} = X^T D^{-1} X, det g) of ``_ldl``'s factors, g^{-1}
+    C-contiguous with the index axes first."""
+    d = g.shape[0]
+    _, D, X = _ldl(g)
     inv = np.empty(g.shape)
     det = D[0].copy()
     for k in range(1, d):
@@ -176,6 +180,19 @@ class MetricField:
     @functools.cached_property
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(np.moveaxis(self.g, (0, 1), (-2, -1))).min())
+
+    @functools.cached_property
+    def frames(self):
+        """(F, E), triangular (d, d) + grid stacks with F^T F = g and
+        E^T E = g^{-1}: from g = L D L^T (``_ldl``), F = D^{1/2} L^T and
+        E = D^{-1/2} L^{-1}."""
+        L, D, X = _ldl(self.g)
+        F, E = np.zeros(self.g.shape), np.zeros(self.g.shape)
+        for i in range(self.grid.d):
+            F[i, i], E[i, i] = np.sqrt(D[i]), 1.0 / np.sqrt(D[i])
+            for a in range(i):
+                F[a, i], E[i, a] = F[a, a] * L[i][a], E[i, i] * X[i][a]
+        return F, E
 
     @classmethod
     def identity(cls, grid: Grid) -> "MetricField":
@@ -289,52 +306,60 @@ def _add_connection(grid, T, out, nup, nlow, metric, A):
     return np.moveaxis(out, 0, nup)
 
 
-def curvature(metric: MetricField):
-    """Riemann (all indices lowered, R_{abcs} = g_{ma} R^m_{bcs}) and Ricci.
+def _connection_curl(metric, A, lam):
+    """The flat curl d_c lam_{ab} - d_a lam_{cb} of lam minus its gauged
+    covariant curl, (pair, b) + grid on the pairs c < a of ``np.triu_indices``."""
+    c, a = np.triu_indices(metric.grid.d, 1)
+    G, A = metric.christoffel, A[:, np.newaxis]
+    return (np.einsum("spb...,ps...->pb...", G[:, c], lam[a]) - 1j * A[c] * lam[a]) \
+        - (np.einsum("spb...,ps...->pb...", G[:, a], lam[c]) - 1j * A[a] * lam[c])
 
-    R^s_{gab} = d_a Gamma^s_{bg} - d_b Gamma^s_{ag}
-                + Gamma^m_{bg} Gamma^s_{am} - Gamma^m_{ag} Gamma^s_{bm};
-    Ric_{gb} = R^s_{gsb}.
-    """
-    grid = metric.grid
+
+def _riemann_entries(metric):
+    """((s, g, a, b), multiplicity, R_{sgab}) on the independent entries
+    s < g, a < b, (s, g) <= (a, b) of the lowered Riemann tensor, each
+    standing for 4 entries of the (d,)*4 stack if (s, g) = (a, b), else 8:
+    R_{sgab} = 1/2 (d_a d_g g_{bs} + d_b d_s g_{ag} - d_a d_s g_{bg} - d_b d_g
+    g_{as}) + Gamma^n_{ag} Gamma_{n,bs} - Gamma^n_{bg} Gamma_{n,as}."""
+    s, g = np.triu_indices(metric.grid.d, 1)
+    p, q = np.triu_indices(len(s))
+    index = s[p], g[p], s[q], g[q]
     Gam = metric.christoffel
-    # dGam[m, c, a, b] = d_m Gamma^c_{ab}, from the pairs a <= b
-    dGam = np.moveaxis(sp.gradient_sym(grid, np.moveaxis(Gam, 0, 2)), 3, 1)
-    # the terms come in pairs that differ by a <-> b; half is a view of
-    # dGam, summed into in place, so at most three (d,)*4 stacks are alive
-    half = np.einsum("asbg...->sgab...", dGam)
-    half += np.einsum("mbg...,sam...->sgab...", Gam, Gam)
-    riem_up = half - np.einsum("sgab...->sgba...", half)
-    del dGam, half
-    riemann = np.einsum("ms...,mgab...->sgab...", metric.g, riem_up)
-    ricci = np.einsum("sgsb...->gb...", riem_up)
-    return riemann, ricci
+    low = np.einsum("nm...,mbs...->nbs...", metric.g, Gam)
+    out = sp.hessian_sums(metric.grid, metric.g, [
+        ((0.5, a, g, b, s), (0.5, b, s, a, g), (-0.5, a, s, b, g), (-0.5, b, g, a, s))
+        for s, g, a, b in zip(*index)])
+    for e, (s, g, a, b) in enumerate(zip(*index)):
+        out[e] += np.einsum("n...,n...->...", Gam[:, a, g], low[:, b, s])
+        out[e] -= np.einsum("n...,n...->...", Gam[:, b, g], low[:, a, s])
+    return index, np.where(p == q, 4.0, 8.0), out
 
 
-def _apply_metric_all(T, upper_axes, lower_axes, metric):
-    """Raise/lower every index of T so a flat dot with conj(T) gives |T|^2_g."""
-    M = T
-    for ax in upper_axes:
-        M = np.moveaxis(
-            np.einsum("ab...,b...->a...", metric.g, np.moveaxis(M, ax, 0)), 0, ax)
-    for ax in lower_axes:
-        M = np.moveaxis(
-            np.einsum("ab...,b...->a...", metric.inv, np.moveaxis(M, ax, 0)), 0, ax)
-    return M
+def curvature(metric: MetricField):
+    """Riemann (all indices lowered, R_{sgab} = g_{sm} R^m_{gab}) and Ricci,
+    Ric_{gb} = R^s_{gsb}: ``_riemann_entries`` mirrored, so
+    R_{sgab} = -R_{gsab} = -R_{sgba} = R_{absg} holds exactly."""
+    grid = metric.grid
+    index, _, entries = _riemann_entries(metric)
+    riemann = np.zeros((grid.d,) * 4 + grid.shape)
+    for s, g, a, b in (index, index[2:] + index[:2]):
+        riemann[s, g, a, b] = riemann[g, s, b, a] = entries
+        riemann[g, s, a, b] = riemann[s, g, b, a] = -entries
+    return riemann, np.einsum("sm...,mgsb...->gb...", metric.inv, riemann)
 
 
 def tensor_norm_sq_field(grid, T, nup, nlow, metric=None):
-    """Pointwise |T|^2_g (flat contraction when metric is None)."""
+    """Pointwise |T|^2_g (flat contraction when metric is None): the parts
+    Re T and Im T go into the frames of ``MetricField.frames`` index by
+    index (upper by F, lower by E), so it is a flat sum of squares, >= 0."""
     T = np.asarray(T)
-    ntens = nup + nlow
-    if metric is None:
-        M = T
-    else:
-        M = _apply_metric_all(T, list(range(nup)), list(range(nup, ntens)), metric)
-    out = (M * np.conj(T)).real
-    if ntens > 0:
-        out = out.sum(axis=tuple(range(ntens)))
-    return out
+    parts = [T.real, T.imag] if np.iscomplexobj(T) else [T]
+    if metric is not None:
+        F, E = metric.frames
+        for i, M in enumerate([F] * nup + [E] * nlow):
+            parts = [np.moveaxis(np.einsum("ia...,a...->i...", M, np.moveaxis(P, i, 0)),
+                                 0, i) for P in parts]
+    return sum(sp._abs2(P, grid) for P in parts)
 
 
 def intrinsic_norm(grid, T, nup, nlow, metric=None, A=None, k=0):
@@ -378,18 +403,6 @@ class Residual:
     linf: float
 
 
-_CONSTRAINT_NAMES = (
-    "gauss",
-    "codazzi",
-    "divergence",
-    "curl_a",
-    "coulomb",
-    "harmonic",
-    "symmetry",
-    "trace",
-)
-
-
 @dataclass(frozen=True)
 class ConstraintReport:
     """Residual norms of the eight compatibility conditions.
@@ -410,7 +423,7 @@ class ConstraintReport:
     nondecay: dict
 
     def as_dict(self):
-        return {name: getattr(self, name) for name in _CONSTRAINT_NAMES}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "nondecay"}
 
     def max_l2(self) -> float:
         return max(r.l2 for r in self.as_dict().values())
@@ -419,60 +432,67 @@ class ConstraintReport:
         return max(r.linf for r in self.as_dict().values())
 
 
-def _residual_norms(grid, field, mean_project=True):
-    mean = sp.field_mean(grid, field)
-    size = float(np.sqrt(np.sum(np.abs(np.atleast_1d(mean)) ** 2)))
-    if mean_project:
-        field = field - mean[(...,) + (np.newaxis,) * grid.d]
-    a2 = sp._abs2(field, grid)  # as l2_norm and linf_norm form it
-    return Residual(float(np.sqrt(np.sum(a2) * grid.cell_volume)),
-                    float(np.sqrt(np.max(a2)))), size
-
-
-def gauss_bilinear(lam):
-    """The second-fundamental-form side of the Gauss equation.
-
-    Returns the array G[s, g, a, b] = Re(lam_{bg} conj(lam_{as})
-    - lam_{ag} conj(lam_{bs})), to be compared with the lowered Riemann
-    tensor indexed R_{sgab}.
-    """
-    re, im = lam.real, lam.imag
-    half = (np.einsum("bg...,as...->sgab...", re, re)
-            + np.einsum("bg...,as...->sgab...", im, im))  # Re(lam_bg conj(lam_as))
-    return half - np.einsum("sgab...->sgba...", half)
-
-
 def constraint_residuals(grid, psi, metric, lam, A, mean_project=True):
-    """Evaluate each compatibility condition literally and report norms.
+    """Residual norms of the compatibility conditions for psi (complex
+    scalar mean curvature), the metric, the complex second fundamental
+    form lam (both indices lower) and the connection covector A.
 
-    Takes psi (complex scalar mean curvature), the metric, the complex
-    second fundamental form lam (both indices lower), and the
-    connection covector A.
+    Each condition is formed on its independent entries, contracted
+    before it is connected (H = ``harmonic_defect``):
+    Gauss R_{sgab} - Re(lam_{bg} conj(lam_{as}) - lam_{ag} conj(lam_{bs}))
+    on ``_riemann_entries``; Codazzi d_c lam_{ab} - d_a lam_{cb} minus
+    ``_connection_curl`` on the pairs c < a, every b; the divergence
+    g^{ca} d_c lam_{ab} - H^s lam_{sb} - Gamma^s_{cb} lam^c_s + i A^a lam_{ab}
+    - (d_b psi + i A_b psi); curl_a d_a A_b - d_b A_a - Im(lam^g_a
+    conj(lam_{bg})) on the pairs a < b; Coulomb g^{ab} d_a A_b - H^c A_c.
+    In the norms each entry counts as often as it stands in the full
+    tensor: a Gauss entry 4 or 8 times, a Codazzi or curl_a entry twice.
+    These forms use the symmetry of lam, which the ``symmetry`` entry
+    measures; every lam the program builds is exactly symmetric.
     """
     results, nondecay = {}, {}
 
-    def report(name, field):
-        # reduced at once, so one residual field at a time is alive
-        results[name], nondecay[name] = _residual_norms(grid, field, mean_project)
+    def report(name, field, weight=1.0):
+        """Reduce a residual stack at once, so one at a time is alive; its
+        entries count ``weight`` times (one weight, or one per entry)."""
+        mean = sp.field_mean(grid, field)
+        w = np.broadcast_to(weight, np.shape(mean))
+        nondecay[name] = float(np.sqrt(np.sum(w * np.abs(mean) ** 2)))
+        if mean_project:
+            field = field - mean[(...,) + (np.newaxis,) * grid.d]
+        a2 = field.real ** 2 + field.imag ** 2 if np.iscomplexobj(field) else field * field
+        a2 = np.tensordot(w, a2, w.ndim)
+        results[name] = Residual(float(np.sqrt(np.sum(a2) * grid.cell_volume)),
+                                 float(np.sqrt(np.max(a2))))
 
-    # Riemann lowered is R_{abcs} with first index lowered from R^m_{bcs};
-    # the Gauss equation pairs it as R_{sgab}.
-    gauss = curvature(metric)[0]
-    gauss -= gauss_bilinear(lam)
-    report("gauss", gauss)
+    index, weight, gauss = _riemann_entries(metric)
+    re, im = lam.real, lam.imag
+    for e, (s, g, a, b) in enumerate(zip(*index)):
+        gauss[e] -= re[b, g] * re[a, s] + im[b, g] * im[a, s] \
+            - re[a, g] * re[b, s] - im[a, g] * im[b, s]
+    report("gauss", gauss, weight)
     del gauss
 
-    dlam = covariant_derivative(grid, lam, 0, 2, metric, A)  # index order (c, a, b)
-    report("codazzi", dlam - np.einsum("acb...->cab...", dlam))
-    report("divergence", np.einsum("ca...,cab...->b...", metric.inv, dlam)
-           - covariant_derivative(grid, psi, 0, 0, metric, A))
+    c, a = np.triu_indices(grid.d, 1)
+    codazzi = -_connection_curl(metric, A, lam)
+    dlam = sp.gradient_sym(grid, lam)  # (c, a, b) = d_c lam_ab
+    codazzi += dlam[c, a]
+    codazzi -= dlam[a, c]
+    report("codazzi", codazzi, 2.0)
+    lam_up = np.einsum("ca...,ab...->cb...", metric.inv, lam)  # lam^c_b
+    div = np.einsum("ca...,cab...->b...", metric.inv, dlam)
     del dlam
+    div += np.einsum("s...,sb...->b...", 1j * np.einsum("sc...,c...->s...", metric.inv, A)
+                     - metric.harmonic_defect, lam)
+    div -= np.einsum("scb...,cs...->b...", metric.christoffel, lam_up)
+    div -= sp.gradient(grid, psi) + 1j * A * psi
+    report("divergence", div)
 
-    dA = covariant_derivative(grid, A, 0, 1, metric)  # (c, a) = nabla_c A_a
-    lam_up = np.einsum("gc...,ca...->ga...", metric.inv, lam)
-    curl_source = np.einsum("ga...,bg...->ab...", lam_up, np.conj(lam)).imag
-    report("curl_a", (dA - np.einsum("ac...->ca...", dA)) - curl_source)
-    report("coulomb", np.einsum("ab...,ab...->...", metric.inv, dA))
+    dA = sp.gradient(grid, A)  # (a, b) = d_a A_b
+    report("curl_a", dA[c, a] - dA[a, c]
+           - np.einsum("gp...,pg...->p...", lam_up[:, c], np.conj(lam[a])).imag, 2.0)
+    report("coulomb", np.einsum("ab...,ab...->...", metric.inv, dA)
+           - np.einsum("c...,c...->...", metric.harmonic_defect, A))
     report("harmonic", metric.harmonic_defect)
     report("symmetry", lam - np.einsum("ba...->ab...", lam))
     report("trace", np.einsum("ab...,ab...->...", metric.inv, lam) - psi)

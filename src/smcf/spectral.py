@@ -27,7 +27,9 @@ operators on ``spectrum`` (``hessian``, ``hessian_trace``,
 ``hodge_solve``, ``inverse_laplacian``) use the full d-dimensional
 spectrum (``Grid.fft``, multipliers on ``Grid.full``) for a complex
 field and the half one (``Grid.rfft`` and ``Grid.half``), which costs
-roughly half as much, for a real one.
+roughly half as much, for a real one.  ``hessian_sums`` forms sums of
+second derivatives of a real symmetric stack (the metric, for the
+Riemann tensor) on the half spectrum, one inverse transform per sum.
 A real result has to be the real part of the complex one, so each
 real-field multiplier is the Hermitian part (M(k) + conj M(-k)) / 2 of
 the complex multiplier M.  On an even grid the Nyquist index is its own
@@ -60,6 +62,7 @@ __all__ = [
     "gradient_sym",
     "divergence",
     "hessian",
+    "hessian_sums",
     "hessian_trace",
     "hodge_solve",
     "laplacian",
@@ -303,6 +306,23 @@ def hessian(grid: Grid, f: np.ndarray) -> np.ndarray:
     from the -k_a k_b multiplier."""
     fh, spec, inverse = spectrum(grid, f)
     return inverse(_broadcast(grid, spec.kk, fh) * fh)
+
+
+def hessian_sums(grid: Grid, f: np.ndarray, rows) -> np.ndarray:
+    """Sums of second derivatives of a real stack f symmetric in its two
+    leading index axes: row r of ``rows`` lists terms (c, a, b, i, j),
+    and entry r of the result is sum c d_a d_b f[i, j].  The d(d+1)/2
+    entries i <= j are transformed once, and each row is one inverse
+    transform, under ``kk``'s half-spectrum Nyquist rule."""
+    i, j = np.triu_indices(len(f))
+    fh = grid.rfft(f[i, j])
+    at = np.empty((len(f), len(f)), dtype=int)
+    at[i, j] = at[j, i] = np.arange(len(i))
+    kk = grid.half.kk
+    out = np.empty((len(rows),) + grid.shape)
+    for r, row in enumerate(rows):
+        out[r] = grid.irfft(sum(c * kk[a, b] * fh[at[p, q]] for c, a, b, p, q in row))
+    return out
 
 
 def hessian_trace(grid: Grid, coeff: np.ndarray, f: np.ndarray) -> np.ndarray:

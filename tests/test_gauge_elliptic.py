@@ -644,3 +644,19 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 160 * 16 * grid.n**grid.d
+
+    def test_constraint_report_traced_peak(self):
+        # the report's traced numpy peak, in real scalar fields of the grid;
+        # it formed each condition's full tensor before, 769 fields here
+        grid = Grid(d=4, n=8)
+        st = ge.solve_elliptic_system(grid, gaussian_psi(grid),
+                                      ge.EllipticConfig(smallness_threshold=0.5),
+                                      report=False)
+        geo.constraint_residuals(grid, st.psi, st.metric, st.lam, st.A)  # spectra built
+        tracemalloc.start()
+        try:
+            st.constraint_report()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 400 * 8 * grid.n**grid.d

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smcf import gauge_elliptic as ge
 from smcf import geometry as geo
 from smcf import spectral as sp
 from smcf.geometry import fixed_point
@@ -273,7 +274,40 @@ class TestCovariantDerivative:
         assert np.max(np.abs(d2f - np.einsum("ab...->ba...", d2f))) <= 1e-10
 
 
+def curvature_from_christoffel(metric):
+    """The Christoffel-derivative form of ``geo.curvature``, the reference
+    for its second-derivative form: R^s_{gab} = d_a Gamma^s_{bg} -
+    d_b Gamma^s_{ag} + Gamma^m_{bg} Gamma^s_{am} - Gamma^m_{ag} Gamma^s_{bm},
+    lowered with g, and Ric_{gb} = R^s_{gsb}."""
+    grid, Gam = metric.grid, metric.christoffel
+    dGam = sp.gradient(grid, Gam)  # (m, c, a, b) = d_m Gamma^c_{ab}
+    half = np.einsum("asbg...->sgab...", dGam) \
+        + np.einsum("mbg...,sam...->sgab...", Gam, Gam)
+    riem_up = half - np.einsum("sgab...->sgba...", half)
+    return (np.einsum("ms...,mgab...->sgab...", metric.g, riem_up),
+            np.einsum("sgsb...->gb...", riem_up))
+
+
 class TestCurvature:
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 12), (4, 8)])
+    def test_pair_symmetries_exact(self, d, n):
+        riemann, _ = geo.curvature(small_metric(Grid(d=d, n=n), seed=40, amp=0.05))
+        assert np.max(np.abs(riemann)) > 0
+        assert np.array_equal(riemann, -np.einsum("sgab...->gsab...", riemann))
+        assert np.array_equal(riemann, -np.einsum("sgab...->sgba...", riemann))
+        assert np.array_equal(riemann, np.einsum("sgab...->absg...", riemann))
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 12), (4, 12)])
+    def test_matches_christoffel_derivative_form(self, d, n):
+        # a metric of the lowest band, resolved on these grids; the two
+        # forms differ by how products of its modes alias
+        grid, rng = Grid(d=d, n=n), np.random.default_rng(41)
+        h = rng.standard_normal((d, d) + grid.shape)
+        h = sp.lp_project(grid, h + np.swapaxes(h, 0, 1), 0, "S_le").real
+        m = geo.MetricField.from_h(grid, 0.01 * h / np.max(np.abs(h)))
+        for got, want in zip(geo.curvature(m), curvature_from_christoffel(m)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
     def test_flat_dimension_one(self):
         grid = Grid(d=1, n=32)
         m = small_metric(grid, seed=15, amp=0.1)
@@ -320,7 +354,29 @@ class TestCurvature:
         assert np.max(np.abs(comm - expect)) <= 1e-8
 
 
+def norm_sq_by_raising(grid, T, nup, nlow, metric):
+    """|T|^2_g as T with every index moved by g or g^{-1}, dotted with
+    conj(T): the reference for ``geo.tensor_norm_sq_field``'s frames."""
+    M = T
+    for ax in range(nup + nlow):
+        G = metric.g if ax < nup else metric.inv
+        M = np.moveaxis(np.einsum("ab...,b...->a...", G, np.moveaxis(M, ax, 0)), 0, ax)
+    return (M * np.conj(T)).real.sum(axis=tuple(range(nup + nlow)))
+
+
 class TestNormsAndEnergy:
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("nup, nlow", [(0, 1), (0, 2), (1, 1), (0, 4)])
+    def test_density_matches_raised_form(self, d, n, nup, nlow):
+        grid, rng = Grid(d=d, n=n), np.random.default_rng(nup + 2 * nlow)
+        m = small_metric(grid, seed=42, amp=0.2)
+        shape = (d,) * (nup + nlow) + grid.shape
+        T = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for part in (T, T.real):
+            want = norm_sq_by_raising(grid, part, nup, nlow, m)
+            got = geo.tensor_norm_sq_field(grid, part, nup, nlow, m)
+            assert np.max(np.abs(got - want) / want) <= 1e-13
+
     def test_pointwise_norm_nonnegative(self, grid2):
         m = small_metric(grid2, seed=22)
         T = np.stack([smooth_scalar(grid2, seed=23 + a, complex_valued=True) for a in range(2)])
@@ -392,6 +448,65 @@ class TestConstraintResiduals:
         rep = geo.constraint_residuals(grid2, psi, m, lam, A, mean_project=True)
         assert rep.trace.l2 <= 1e-13  # constant residual was projected out...
         assert abs(rep.nondecay["trace"] - 0.5) <= 1e-12  # ...and reported
+
+
+def literal_report(grid, psi, metric, lam, A):
+    """Each condition of ``geo.constraint_residuals`` as its full tensor,
+    from ``geo.covariant_derivative`` and ``curvature_from_christoffel``:
+    {name: (l2, linf, nondecay)} of the mean-projected field."""
+    out = {}
+
+    def norms(name, field):
+        mean = sp.field_mean(grid, field)
+        field = field - mean[(...,) + (np.newaxis,) * grid.d]
+        out[name] = (sp.l2_norm(grid, field), sp.linf_norm(grid, field),
+                     float(np.sqrt(np.sum(np.abs(mean) ** 2))))
+
+    re, im = lam.real, lam.imag
+    half = np.einsum("bg...,as...->sgab...", re, re) \
+        + np.einsum("bg...,as...->sgab...", im, im)
+    norms("gauss", curvature_from_christoffel(metric)[0] - half
+          + np.einsum("sgab...->sgba...", half))
+    dlam = geo.covariant_derivative(grid, lam, 0, 2, metric, A)  # (c, a, b)
+    norms("codazzi", dlam - np.einsum("acb...->cab...", dlam))
+    norms("divergence", np.einsum("ca...,cab...->b...", metric.inv, dlam)
+          - geo.covariant_derivative(grid, psi, 0, 0, metric, A))
+    dA = geo.covariant_derivative(grid, A, 0, 1, metric)  # (c, a)
+    lam_up = np.einsum("gc...,ca...->ga...", metric.inv, lam)
+    norms("curl_a", dA - np.einsum("ac...->ca...", dA)
+          - np.einsum("ga...,bg...->ab...", lam_up, np.conj(lam)).imag)
+    norms("coulomb", np.einsum("ab...,ab...->...", metric.inv, dA))
+    norms("harmonic", metric.harmonic_defect)
+    norms("symmetry", lam - np.einsum("ba...->ab...", lam))
+    norms("trace", np.einsum("ab...,ab...->...", metric.inv, lam) - psi)
+    return out
+
+
+class TestReportForms:
+    """The report forms each condition on its independent entries; on
+    converged states its norms are those of the full tensors."""
+
+    @pytest.fixture(scope="class", params=[(2, 32), (3, 16)], ids=["32^2", "16^3"])
+    def state(self, request):
+        grid = Grid(d=request.param[0], n=request.param[1])
+        x = grid.coords()
+        r2 = sum((x[a] - np.pi) ** 2 for a in range(grid.d))
+        psi = 1e-2 * np.exp(-r2 / 0.72) * np.exp(1j * (x[0] - np.pi))
+        return ge.solve_elliptic_system(grid, psi - np.mean(psi),
+                                        ge.EllipticConfig(smallness_threshold=0.25))
+
+    def test_matches_literal_report(self, state):
+        rep = state.constraint_report()
+        want = literal_report(state.grid, state.psi, state.metric, state.lam, state.A)
+        for name, values in want.items():
+            got = (getattr(rep, name).l2, getattr(rep, name).linf, rep.nondecay[name])
+            if name == "gauss":
+                # the curvature forms differ by truncation: round-off where
+                # the state is resolved (32^2), no larger where not (16^3)
+                assert all(g <= max(w, 1e-11) for g, w in zip(got[:2], values))
+                assert got[2] == pytest.approx(values[2], abs=1e-16)
+            else:
+                assert got == pytest.approx(values, rel=1e-12, abs=1e-16), name
 
 
 def direct_trig_sum(grid, f, points):

@@ -399,6 +399,24 @@ class TestHessianTrace:
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+class TestHessianSums:
+    """Each row of ``hessian_sums`` is the matching sum of ``hessian``
+    entries, on a symmetric stack with Nyquist content."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_hessian_entries(self, d):
+        grid, rng = Grid(d=d, n=8), np.random.default_rng(d)
+        f = nyquist_rich_field(grid, (d, d), d)
+        f = f + np.einsum("ab...->ba...", f)
+        rows = [[(rng.standard_normal(), *rng.integers(0, d, 4)) for _ in range(3)]
+                for _ in range(5)]
+        hess = sp.hessian(grid, f)  # (a, b, i, j) + grid
+        want = np.stack([sum(c * hess[a, b, i, j] for c, a, b, i, j in row)
+                         for row in rows])
+        got = sp.hessian_sums(grid, f, rows)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestFlowAndTranslate:
     @pytest.mark.parametrize("axis, m", [(0, 3), (1, -5)])
     def test_translate_by_grid_steps_is_roll(self, grid2, axis, m):
