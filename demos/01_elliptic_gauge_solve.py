@@ -31,7 +31,10 @@ def main():
     state = ge.solve_elliptic_system(grid, psi, cfg)
     d = state.diagnostics
     print(f"converged in {d['outer_iterations']} outer iterations "
-          f"(final update {d['final_update']:.2e})")
+          f"(final update {d['final_update']:.2e}, contraction factor "
+          f"q = {d['q']:.2e})")
+    print(f"V and B solves: {d['V_iterations']} and {d['B_iterations']} sweeps "
+          f"(V's contraction factor q_V = {d['q_V']:.2e}, NaN if unmeasured)")
 
     print("\nfield sizes (the gauge corrections are quadratic in psi):")
     print(f"  |lam|_L2 = {sp.l2_norm(grid, state.lam):.3e}")

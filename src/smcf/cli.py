@@ -57,7 +57,7 @@ EXIT_IO = 4
 
 CSV_SCHEMA = "smcf-csv-1"
 CHECKPOINT_MAGIC = b"SMCF"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class ConfigError(ValueError):
@@ -375,6 +375,10 @@ _HEADER = struct.Struct("<4sIIIddQB")
 _GAUGE_FIELDS = (("g", 2, "<f8"), ("lam", 2, "<c16"), ("V", 1, "<f8"),
                  ("A", 1, "<f8"), ("B", 0, "<f8"))
 
+#: the contraction factors of the solve record that a warm solve borrows,
+#: after the gauge blob as ``<f8``, NaN where none was measured
+_FACTORS = ("q", "q_V")
+
 
 def _digest(body: bytes) -> bytes:
     return hashlib.blake2b(body, digest_size=8).digest()
@@ -386,12 +390,14 @@ def _pack(arr, dtype: str) -> bytes:
 
 def save_checkpoint(path: str, grid: Grid, t: float, step: int,
                     psi: np.ndarray, state=None, carry: dict | None = None):
-    """Binary snapshot, format 3, all little-endian: the 41-byte
+    """Binary snapshot, format 4, all little-endian: the 41-byte
     ``_HEADER`` (magic, version, d, n, length, t, step, blob flag), psi
     as ``<c16``, then with ``state`` the gauge blob in ``_GAUGE_FIELDS``
-    order and the monitor carry in ``evolution.CARRY_KEYS`` order (each
-    entry its rank and shape as ``<u4``, then its ``<f8`` values), and
-    last a 64-bit digest of every byte before it.
+    order, the state's ``_FACTORS`` (so that a resumed run stops its
+    solves where the uninterrupted one does) and the monitor carry in
+    ``evolution.CARRY_KEYS`` order (each entry its rank and shape as
+    ``<u4``, then its ``<f8`` values), and last a 64-bit digest of every
+    byte before it.
 
     Written by ``_write_atomic``, so an interrupted write leaves the
     previous checkpoint intact."""
@@ -401,6 +407,8 @@ def save_checkpoint(path: str, grid: Grid, t: float, step: int,
     if state is not None:
         parts += [_pack(state.metric.g if name == "g" else getattr(state, name),
                         dtype) for name, _, dtype in _GAUGE_FIELDS]
+        parts.append(_pack([state.diagnostics.get(k, np.nan) for k in _FACTORS],
+                           "<f8"))
         for key in ev.CARRY_KEYS:
             entry = np.asarray(carry[key], dtype=float)
             parts += [_pack((entry.ndim,) + entry.shape, "<u4"),
@@ -446,6 +454,8 @@ def load_checkpoint(path: str) -> dict:
         if flags & 1:
             fields = {name: take(dtype, (d,) * rank + grid.shape)
                       for name, rank, dtype in _GAUGE_FIELDS}
+            fields["diagnostics"] = dict(zip(
+                _FACTORS, take("<f8", (len(_FACTORS),)).tolist()))
             extras = {}
             for key in ev.CARRY_KEYS:
                 ndim = int(take("<u4", ()))
@@ -591,6 +601,10 @@ def _cmd_elliptic(args, extras) -> int:
         "schema": "smcf-json-1",
         "outer_iterations": d.get("outer_iterations"),
         "final_update": d.get("final_update"),
+        "q": d.get("q"),
+        "V_iterations": d.get("V_iterations"),
+        "q_V": d.get("q_V"),
+        "B_iterations": d.get("B_iterations"),
         "norms": {
             "psi_l2": sp.l2_norm(grid, psi0),
             "lam_l2": sp.l2_norm(grid, state.lam),

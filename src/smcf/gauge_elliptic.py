@@ -353,13 +353,18 @@ def _solve_A(grid, lam, metric, cfg, A0):
                      "Coulomb connection")
 
 
-def _solve_VB(grid, lam, psi, metric, A, cfg, V0):
+def _solve_VB(grid, lam, psi, metric, A, cfg, V0, record=None):
     """Advection field V (covariant vector Laplace equation), then the
     temporal connection B (Laplace-Beltrami equation); nothing else in
     the system reads either.  Both run the preconditioned sweep
-    ``geo.solve_preconditioned``.  lambda is raised once for both.  V
-    starts at V0, or, for V0 = None (a cold solve), at the first sweep's
-    iterate from V = 0, mean_zero(Delta^{-1} of the residual there)."""
+    ``geo.solve_preconditioned``, and the V loop stops on the Banach
+    bound.  ``record``, a solve record, gives the V loop its factor
+    before it has measured its own (``"q_V"``, NaN for none) and receives
+    the V loop's factor and the V and B sweep counts.  lambda is raised
+    once for both.  V starts at V0, or, for V0 = None (a cold solve), at
+    the first sweep's iterate from V = 0, mean_zero(Delta^{-1} of the
+    residual there)."""
+    record = {} if record is None else record
     lam_up = _raised(metric, lam)
     source = _advection_source(grid, metric, lam, lam_up, psi)
 
@@ -370,11 +375,12 @@ def _solve_VB(grid, lam, psi, metric, A, cfg, V0):
 
     if V0 is None:  # the residual at V = 0 is source[0]
         V0 = sp.mean_zero(grid, sp.inverse_laplacian(grid, source[0]))
-    V = geo.solve_preconditioned(grid, residual_V, V0, "advection field",
-                                 cfg.tol, cfg.max_iter)
+    V, record["V_iterations"], _, record["q_V"] = geo.solve_preconditioned(
+        grid, residual_V, V0, "advection field", cfg.tol, cfg.max_iter,
+        record.get("q_V", np.nan))
     rhs_B = _temporal_rhs(grid, metric, lam, lam_up, psi, V, A)
-    B = geo.solve_laplace_beltrami(metric, rhs_B, "temporal connection",
-                                   cfg.tol, cfg.max_iter)
+    B, record["B_iterations"], _ = geo._laplace_beltrami_sweeps(
+        metric, rhs_B, "temporal connection", cfg.tol, cfg.max_iter)
     return V, B
 
 
@@ -399,12 +405,17 @@ def _outer_start(grid, psi, warm):
     Coulomb update at g = I.  (A sweep from lambda = 0 would update g
     from a zero right-hand side, then reach this same iterate.)  A warm
     start is the warm state's, with lambda moved by its linear response
-    to the change in psi, exact to first order in the change.  Built in
-    the solver's call, so that no frame keeps the start alive through
-    the sweeps."""
+    to the change in psi, exact to first order in the change, and A
+    moved to its Coulomb update at that lambda, so that no block starts
+    a sweep behind and the first sweep contracts as a later one does
+    (the Banach stop of a warm solve borrows the warm state's factor).
+    Built in the solver's call, so that no frame keeps the start alive
+    through the sweeps."""
     if warm is not None:
-        return (warm.lam + sp.riesz_pairs(grid, psi - warm.psi), warm.metric,
-                sp.gradient_sym(grid, warm.metric.g), warm.A)
+        lam = warm.lam + sp.riesz_pairs(grid, psi - warm.psi)
+        metric = warm.metric
+        A = _A_update(grid, metric, _coulomb_curl(metric, lam), warm.A)
+        return lam, metric, sp.gradient_sym(grid, metric.g), A
     lam = sp.riesz_pairs(grid, psi)
     metric, dg = _metric_of_h(grid, np.zeros((grid.d, grid.d) + grid.shape))
     # _A_update at A = 0 and g = I, where its divergence data is zero
@@ -426,16 +437,26 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
     A is the one computed from the returned (lambda, g).  The gradient
     of g rides in the iterate, so g is differentiated once per sweep,
     and the superseded metric is freed before the lambda update.  The
-    loop stops on ``geo.fixed_point``'s rule; ``final_update`` is the
-    last sweep's largest change of (lambda, g, A), and a sweep that
-    fails to contract raises ``NotContractingError`` naming the
-    subsystem that changed most in its last sweep.  ``warm`` seeds the
-    sweep (and the V solve) from a previously converged state (e.g. the
-    previous time stage), with lambda moved by its linear response to
-    the change in psi; without it the sweep starts from the flat closed
-    form, lambda = R_a R_b psi and A its Coulomb update at g = I
-    (``_outer_start``).  The result is still iterated to the same
-    tolerance, and zero data or an unchanged psi takes one sweep.
+    loop, and the V loop after it, stop on ``geo.fixed_point``'s Banach
+    bound, so the returned (lambda, g, A) is within tol of the fixed
+    point while ``final_update``, the last sweep's largest change of
+    (lambda, g, A), may exceed tol.  A sweep that fails to contract
+    raises ``NotContractingError`` naming the subsystem that changed
+    most in its last sweep.  ``warm`` seeds the sweep (and the V solve)
+    from a previously converged state (e.g. the previous time stage),
+    with lambda moved by its linear response to the change in psi and A
+    by its Coulomb update at that lambda; each loop takes the warm
+    state's contraction factor until it has measured its own.  Without
+    it the sweep starts from the flat closed form, lambda = R_a R_b psi
+    and A its Coulomb update at g = I (``_outer_start``), and each loop
+    stops on size <= tol until it has measured its factor.  Zero data or
+    an unchanged psi takes one sweep.
+
+    ``diagnostics`` is the solve record: ``outer_iterations``,
+    ``final_update``, the outer factor ``q``, the V loop's ``q_V`` (each
+    the ratio of the loop's last two update sizes, the borrowed factor
+    when it took one sweep, NaN when there was none), and the sweep
+    counts ``V_iterations`` and ``B_iterations``.
 
     ``report=False`` leaves ``diagnostics["residuals"]`` to the first
     ``constraint_report()``, so a state nobody reads (a stepper stage)
@@ -452,7 +473,7 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
             f"threshold {cfg.smallness_threshold:g}"
         )
 
-    V0 = None if warm is None else warm.V
+    V0, recorded = (None, {}) if warm is None else (warm.V, warm.diagnostics)
     dpsi = sp.gradient(grid, psi)
     changes = {}  # the last sweep's largest change, by subsystem
 
@@ -471,20 +492,21 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
         return (lam_new, metric_new, dg_new, A_new), size
 
     try:
-        (lam, metric, dg, A), sweeps, final_update = geo.fixed_point(
+        (lam, metric, dg, A), sweeps, final_update, q = geo.fixed_point(
             sweep, _outer_start(grid, psi, warm), "outer elliptic sweep",
-            cfg.tol, cfg.max_iter)
+            cfg.tol, cfg.max_iter, recorded.get("q", np.nan))
     except geo.NotContractingError as exc:
         worst = max(changes, key=lambda k: np.nan_to_num(changes[k], nan=np.inf))
         raise geo.NotContractingError(
             f"{exc}; largest change in the {worst} ({changes[worst]:.3e})",
             residual=exc.residual) from exc
     del dg  # the sweep's alone; not kept through the V and B solves
-    V, B = _solve_VB(grid, lam, psi, metric, A, cfg, V0)
+    record = {"outer_iterations": sweeps, "final_update": final_update,
+              "q": q, "q_V": recorded.get("q_V", np.nan)}
+    V, B = _solve_VB(grid, lam, psi, metric, A, cfg, V0, record)
 
     state = GaugeState(grid=grid, psi=psi, metric=metric, lam=lam, V=V, A=A, B=B,
-                       diagnostics={"outer_iterations": sweeps,
-                                    "final_update": final_update})
+                       diagnostics=record)
     if report:
         state.constraint_report()
     return state

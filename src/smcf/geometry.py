@@ -59,19 +59,27 @@ class NotContractingError(RuntimeError):
 _STALL_LIMIT = 10
 
 
-def fixed_point(step, x, name, tol, max_iter):
+def fixed_point(step, x, name, tol, max_iter, q=None):
     """Iterate x <- step(x) from the given x; ``step`` returns
     (x_next, size), where size measures the update that produced x_next.
     The loop keeps no reference to the iterate it hands to ``step`` (the
     start included), so ``step`` can free the iterate's parts as soon as
     it has superseded them.
 
-    Returns (x, iterations, size) at the first size <= tol.  Raises
-    ``NotContractingError`` naming the loop after ``max_iter`` steps,
+    Without ``q``, returns (x, iterations, size) at the first size <= tol.
+    With ``q`` (a contraction factor measured elsewhere, NaN for none)
+    the loop also stops on the Banach error bound: at the first size <=
+    tol, or q <= 1/2 and q / (1 - q) * size <= tol / 2.  q is the ratio
+    of the last two sizes once there are two, and the given ``q`` before
+    that.  The bound keeps half of tol because a measured q can fall
+    short of the true factor, and a later loop that reads x adds x's
+    error to its own.  The result is then (x, iterations, size, q).
+    Raises ``NotContractingError`` naming the loop after ``max_iter`` steps,
     after ``_STALL_LIMIT`` consecutive non-decreasing sizes, or at once
     on a non-finite size.  This is the only loop that decides
     convergence for the gauge solve, the harmonic chart and the oracle.
     """
+    bound = q is not None
     last = np.inf
     stall = 0
     held = [x]  # step(held.pop()) hands the iterate over
@@ -80,8 +88,10 @@ def fixed_point(step, x, name, tol, max_iter):
         x, size = step(held.pop())
         if not np.isfinite(size):
             raise NotContractingError(f"{name}: update size is {size}", residual=size)
-        if size <= tol:
-            return x, it, size
+        if bound and it > 1:
+            q = size / last
+        if size <= tol or (bound and q <= 0.5 and q / (1.0 - q) * size <= 0.5 * tol):
+            return (x, it, size, q) if bound else (x, it, size)
         stall = stall + 1 if size >= last else 0
         if stall >= _STALL_LIMIT:
             raise NotContractingError(f"{name}: update size stopped decreasing",
@@ -237,18 +247,30 @@ class MetricField:
 
 
 def solve_preconditioned(grid: Grid, residual, u0: np.ndarray, name: str,
-                         tol: float, max_iter: int) -> np.ndarray:
+                         tol: float, max_iter: int, q=None):
     """The mean-zero u with residual(u) = 0, for an equation whose
     principal part g^{ab} d_a d_b is close to the flat Laplacian.
 
     Picard sweeps u <- mean_zero(u + Delta^{-1} residual(u)) from u0, run
-    through ``fixed_point``; each update is sized by its largest change.
+    through ``fixed_point`` (with its stop rule for ``q``); each update
+    is sized by its largest change.  Returns ``fixed_point``'s result,
+    u first.
     """
     def sweep(u):
         u_new = sp.mean_zero(grid, u + sp.inverse_laplacian(grid, residual(u)))
         return u_new, float(np.max(np.abs(u_new - u)))
 
-    return fixed_point(sweep, u0, name, tol, max_iter)[0]
+    return fixed_point(sweep, u0, name, tol, max_iter, q)
+
+
+def _laplace_beltrami_sweeps(metric: MetricField, rhs: np.ndarray, name: str,
+                             tol: float, max_iter: int):
+    """``solve_preconditioned``'s result for Delta_g u = rhs from
+    mean_zero(Delta^{-1} rhs), the first sweep's iterate from zero."""
+    grid = metric.grid
+    return solve_preconditioned(grid, lambda u: rhs - metric.laplace_beltrami(u),
+                                sp.mean_zero(grid, sp.inverse_laplacian(grid, rhs)),
+                                name, tol, max_iter)
 
 
 def solve_laplace_beltrami(metric: MetricField, rhs: np.ndarray, name: str,
@@ -256,10 +278,7 @@ def solve_laplace_beltrami(metric: MetricField, rhs: np.ndarray, name: str,
     """The mean-zero u with Delta_g u = rhs by ``solve_preconditioned``
     from mean_zero(Delta^{-1} rhs), the first sweep's iterate from zero;
     leading axes of rhs are solved side by side."""
-    grid = metric.grid
-    return solve_preconditioned(grid, lambda u: rhs - metric.laplace_beltrami(u),
-                                sp.mean_zero(grid, sp.inverse_laplacian(grid, rhs)),
-                                name, tol, max_iter)
+    return _laplace_beltrami_sweeps(metric, rhs, name, tol, max_iter)[0]
 
 
 def covariant_derivative(grid, T, nup, nlow, metric=None, A=None):

@@ -202,15 +202,18 @@ class TestCheckpoint:
     HEADER_SIZE = 41
 
     def test_layout(self, tmp_path):
-        # header, psi as <c16, g, lambda, V, A, B, then each carry entry
-        # as its rank and shape (<u4) and its values (<f8), then the digest
+        # header, psi as <c16, g, lambda, V, A, B, the factors q and q_V
+        # (<f8), then each carry entry as its rank and shape (<u4) and its
+        # values (<f8), then the digest
         grid = Grid(d=2, n=8)
         psi, state, carry = random_gauge_state(grid, np.random.default_rng(11))
+        state.diagnostics["q"] = 3.5e-6
         path = tmp_path / "layout.ckpt"
         cli.save_checkpoint(str(path), grid, 0.5, 4, psi, state, carry)
         expected = [psi.astype("<c16"), state.metric.g.astype("<f8"),
                     state.lam.astype("<c16"), state.V.astype("<f8"),
-                    state.A.astype("<f8"), state.B.astype("<f8")]
+                    state.A.astype("<f8"), state.B.astype("<f8"),
+                    np.array([3.5e-6, np.nan], dtype="<f8")]
         for key in ev.CARRY_KEYS:
             entry = np.asarray(carry[key], dtype="<f8")
             expected.append(np.array((entry.ndim,) + entry.shape, dtype="<u4"))
@@ -256,8 +259,9 @@ class TestCheckpoint:
         psi, state, carry = random_gauge_state(grid, np.random.default_rng(2))
         path = tmp_path / "m.ckpt"
         cli.save_checkpoint(str(path), grid, 0.0, 0, psi, state, carry)
-        if offset is None:  # past psi (16 bytes a point) and the gauge blob
-            offset = self.HEADER_SIZE + grid.n**2 * (16 + 8 * (4 + 8 + 2 + 2 + 1))
+        if offset is None:  # past psi (16 bytes a point), the gauge blob, q and q_V
+            offset = (self.HEADER_SIZE + grid.n**2 * (16 + 8 * (4 + 8 + 2 + 2 + 1))
+                      + 2 * 8)
         raw = bytearray(path.read_bytes())
         raw[offset:offset + 4] = value.to_bytes(4, "little")
         raw[-8:] = cli._digest(bytes(raw[:-8]))  # re-sign the edited file
@@ -314,6 +318,34 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(cli.CheckpointError, match="unsupported checkpoint version 1"):
             cli.load_checkpoint(str(path))
+
+    def test_version_3_resume_exits_4(self, tmp_path, capsys):
+        # a format-3 file has no contraction factors after the gauge blob
+        grid = Grid(d=2, n=16)
+        psi, state, carry = random_gauge_state(grid, np.random.default_rng(5))
+        path = tmp_path / "v3.ckpt"
+        cli.save_checkpoint(str(path), grid, 0.0, 0, psi, state, carry)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (3).to_bytes(4, "little")
+        raw[-8:] = cli._digest(bytes(raw[:-8]))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(cli.CheckpointError, match="unsupported checkpoint version 3"):
+            cli.load_checkpoint(str(path))
+        assert run_cli("run", *BASE, "--time.t_end=0.1", f"--resume={path}",
+                       "--output.json=/dev/null") == 4
+        assert "unsupported checkpoint version 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factors", [(2.5e-5, 7.25e-6), (np.nan, 1e-3),
+                                         (np.nan, np.nan)])
+    def test_contraction_factors_roundtrip(self, tmp_path, factors):
+        grid = Grid(d=2, n=8)
+        psi, state, carry = random_gauge_state(grid, np.random.default_rng(7))
+        state.diagnostics.update(zip(("q", "q_V"), factors))
+        path = str(tmp_path / "q.ckpt")
+        cli.save_checkpoint(path, grid, 0.0, 0, psi, state, carry)
+        got = cli.load_checkpoint(path)["state"].diagnostics
+        assert np.array([got["q"], got["q_V"]]).tobytes() == \
+            np.array(factors).tobytes()
 
     @settings(max_examples=12, deadline=None)
     @given(d=st.sampled_from([2, 3]), n=st.sampled_from([8, 10, 12]),
@@ -584,6 +616,26 @@ class TestElliptic:
         out = capsys.readouterr().out
         assert '"outer_iterations": 1' in out
         assert '"lam_l2": 0' in out
+
+    def test_json_carries_the_solve_record(self, tmp_path):
+        out = tmp_path / "ell.json"
+        args = ["--config", "/dev/null", "--grid.n=16",
+                "--elliptic.smallness_threshold=0.5"]
+        assert run_cli("elliptic", *args, f"--output.json={out}") == 0
+        summary = json.loads(out.read_text())
+        keys = list(summary)
+        at = keys.index("outer_iterations")
+        assert keys[at:at + 6] == ["outer_iterations", "final_update", "q",
+                                   "V_iterations", "q_V", "B_iterations"]
+        cfg = cli.RunConfig.build(cli.parse_overrides(args[2:]))
+        grid = cfg.grid()
+        d = ge.solve_elliptic_system(
+            grid, cfg.initial_data(grid).astype(complex), cfg.elliptic()).diagnostics
+        for key in keys[at:at + 6]:
+            want = d[key]
+            assert summary[key] == (want if math.isfinite(want) else "nan"), key
+        assert 0 < summary["q"] < 0.5
+        assert summary["V_iterations"] >= 1 and summary["B_iterations"] >= 1
 
     def test_json_carries_the_dropped_means(self, tmp_path):
         out = tmp_path / "ell.json"

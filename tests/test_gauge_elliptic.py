@@ -326,8 +326,8 @@ class TestWarmStart:
     """A warm solve starts lambda from its linear response to the change
     in psi, and each sweep updates g, then lambda, then A."""
 
-    @pytest.mark.parametrize("scheme, sweeps", [("split_step", [2, 1, 2]),
-                                                ("lawson_rk4", [2, 1, 2, 1])])
+    @pytest.mark.parametrize("scheme, sweeps", [("split_step", [1, 1, 1]),
+                                                ("lawson_rk4", [1, 1, 1, 1])])
     def test_stage_sweep_counts(self, grid2, converged, monkeypatch, scheme, sweeps):
         counts, solve = [], ge.solve_elliptic_system
 
@@ -372,6 +372,47 @@ class TestWarmStart:
         st = ge.solve_elliptic_system(grid2, gaussian_psi(grid2), CFG)
         assert len(live) == st.diagnostics["outer_iterations"] >= 2
         assert live == [1] * len(live)
+
+
+class TestErrorBound:
+    """Solves stop on the Banach bound, and what they return is still
+    within tol of the fixed point: every lambda, g, A, V and B of a cold
+    solve, of a warm solve from another psi's state, and of the stages of
+    one step lies within tol of a cold re-solve at tol * 1e-3."""
+
+    @pytest.mark.parametrize("d, n, amp", [(2, 32, 0.01), (2, 32, 0.1),
+                                           (2, 32, 0.5), (2, 32, 2.0),
+                                           (3, 12, 0.01), (3, 12, 0.5),
+                                           (3, 12, 2.0)])
+    def test_within_tol_of_a_tight_resolve(self, d, n, amp, monkeypatch):
+        grid = Grid(d=d, n=n)
+        cfg = ge.EllipticConfig(smallness_threshold=100.0)
+        tight = ge.EllipticConfig(tol=1e-3 * cfg.tol, max_iter=400,
+                                  smallness_threshold=100.0)
+        cold = ge.solve_elliptic_system(grid, gaussian_psi(grid, amp), cfg,
+                                        report=False)
+        states = [cold, ge.solve_elliptic_system(
+            grid, gaussian_psi(grid, 1.1 * amp, width=0.55, wave=2), cfg,
+            warm=cold, report=False)]
+        solve = ge.solve_elliptic_system
+
+        def kept(*args, **kwargs):
+            states.append(solve(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(ge, "solve_elliptic_system", kept)
+        for scheme in ("split_step", "lawson_rk4"):
+            ev.step(grid, cold.psi, cold, ev.EvolutionConfig(
+                dt=0.025 if d == 2 else 0.02, t_end=1.0, scheme=scheme,
+                elliptic=cfg))
+        monkeypatch.undo()
+        assert len(states) == 2 + 3 + 4
+        for i, st in enumerate(states):
+            ref = ge.solve_elliptic_system(grid, st.psi, tight, report=False)
+            for key in ("lam", "V", "A", "B"):
+                diff = np.max(np.abs(getattr(st, key) - getattr(ref, key)))
+                assert diff <= cfg.tol, (i, key)
+            assert np.max(np.abs(st.metric.g - ref.metric.g)) <= cfg.tol, (i, "g")
 
 
 class TestLinearizeFd:

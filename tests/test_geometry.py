@@ -95,6 +95,81 @@ class TestFixedPoint:
         assert info.value.residual == pytest.approx(2.0 ** -4)
 
 
+    @settings(max_examples=50, deadline=None)
+    @given(a=st.floats(-0.5, 0.5), b=st.floats(-1.0, 1.0),
+           q=st.floats(0.0, 0.5) | st.just(float("nan")))
+    def test_stops_at_the_first_banach_bound(self, a, b, q):
+        # x <- a x + b contracts by |a|; from the second step on the loop
+        # reads q off its own sizes, before that it takes the given q
+        tol, calls, sizes = 1e-9, [], []
+        affine = affine_step(a, b, calls)
+
+        def step(x):
+            x_new, size = affine(x)
+            sizes.append(size)
+            return x_new, size
+
+        x, iterations, size, q_used = geo.fixed_point(step, 0.0, "affine map",
+                                                      tol, 1000, q)
+
+        def bound(k):  # the stop test at step k (1-based)
+            qk = q if k == 1 else sizes[k - 1] / sizes[k - 2]
+            return sizes[k - 1] <= tol or (
+                qk <= 0.5 and qk / (1 - qk) * sizes[k - 1] <= tol / 2)
+
+        assert iterations == len(sizes) and size == sizes[-1]
+        assert bound(iterations)
+        assert not any(bound(k) for k in range(1, iterations))
+        assert np.array_equal(q_used, q if iterations == 1
+                              else sizes[-1] / sizes[-2], equal_nan=True)
+        if iterations > 1 or q >= abs(a):  # a true factor bounds the error
+            assert abs(x - b / (1.0 - a)) <= tol
+
+    def test_bound_saves_the_confirming_step(self):
+        calls = []
+        plain = geo.fixed_point(affine_step(0.1, 1.0, calls), 0.0, "affine map",
+                                1e-10, 100)
+        banach = geo.fixed_point(affine_step(0.1, 1.0, calls), 0.0, "affine map",
+                                 1e-10, 100, float("nan"))
+        assert len(plain) == 3 and len(banach) == 4
+        assert banach[1] == plain[1] - 1
+        assert abs(banach[0] - 1.0 / 0.9) <= 1e-10
+
+    @pytest.mark.parametrize("q", [0.6, float("nan")])
+    def test_slow_contraction_keeps_size_rule(self, q):
+        # a measured q > 1/2 falls back to size <= tol; a borrowed q only
+        # stands in for the first step
+        plain = geo.fixed_point(affine_step(0.7, 1.0, []), 0.0, "affine map",
+                                1e-12, 1000)
+        x, iterations, size, q_used = geo.fixed_point(
+            affine_step(0.7, 1.0, []), 0.0, "affine map", 1e-12, 1000, q)
+        assert (x, iterations, size) == plain
+        assert q_used == pytest.approx(0.7, rel=1e-3)  # sizes near tol
+
+    def test_borrowed_factor_hides_no_failure(self):
+        # a small borrowed q does not stop a step whose bound misses tol,
+        # nor a non-finite size, a stall or the iteration limit
+        calls = []
+
+        def nan_step(x):
+            calls.append(x)
+            return x, float("nan")
+
+        with pytest.raises(geo.NotContractingError, match="update size is nan"):
+            geo.fixed_point(nan_step, 0.0, "nan map", 1e-12, 200, 0.0)
+        assert len(calls) == 1
+        calls = []
+        with pytest.raises(geo.NotContractingError, match="stopped decreasing"):
+            geo.fixed_point(affine_step(2.0, 1.0, calls), 0.0, "affine map",
+                            1e-12, 1000, 1e-6)
+        assert len(calls) == geo._STALL_LIMIT + 1
+        calls = []
+        with pytest.raises(geo.NotContractingError, match="5 iterations") as info:
+            geo.fixed_point(affine_step(0.5, 1.0, calls), 0.0, "slow map",
+                            1e-12, 5, 1e-9)
+        assert len(calls) == 5
+        assert info.value.residual == pytest.approx(2.0 ** -4)
+
     def test_step_holds_the_only_reference_to_its_iterate(self):
         class Iterate:
             def __init__(self, value):
