@@ -679,15 +679,21 @@ def _cmd_norms(args, extras) -> int:
 
 
 def _parse_exponent(text: str):
+    """A Lebesgue exponent: ``inf`` or a rational > 0, else ``ValueError``."""
     t = text.strip().lower()
     if t in ("inf", "infinity", "oo"):
         return math.inf
-    return Fraction(t)
+    value = Fraction(t)
+    if value <= 0:
+        raise ValueError(f"{text!r} is not > 0")
+    return value
 
 
 def _cmd_check_pairs(args, extras) -> int:
     if extras:
         raise ConfigError(f"unexpected arguments: {extras}")
+    if args.dimension < 1:
+        raise ConfigError(f"--dimension must be >= 1, got {args.dimension}")
     try:
         q, r = _parse_exponent(args.q), _parse_exponent(args.r)
         qd, rd = _parse_exponent(args.q_dual), _parse_exponent(args.r_dual)

@@ -29,7 +29,7 @@ import numpy as np
 from smcf import geometry as geo
 from smcf import norms as nrm
 from smcf import spectral as sp
-from smcf.geometry import MetricField
+from smcf.geometry import MetricField, _eye, _raise1
 from smcf.spectral import Grid
 
 __all__ = [
@@ -96,11 +96,6 @@ class GaugeState:
         return report
 
 
-def _raise1(metric, T):
-    """T^a_b = g^{am} T_{mb}."""
-    return np.einsum("am...,mb...->ab...", metric.inv, T)
-
-
 def _raise2(metric, T):
     """T^{ab} = g^{am} g^{bn} T_{mn}."""
     return np.einsum("am...,bn...,mn...->ab...", metric.inv, metric.inv, T)
@@ -109,11 +104,6 @@ def _raise2(metric, T):
 def _raised(metric, lam):
     """(lam^a_b, lam^{ab}): the raised pair that the V and B sources read."""
     return _raise1(metric, lam), _raise2(metric, lam)
-
-
-def _eye(grid):
-    """The identity matrix, broadcastable against a (d, d) field stack."""
-    return np.eye(grid.d).reshape((grid.d, grid.d) + (1,) * grid.d)
 
 
 def _contract(update, x0, cfg, name):
@@ -133,21 +123,14 @@ def _lambda_update(grid, dpsi, metric, A, lam):
     Covariant curl-freeness and the gauged divergence identity are
     rewritten as a flat Hodge system per column, with the metric and
     connection corrections taken at ``lam``; the result is symmetrized.
-    The divergence data is contracted before it is connected:
-    g^{ca} nabla^A_c lam_ab = g^{ca} d_c lam_ab - H^s lam_sb
-    - Gamma^s_{cb} lam^c_s + i A^a lam_ab, H = ``metric.harmonic_defect``.
+    The curl data is ``geo._connection_curl`` and the divergence data
+    ``geo._lambda_divergence_data``, which the constraint report reads
+    too.
     """
-    Gam = metric.christoffel
     # flat curl data (pair, g), its pairs in ``sp.hodge_solve``'s order
     C = geo._connection_curl(metric, A, lam)
-    # flat divergence data: move the non-flat part of the gauged
-    # covariant divergence to the right-hand side
-    D = dpsi - np.einsum("ca...,cab...->b...", metric.inv - _eye(grid),
-                         sp.gradient_sym(grid, lam))
-    D += np.einsum("s...,sb...->b...", metric.harmonic_defect, lam)
-    D += np.einsum("scb...,cs...->b...", Gam, _raise1(metric, lam))
-    A_up = np.einsum("ac...,c...->a...", metric.inv, A)
-    D -= 1j * np.einsum("a...,ab...->b...", A_up, lam)
+    D = geo._lambda_divergence_data(metric, A, lam, sp.gradient_sym(grid, lam), dpsi,
+                                    _raise1(metric, lam))
     lam_new = sp.hodge_solve(grid, C, D)  # every column g at once
     return 0.5 * (lam_new + np.einsum("ab...->ba...", lam_new))
 
@@ -327,29 +310,18 @@ def temporal_equation_residual(grid, metric, lam, psi, V, A, B):
     return sp.mean_zero(grid, res)
 
 
-def _coulomb_curl(metric, lam):
-    """Curl data of the Coulomb system, Im(lam^g_a conj(lam)_{bg}), for
-    the pairs a < b, in ``sp.hodge_solve``'s order."""
-    a, b = np.triu_indices(metric.grid.d, 1)
-    return np.einsum("gp...,pg...->p...", _raise1(metric, lam)[:, a],
-                     np.conj(lam[b])).imag
-
-
-def _A_update(grid, metric, F, A):
-    """One update of the Coulomb div-curl system at (lambda, g), with
-    F = ``_coulomb_curl``; the Coulomb condition is built in and the
-    metric corrections of the divergence are taken at ``A``."""
-    dA = sp.gradient(grid, A)  # (c, b) = d_c A_b
-    div_data = -np.einsum("cb...,cb...->...", metric.inv - _eye(grid), dA) \
-        + np.einsum("c...,c...->...", metric.harmonic_defect, A)
-    return sp.hodge_solve(grid, F, div_data)
+def _A_update(grid, metric, lam, A):
+    """One update of the Coulomb div-curl system at (lambda, g): the
+    data ``geo._coulomb_curl`` and ``geo._coulomb_divergence_data``, the
+    latter at ``A``."""
+    return sp.hodge_solve(grid, geo._coulomb_curl(lam, _raise1(metric, lam)),
+                          geo._coulomb_divergence_data(metric, A, sp.gradient(grid, A)))
 
 
 def _solve_A(grid, lam, metric, cfg, A0):
     """Coulomb connection A at fixed (lambda, g): ``_A_update`` to a
     fixed point from A0."""
-    F = _coulomb_curl(metric, lam)
-    return _contract(lambda A: _A_update(grid, metric, F, A), A0, cfg,
+    return _contract(lambda A: _A_update(grid, metric, lam, A), A0, cfg,
                      "Coulomb connection")
 
 
@@ -379,7 +351,7 @@ def _solve_VB(grid, lam, psi, metric, A, cfg, V0, record=None):
         grid, residual_V, V0, "advection field", cfg.tol, cfg.max_iter,
         record.get("q_V", np.nan))
     rhs_B = _temporal_rhs(grid, metric, lam, lam_up, psi, V, A)
-    B, record["B_iterations"], _ = geo._laplace_beltrami_sweeps(
+    B, record["B_iterations"], _ = geo.solve_laplace_beltrami(
         metric, rhs_B, "temporal connection", cfg.tol, cfg.max_iter)
     return V, B
 
@@ -414,12 +386,13 @@ def _outer_start(grid, psi, warm):
     if warm is not None:
         lam = warm.lam + sp.riesz_pairs(grid, psi - warm.psi)
         metric = warm.metric
-        A = _A_update(grid, metric, _coulomb_curl(metric, lam), warm.A)
+        A = _A_update(grid, metric, lam, warm.A)
         return lam, metric, sp.gradient_sym(grid, metric.g), A
     lam = sp.riesz_pairs(grid, psi)
     metric, dg = _metric_of_h(grid, np.zeros((grid.d, grid.d) + grid.shape))
     # _A_update at A = 0 and g = I, where its divergence data is zero
-    A = sp.hodge_solve(grid, _coulomb_curl(metric, lam), np.zeros(grid.shape))
+    A = sp.hodge_solve(grid, geo._coulomb_curl(lam, _raise1(metric, lam)),
+                       np.zeros(grid.shape))
     return lam, metric, dg, A
 
 
@@ -485,7 +458,7 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
         changes["metric equation"] = float(np.max(np.abs(metric_new.g - metric.g)))
         del metric, dg
         lam_new = _lambda_update(grid, dpsi + 1j * A * psi, metric_new, A, lam)
-        A_new = _A_update(grid, metric_new, _coulomb_curl(metric_new, lam_new), A)
+        A_new = _A_update(grid, metric_new, lam_new, A)
         changes["lambda recovery"] = float(np.max(np.abs(lam_new - lam)))
         changes["Coulomb connection"] = float(np.max(np.abs(A_new - A)))
         size = float(np.max(list(changes.values())))  # NaN-propagating

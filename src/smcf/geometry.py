@@ -2,11 +2,13 @@
 
 Christoffel symbols, (gauge-)covariant derivatives, curvature, the
 intrinsic Sobolev norms built from covariant derivatives, the energy
-functionals, the constraint-residual report for the gauge system, the
-harmonic-coordinate fixing map, ``fixed_point`` (the driver of every
-contraction loop) and ``solve_preconditioned`` (the one Picard sweep
-preconditioned by the flat Laplacian, which every Delta_g solve and the
-advection-field solve run).
+functionals, the data of each gauge condition (defined once, and read
+by the solver's updates, the constraint-residual report and the
+oracle's Coulomb angle), that report, the harmonic-coordinate fixing
+map, ``fixed_point`` (the driver of every contraction loop) and
+``solve_preconditioned`` (the one Picard sweep preconditioned by the
+flat Laplacian, which every Delta_g solve and the advection-field solve
+run).
 
 Tensor fields are numpy arrays with index axes leading and the spatial
 grid trailing, upper indices first.  A rank-(r, s) tensor has shape
@@ -161,6 +163,16 @@ def _ldl_inverse(g):
     return inv, det
 
 
+def _eye(grid):
+    """The identity matrix, broadcastable against a (d, d) field stack."""
+    return np.eye(grid.d).reshape((grid.d, grid.d) + (1,) * grid.d)
+
+
+def _raise1(metric, T):
+    """T^a_b = g^{am} T_{mb}."""
+    return np.einsum("am...,mb...->ab...", metric.inv, T)
+
+
 class MetricField:
     """Riemannian metric g = I + h on the grid, with cached derived data.
 
@@ -210,17 +222,11 @@ class MetricField:
 
     @classmethod
     def from_h(cls, grid: Grid, h: np.ndarray) -> "MetricField":
-        g = np.array(h, dtype=float)
-        for a in range(grid.d):
-            g[a, a] += 1.0
-        return cls(grid, g)
+        return cls(grid, np.asarray(h, dtype=float) + _eye(grid))
 
     @property
     def h(self) -> np.ndarray:
-        h = self.g.copy()
-        for a in range(self.grid.d):
-            h[a, a] -= 1.0
-        return h
+        return self.g - _eye(self.grid)
 
     def _christoffel(self, dg) -> np.ndarray:
         """Gamma^c_{ab} = 1/2 g^{cs} (d_b g_{as} + d_a g_{bs} - d_s g_{ab}),
@@ -263,22 +269,16 @@ def solve_preconditioned(grid: Grid, residual, u0: np.ndarray, name: str,
     return fixed_point(sweep, u0, name, tol, max_iter, q)
 
 
-def _laplace_beltrami_sweeps(metric: MetricField, rhs: np.ndarray, name: str,
-                             tol: float, max_iter: int):
-    """``solve_preconditioned``'s result for Delta_g u = rhs from
-    mean_zero(Delta^{-1} rhs), the first sweep's iterate from zero."""
+def solve_laplace_beltrami(metric: MetricField, rhs: np.ndarray, name: str,
+                           tol: float, max_iter: int):
+    """The mean-zero u with Delta_g u = rhs by ``solve_preconditioned``
+    from mean_zero(Delta^{-1} rhs), the first sweep's iterate from zero;
+    leading axes of rhs are solved side by side.  Returns
+    ``fixed_point``'s result, u first."""
     grid = metric.grid
     return solve_preconditioned(grid, lambda u: rhs - metric.laplace_beltrami(u),
                                 sp.mean_zero(grid, sp.inverse_laplacian(grid, rhs)),
                                 name, tol, max_iter)
-
-
-def solve_laplace_beltrami(metric: MetricField, rhs: np.ndarray, name: str,
-                           tol: float, max_iter: int) -> np.ndarray:
-    """The mean-zero u with Delta_g u = rhs by ``solve_preconditioned``
-    from mean_zero(Delta^{-1} rhs), the first sweep's iterate from zero;
-    leading axes of rhs are solved side by side."""
-    return _laplace_beltrami_sweeps(metric, rhs, name, tol, max_iter)[0]
 
 
 def covariant_derivative(grid, T, nup, nlow, metric=None, A=None):
@@ -332,6 +332,33 @@ def _connection_curl(metric, A, lam):
     G, A = metric.christoffel, A[:, np.newaxis]
     return (np.einsum("spb...,ps...->pb...", G[:, c], lam[a]) - 1j * A[c] * lam[a]) \
         - (np.einsum("spb...,ps...->pb...", G[:, a], lam[c]) - 1j * A[a] * lam[c])
+
+
+def _lambda_divergence_data(metric, A, lam, dlam, dpsi, lam_up):
+    """The data D of the gauged divergence g^{ca} nabla^A_c lam_ab = dpsi_b
+    as a flat one, d_a lam_ab = D_b = dpsi_b - (g^{ca} - delta^{ca}) d_c lam_ab
+    + H^s lam_sb + Gamma^s_{cb} lam^c_s - i A^a lam_ab (contracted first,
+    H = ``harmonic_defect``), from dlam = d_c lam_ab and lam_up = lam^c_b."""
+    D = dpsi - np.einsum("ca...,cab...->b...", metric.inv - _eye(metric.grid), dlam)
+    D += np.einsum("s...,sb...->b...", metric.harmonic_defect, lam)
+    D += np.einsum("scb...,cs...->b...", metric.christoffel, lam_up)
+    A_up = np.einsum("ac...,c...->a...", metric.inv, A)
+    D -= 1j * np.einsum("a...,ab...->b...", A_up, lam)
+    return D
+
+
+def _coulomb_curl(lam, lam_up):
+    """The data of A's curl condition d_a A_b - d_b A_a = Im(lam^g_a
+    conj(lam_bg)), lam_up = lam^g_a, on ``sp.hodge_solve``'s pairs a < b."""
+    a, b = np.triu_indices(lam.shape[0], 1)
+    return np.einsum("gp...,pg...->p...", lam_up[:, a], np.conj(lam[b])).imag
+
+
+def _coulomb_divergence_data(metric, A, dA):
+    """The data of the Coulomb condition g^{ab} nabla_a A_b = 0 as a flat
+    one, d_a A_a = -(g^{ab} - delta^{ab}) d_a A_b + H^c A_c, dA = d_a A_b."""
+    return -np.einsum("cb...,cb...->...", metric.inv - _eye(metric.grid), dA) \
+        + np.einsum("c...,c...->...", metric.harmonic_defect, A)
 
 
 def _riemann_entries(metric):
@@ -456,18 +483,18 @@ def constraint_residuals(grid, psi, metric, lam, A, mean_project=True):
     scalar mean curvature), the metric, the complex second fundamental
     form lam (both indices lower) and the connection covector A.
 
-    Each condition is formed on its independent entries, contracted
-    before it is connected (H = ``harmonic_defect``):
-    Gauss R_{sgab} - Re(lam_{bg} conj(lam_{as}) - lam_{ag} conj(lam_{bs}))
-    on ``_riemann_entries``; Codazzi d_c lam_{ab} - d_a lam_{cb} minus
-    ``_connection_curl`` on the pairs c < a, every b; the divergence
-    g^{ca} d_c lam_{ab} - H^s lam_{sb} - Gamma^s_{cb} lam^c_s + i A^a lam_{ab}
-    - (d_b psi + i A_b psi); curl_a d_a A_b - d_b A_a - Im(lam^g_a
-    conj(lam_{bg})) on the pairs a < b; Coulomb g^{ab} d_a A_b - H^c A_c.
-    In the norms each entry counts as often as it stands in the full
-    tensor: a Gauss entry 4 or 8 times, a Codazzi or curl_a entry twice.
-    These forms use the symmetry of lam, which the ``symmetry`` entry
-    measures; every lam the program builds is exactly symmetric.
+    Gauss, R_{sgab} - Re(lam_{bg} conj(lam_{as}) - lam_{ag} conj(lam_{bs})),
+    is formed on ``_riemann_entries``.  Each other gauge condition is
+    reported as the data of its one definition, which the solver's
+    updates also read, minus the flat curl or divergence of lam (or of
+    A): ``_connection_curl`` minus Codazzi's d_c lam_{ab} - d_a lam_{cb}
+    on the pairs c < a, every b; ``_lambda_divergence_data`` minus
+    d_a lam_{ab}; ``_coulomb_curl`` minus curl_a's d_a A_b - d_b A_a on
+    the pairs a < b; ``_coulomb_divergence_data`` minus d_a A_a.  In the
+    norms each entry counts as often as it stands in the full tensor: a
+    Gauss entry 4 or 8 times, a Codazzi or curl_a entry twice.  These
+    forms use the symmetry of lam, which the ``symmetry`` entry measures;
+    every lam the program builds is exactly symmetric.
     """
     results, nondecay = {}, {}
 
@@ -493,25 +520,21 @@ def constraint_residuals(grid, psi, metric, lam, A, mean_project=True):
     del gauss
 
     c, a = np.triu_indices(grid.d, 1)
-    codazzi = -_connection_curl(metric, A, lam)
+    codazzi = _connection_curl(metric, A, lam)
     dlam = sp.gradient_sym(grid, lam)  # (c, a, b) = d_c lam_ab
-    codazzi += dlam[c, a]
-    codazzi -= dlam[a, c]
+    for p in range(len(c)):  # pair by pair, from views of dlam, not copies
+        codazzi[p] -= dlam[c[p], a[p]]
+        codazzi[p] += dlam[a[p], c[p]]
     report("codazzi", codazzi, 2.0)
-    lam_up = np.einsum("ca...,ab...->cb...", metric.inv, lam)  # lam^c_b
-    div = np.einsum("ca...,cab...->b...", metric.inv, dlam)
+    lam_up = _raise1(metric, lam)  # lam^c_b
+    report("divergence", _lambda_divergence_data(
+        metric, A, lam, dlam, sp.gradient(grid, psi) + 1j * A * psi, lam_up)
+        - np.einsum("aab...->b...", dlam))
     del dlam
-    div += np.einsum("s...,sb...->b...", 1j * np.einsum("sc...,c...->s...", metric.inv, A)
-                     - metric.harmonic_defect, lam)
-    div -= np.einsum("scb...,cs...->b...", metric.christoffel, lam_up)
-    div -= sp.gradient(grid, psi) + 1j * A * psi
-    report("divergence", div)
 
     dA = sp.gradient(grid, A)  # (a, b) = d_a A_b
-    report("curl_a", dA[c, a] - dA[a, c]
-           - np.einsum("gp...,pg...->p...", lam_up[:, c], np.conj(lam[a])).imag, 2.0)
-    report("coulomb", np.einsum("ab...,ab...->...", metric.inv, dA)
-           - np.einsum("c...,c...->...", metric.harmonic_defect, A))
+    report("curl_a", _coulomb_curl(lam, lam_up) - (dA[c, a] - dA[a, c]), 2.0)
+    report("coulomb", _coulomb_divergence_data(metric, A, dA) - np.einsum("aa...->...", dA))
     report("harmonic", metric.harmonic_defect)
     report("symmetry", lam - np.einsum("ba...->ab...", lam))
     report("trace", np.einsum("ab...,ab...->...", metric.inv, lam) - psi)
@@ -536,34 +559,27 @@ def _invert_coordinates(grid, phi):
     return x, np.linalg.inv(jac)
 
 
-def _harmonic_chart(metric):
-    """``harmonic_coordinate_fix`` returning the whole chart:
-    (phi, x, inv_jac, pulled-back MetricField), x and inv_jac as from
-    ``_invert_coordinates``, for callers pulling more fields back."""
-    grid = metric.grid
-    dh = sp.gradient(grid, metric.h).real
-    if sp.l2_norm(grid, dh) > 0.1 * np.sqrt(grid.volume):
-        raise ValueError("metric perturbation too large for the harmonic fix")
-
-    phi = solve_laplace_beltrami(metric, metric.harmonic_defect,
-                                 "harmonic coordinate iteration", 1e-10, 200)
-    x, inv_jac = _invert_coordinates(grid, phi)
-    g_at_x = trig_interp(grid, metric.g, x).real  # (a, b, m)
-    g_new = np.einsum("mac,mbd,abm->cdm", inv_jac, inv_jac, g_at_x)
-    g_new = g_new.reshape((grid.d, grid.d) + grid.shape)
-    return phi, x, inv_jac, MetricField(grid, g_new)
-
-
 def harmonic_coordinate_fix(metric):
     """Find y = x + phi(x) so the pulled-back metric is harmonic.
 
     Solves Delta_g phi^c = g^{ab} Gamma^c_{ab} for all d components in
     one ``solve_laplace_beltrami`` (the coordinate functions
     y^c = x^c + phi^c are then g-harmonic), inverts the coordinate
-    change on the grid, and returns (phi, pulled-back MetricField).
-    Raises ``ValueError`` if the metric perturbation is not small, and
-    ``NotContractingError`` if either iteration fails;
-    ``immersion.align_extracted`` shares the chart via ``_harmonic_chart``.
+    change on the grid, and returns the chart (phi, x, inv_jac,
+    pulled-back MetricField), x and inv_jac as from
+    ``_invert_coordinates``.  Raises ``ValueError`` if the metric
+    perturbation is not small, and ``NotContractingError`` if either
+    iteration fails.
     """
-    phi, _, _, pulled = _harmonic_chart(metric)
-    return phi, pulled
+    grid = metric.grid
+    dh = sp.gradient(grid, metric.h).real
+    if sp.l2_norm(grid, dh) > 0.1 * np.sqrt(grid.volume):
+        raise ValueError("metric perturbation too large for the harmonic fix")
+
+    phi = solve_laplace_beltrami(metric, metric.harmonic_defect,
+                                 "harmonic coordinate iteration", 1e-10, 200)[0]
+    x, inv_jac = _invert_coordinates(grid, phi)
+    g_at_x = trig_interp(grid, metric.g, x).real  # (a, b, m)
+    g_new = np.einsum("mac,mbd,abm->cdm", inv_jac, inv_jac, g_at_x)
+    g_new = g_new.reshape((grid.d, grid.d) + grid.shape)
+    return phi, x, inv_jac, MetricField(grid, g_new)

@@ -216,10 +216,11 @@ def extract_gauge(state: ImmersionState) -> ExtractedGauge:
 
 
 def _coulomb_angle(grid: Grid, metric: MetricField, A: np.ndarray) -> np.ndarray:
-    """Mean-zero theta with Delta_g theta = -div_g A (covariant divergence)."""
-    dA = geo.covariant_derivative(grid, A, 0, 1, metric).real  # (c, a)
-    rhs = -np.einsum("ca...,ca...->...", metric.inv, dA)
-    return geo.solve_laplace_beltrami(metric, rhs, "Coulomb angle solve", 1e-10, 200)
+    """Mean-zero theta with Delta_g theta = -div_g A (covariant divergence):
+    -div_g A = ``geo._coulomb_divergence_data`` - d_a A_a, contracted first."""
+    dA = sp.gradient(grid, A)  # (c, a) = d_c A_a
+    rhs = geo._coulomb_divergence_data(metric, A, dA) - np.einsum("aa...->...", dA)
+    return geo.solve_laplace_beltrami(metric, rhs, "Coulomb angle solve", 1e-10, 200)[0]
 
 
 # --------------------------------------------------------------------------
@@ -322,13 +323,12 @@ def align_extracted(grid: Grid, ex: ExtractedGauge, psi_ref: np.ndarray):
     coordinate translation against the reference field.  Returns the
     aligned psi and a diagnostics dict.
 
-    Step (i) takes the whole chart from ``geometry._harmonic_chart``:
+    Step (i) takes the whole chart from ``geometry.harmonic_coordinate_fix``:
     the grid preimages x, the inverse Jacobian there and the
-    pulled-back metric are computed once, as in
-    ``harmonic_coordinate_fix``, and psi and A are interpolated at the
-    same x.
+    pulled-back metric are computed once, and psi and A are interpolated
+    at the same x.
     """
-    phi, x, inv_jac, metric_y = geo._harmonic_chart(ex.metric)
+    phi, x, inv_jac, metric_y = geo.harmonic_coordinate_fix(ex.metric)
     psi_y = sp.trig_interp(grid, ex.psi, x).reshape(grid.shape)
     A_at_x = sp.trig_interp(grid, ex.A, x).real  # (a, m)
     A_y = np.einsum("mac,am->cm", inv_jac, A_at_x).reshape((grid.d,) + grid.shape)

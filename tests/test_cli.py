@@ -735,3 +735,14 @@ class TestCheckPairs:
 
     def test_bad_exponent(self):
         assert run_cli("check-pairs", "two", "4", "2", "4") == 2
+
+    @pytest.mark.parametrize("pairs", [("2", "0", "2", "3"), ("-2", "4", "2", "4"),
+                                       ("2", "4", "0/5", "4")])
+    def test_exponent_not_positive(self, pairs, capsys):
+        assert run_cli("check-pairs", *pairs) == 2
+        assert "bad exponent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dimension", ["0", "-1"])
+    def test_dimension_below_one(self, dimension, capsys):
+        assert run_cli("check-pairs", "2", "4", "2", "4", "--dimension", dimension) == 2
+        assert "--dimension must be >= 1" in capsys.readouterr().err

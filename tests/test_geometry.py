@@ -279,7 +279,7 @@ class TestSolveLaplaceBeltrami:
         m = small_metric(grid, seed=seed % 1000, amp=0.05)
         u = random_mean_zero(grid, (d,) if stacked else (), seed)
         solved = geo.solve_laplace_beltrami(m, m.laplace_beltrami(u), "LB solve",
-                                            self.TOL, 200)
+                                            self.TOL, 200)[0]
         assert solved.shape == u.shape
         assert np.max(np.abs(solved - u)) <= 10 * self.TOL
 
@@ -300,8 +300,8 @@ class TestSolveLaplaceBeltrami:
             return out
 
         with mock.patch.object(geo, "fixed_point", counted):
-            stacked = geo.solve_laplace_beltrami(m, rhs, "LB solve", self.TOL, 200)
-            alone = [geo.solve_laplace_beltrami(m, rhs[c], "LB solve", self.TOL, 200)
+            stacked = geo.solve_laplace_beltrami(m, rhs, "LB solve", self.TOL, 200)[0]
+            alone = [geo.solve_laplace_beltrami(m, rhs[c], "LB solve", self.TOL, 200)[0]
                      for c in range(d)]
         assert sweeps[0] == max(sweeps[1:])
         for c in range(d):
@@ -626,14 +626,14 @@ class TestTrigInterp:
 class TestHarmonicFix:
     def test_flat_metric_is_fixed_point(self, grid2):
         m = geo.MetricField.identity(grid2)
-        phi, fixed = geo.harmonic_coordinate_fix(m)
+        phi, _, _, fixed = geo.harmonic_coordinate_fix(m)
         assert np.max(np.abs(phi)) <= 1e-12
         assert np.max(np.abs(fixed.g - m.g)) <= 1e-10
 
     def test_defect_removed(self, grid2):
         m = small_metric(grid2, seed=37, amp=0.02)
         before = sp.l2_norm(grid2, m.harmonic_defect)
-        phi, fixed = geo.harmonic_coordinate_fix(m)
+        phi, _, _, fixed = geo.harmonic_coordinate_fix(m)
         after = sp.l2_norm(grid2, fixed.harmonic_defect)
         assert before > 1e-4
         assert after <= 1e-6

@@ -281,6 +281,44 @@ class TestGaugeFixFrame:
         assert after <= 1e-8
 
 
+class TestCoulombAngle:
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_rhs_is_minus_covariant_divergence(self, d, n, monkeypatch):
+        """The right-hand side, formed contract-first from the Coulomb data
+        of ``geometry``, is the literal -g^{ca} nabla_c A_a."""
+        grid, rng = Grid(d=d, n=n), np.random.default_rng(d)
+        h = 0.05 * rng.standard_normal((d, d) + grid.shape)
+        metric = geo.MetricField.from_h(grid, h + np.swapaxes(h, 0, 1))
+        A = rng.standard_normal((d,) + grid.shape)
+        rhs = []
+
+        def recorded(metric, f, *args):  # the rhs only; nothing is solved
+            rhs.append(f)
+            return (np.zeros_like(f),)
+
+        monkeypatch.setattr(geo, "solve_laplace_beltrami", recorded)
+        im._coulomb_angle(grid, metric, A)
+        dA = geo.covariant_derivative(grid, A, 0, 1, metric)  # (c, a)
+        want = -np.einsum("ca...,ca...->...", metric.inv, dA)
+        assert len(rhs) == 1
+        assert np.max(np.abs(rhs[0] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestAlignExtracted:
+    def test_one_chart_per_alignment(self, grid2, graph, monkeypatch):
+        calls, fix = [], geo.harmonic_coordinate_fix
+
+        def counted(metric):
+            calls.append(1)
+            return fix(metric)
+
+        monkeypatch.setattr(geo, "harmonic_coordinate_fix", counted)
+        psi_ref = sp.drop_nyquist(grid2, gaussian_psi(grid2))
+        aligned, _ = im.align_extracted(grid2, im.extract_gauge(graph), psi_ref)
+        assert len(calls) == 1
+        assert sp.l2_norm(grid2, aligned - psi_ref) <= 1e-6
+
+
 class TestConstruction:
     def test_drop_nyquist(self, grid2):
         rng = np.random.default_rng(0)
