@@ -544,13 +544,23 @@ def _cmd_run(args, extras) -> int:
             raise ConfigError("resume checkpoint was written with another dt")
         if tuple(carry["ks"]) != ks:
             raise ConfigError("resume checkpoint monitors another k_list")
+        # keep the header and the rows of steps 0..start; a device keeps none
+        if csv_path and (os.path.isfile(csv_path) or not os.path.exists(csv_path)):
+            try:
+                with open(csv_path, "rb") as f:
+                    rows = f.readlines()[:2 + start + 1]
+            except OSError as exc:
+                raise ConfigError(f"cannot read output.csv {csv_path}: {exc}") from exc
+            if len(rows) < 2 + start + 1:
+                raise ConfigError(f"output.csv {csv_path} ends before the checkpoint")
+            _write_atomic(csv_path, rows)
     else:
         psi = cfg.initial_data(grid)
     monitor = ev.Monitor(grid, ecfg, carry)
     csv_file = None
     try:
         for i, t, psi, state in ev.stepper(grid, psi, ecfg, state, start):
-            sample = monitor.record(psi, state)
+            sample = monitor.record(state)
             if csv_path and csv_file is None:  # no file if the first solve fails
                 csv_file = open(csv_path, "a" if args.resume else "w", newline="")
                 if not args.resume:
@@ -564,6 +574,8 @@ def _cmd_run(args, extras) -> int:
                                + "\n")
             if ckpt_path and ((ckpt_every and i % ckpt_every == 0)
                               or i == n_steps):
+                if csv_file:  # a resume from this checkpoint reads these rows
+                    csv_file.flush()
                 save_checkpoint(ckpt_path, grid, t, i, psi, state,
                                 monitor.carry)
     finally:
@@ -666,7 +678,7 @@ def _cmd_norms(args, extras) -> int:
     state = loaded["state"]
     if state is None:
         state = ge.solve_elliptic_system(grid, psi, cfg.elliptic())
-    row = spatial_row(ev.Monitor(grid, cfg.evolution()).record(psi, state), ks)
+    row = spatial_row(ev.Monitor(grid, cfg.evolution()).record(state), ks)
     summary = {
         "schema": "smcf-json-1",
         "t": loaded["t"],

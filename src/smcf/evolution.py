@@ -12,6 +12,7 @@ terms are advanced explicitly, either by Strang splitting with a
 midpoint stage (second order) or by Lawson's integrating-factor RK4
 (fourth order).
 
+A ``GaugeState`` is psi with its gauge: ``step`` maps one to the next.
 Every run goes through one generator, ``stepper``, which yields (step
 index, t, psi, gauge state) for the initial data and after each step.
 Everything that accumulates along a run (energies E^k, constraint
@@ -162,30 +163,23 @@ def trivial_state(grid: Grid, psi: np.ndarray) -> GaugeState:
     )
 
 
-def _check_match(grid: Grid, psi: np.ndarray, state: GaugeState) -> None:
-    if state.grid is not grid and state.grid != grid:
-        raise ValueError("state grid does not match")
-    if psi.shape != grid.shape:
-        raise ValueError(f"psi shape {psi.shape} does not match grid")
-
-
-def g_tensor(grid: Grid, state: GaugeState) -> np.ndarray:
+def g_tensor(state: GaugeState) -> np.ndarray:
     """Metric velocity G_ab = Im(psi conj(lam)_ab) + sym. gradient of V."""
     V_low = np.einsum("ab...,b...->a...", state.metric.g, state.V)
-    dV = geo.covariant_derivative(grid, V_low, 0, 1, state.metric).real  # (a, b)
+    dV = geo.covariant_derivative(state.grid, V_low, 0, 1, state.metric).real  # (a, b)
     G = (state.psi * np.conj(state.lam)).imag + 0.5 * (
         dV + np.einsum("ab...->ba...", dV)
     )
     return G
 
 
-def schrodinger_rhs(grid: Grid, psi: np.ndarray, state: GaugeState) -> np.ndarray:
+def schrodinger_rhs(state: GaugeState) -> np.ndarray:
     """Full right-hand side d_t psi of the gauged Schrodinger equation.
 
     At the trivial gauge every correction vanishes and the result is
     exactly i * Delta psi.
     """
-    _check_match(grid, psi, state)
+    grid, psi = state.grid, state.psi
     m, A, V, B, lam = state.metric, state.A, state.V, state.B, state.lam
     d1 = geo.covariant_derivative(grid, psi, 0, 0, m, A)       # (c,)
     d2 = geo.covariant_derivative(grid, d1, 0, 1, m, A)        # (c2, c1)
@@ -197,9 +191,9 @@ def schrodinger_rhs(grid: Grid, psi: np.ndarray, state: GaugeState) -> np.ndarra
     return 1j * lap + adv - 1j * B * psi - curv
 
 
-def _residual_rhs(grid: Grid, psi: np.ndarray, state: GaugeState) -> np.ndarray:
+def _residual_rhs(state: GaugeState) -> np.ndarray:
     """Everything beyond the flat part: schrodinger_rhs - i Delta psi."""
-    return schrodinger_rhs(grid, psi, state) - 1j * sp.laplacian(grid, psi)
+    return schrodinger_rhs(state) - 1j * sp.laplacian(state.grid, state.psi)
 
 
 def resolve_gauge(grid: Grid, psi: np.ndarray, cfg: EvolutionConfig,
@@ -221,9 +215,9 @@ def _nan_guard(psi: np.ndarray, t: float) -> None:
         )
 
 
-def step(grid: Grid, psi: np.ndarray, state: GaugeState, cfg: EvolutionConfig,
-         dt: float | None = None, t: float = 0.0):
-    """Advance one step of size dt; returns (psi', state').
+def step(state: GaugeState, cfg: EvolutionConfig, dt: float | None = None,
+         t: float = 0.0) -> GaugeState:
+    """Advance one step of size dt; returns the gauge state of the new psi.
 
     With E(s) the exact flat flow and N the residual terms at the gauge
     of their argument:
@@ -239,38 +233,32 @@ def step(grid: Grid, psi: np.ndarray, state: GaugeState, cfg: EvolutionConfig,
     k1 reads the gauge state the step is given, so the end-of-step
     solve is the next step's first stage.
 
-    Every stage solves the gauge of its psi, warm-started from the
-    previous stage.
+    Each gauge solve is one ``stage(u, warm)``, which returns N(u) and
+    the gauge state of u, warm-started from the previous stage's.
     """
-    _check_match(grid, psi, state)
+    grid, psi = state.grid, state.psi
     dt = cfg.effective_dt(grid) if dt is None else dt
+
+    def stage(u, warm):
+        st = resolve_gauge(grid, u, cfg, warm)
+        return _residual_rhs(st), st
 
     psi_half = sp.free_flow(grid, psi, dt / 2.0)
     if cfg.scheme == "split_step":
-        st_half = resolve_gauge(grid, psi_half, cfg, state)
-        psi_mid = psi_half + (dt / 2.0) * _residual_rhs(grid, psi_half, st_half)
-        st_mid = resolve_gauge(grid, psi_mid, cfg, st_half)
-        psi_out = psi_half + dt * _residual_rhs(grid, psi_mid, st_mid)
-        psi_new = sp.free_flow(grid, psi_out, dt / 2.0)
-        warm = st_mid
+        n, st = stage(psi_half, state)
+        n, st = stage(psi_half + (dt / 2.0) * n, st)
+        psi_new = sp.free_flow(grid, psi_half + dt * n, dt / 2.0)
     else:  # lawson_rk4, with E(dt) taken as two half steps E(dt/2)
-        k1 = _residual_rhs(grid, psi, state)
-        u = sp.free_flow(grid, psi + (dt / 2.0) * k1, dt / 2.0)
-        st = resolve_gauge(grid, u, cfg, state)
-        k2 = _residual_rhs(grid, u, st)
-        u = psi_half + (dt / 2.0) * k2
-        st = resolve_gauge(grid, u, cfg, st)
-        k3 = _residual_rhs(grid, u, st)
-        u = sp.free_flow(grid, psi_half + dt * k3, dt / 2.0)
-        st = resolve_gauge(grid, u, cfg, st)
-        k4 = _residual_rhs(grid, u, st)
+        k1 = _residual_rhs(state)
+        k2, st = stage(sp.free_flow(grid, psi + (dt / 2.0) * k1, dt / 2.0), state)
+        k3, st = stage(psi_half + (dt / 2.0) * k2, st)
+        k4, st = stage(sp.free_flow(grid, psi_half + dt * k3, dt / 2.0), st)
         u = (sp.free_flow(grid, psi + (dt / 6.0) * k1, dt / 2.0)
              + (dt / 3.0) * (k2 + k3))
         psi_new = sp.free_flow(grid, u, dt / 2.0) + (dt / 6.0) * k4
-        warm = st
 
     _nan_guard(psi_new, t + dt)
-    return psi_new, resolve_gauge(grid, psi_new, cfg, warm)
+    return resolve_gauge(grid, psi_new, cfg, st)
 
 
 def strichartz_entries(grid: Grid, psi: np.ndarray, table) -> np.ndarray:
@@ -311,27 +299,26 @@ def stepper(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig,
 
     Without ``state`` the gauge of psi0 is solved and yielded as step 0;
     with psi0's state at step ``start`` (from a checkpoint) the first
-    yield is step start + 1.  Steps follow ``step_count``.  A failing
-    step raises with its time in the message: typed solver errors keep
-    their type, others become ``RuntimeError``.
+    yield is step start + 1, and psi is read from the state.  Steps
+    follow ``step_count``.  A failing step raises with its time in the
+    message: typed solver errors keep their type, others become
+    ``RuntimeError``.
     """
     n_steps, dt = step_count(grid, cfg)
-    psi = psi0
     if state is None:
         state = resolve_gauge(grid, psi0.astype(complex), cfg)
-        psi = state.psi
-        yield 0, 0.0, psi, state
+        yield 0, 0.0, state.psi, state
     for i in range(start, n_steps):
         t = i * dt
         try:
-            psi, state = step(grid, psi, state, cfg, dt=dt, t=t)
+            state = step(state, cfg, dt=dt, t=t)
         except _TYPED_STEP_ERRORS as exc:
             typed = copy.copy(exc)  # keeps attributes such as ``residual``
             typed.args = (f"step failed at t = {t:.6g}: {exc}",)
             raise typed from exc
         except Exception as exc:
             raise RuntimeError(f"step failed at t = {t:.6g}: {exc}") from exc
-        yield i + 1, (i + 1) * dt, psi, state
+        yield i + 1, (i + 1) * dt, state.psi, state
 
 
 @dataclass
@@ -359,7 +346,7 @@ CARRY_KEYS = ("ks", "metric_integral", "g_tensor_prev", "strichartz_prev",
 class Monitor:
     """Running monitors of one run, fed the stepper's samples in order.
 
-    ``record`` takes the spatial monitors of a sample (E^k and the lam
+    ``record`` takes the spatial monitors of a gauge state (E^k and the lam
     k-norms in one derivative pass each) and, with the run's dt, the
     Strichartz sums S += dt/2 (sq + sq_prev), the trapezoid integral of
     d_t g = 2G with ``metric_dev``, and rho^k = (E^k - E^k_prev) /
@@ -370,14 +357,13 @@ class Monitor:
     """
 
     def __init__(self, grid: Grid, cfg: EvolutionConfig, carry: dict | None = None):
-        self.grid = grid
         self.ks = tuple(cfg.monitor_ks)
         self.dt = step_count(grid, cfg)[1]
         self.table = nrm.exponents(grid.d)
         self.carry = carry
 
-    def record(self, psi: np.ndarray, state: GaugeState) -> Sample:
-        grid, ks, dt, m = self.grid, self.ks, self.dt, state.metric
+    def record(self, state: GaugeState) -> Sample:
+        grid, psi, ks, dt, m = state.grid, state.psi, self.ks, self.dt, state.metric
         psi_norms = geo.intrinsic_norms(grid, psi, 0, 0, m, state.A, ks)
         smp = Sample(
             energies={k: psi_norms[k] ** 2 for k in ks},
@@ -385,7 +371,7 @@ class Monitor:
             hs_norm=sp.hs_norm(grid, psi, self.table.s_d),
             lam_linf=sp.linf_norm(grid, state.lam),
             report=state.constraint_report(),
-            G=g_tensor(grid, state),
+            G=g_tensor(state),
         )
         sq = strichartz_entries(grid, psi, self.table)
         E = np.array([smp.energies[k] for k in ks])
@@ -450,7 +436,7 @@ def evolve(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig) -> TrajectoryRepo
     monitor = Monitor(grid, cfg)
     samples, psis = [], []
     for _, _, psi, state in stepper(grid, psi0, cfg):
-        samples.append(monitor.record(psi, state))
+        samples.append(monitor.record(state))
         psis.append(psi.copy())
 
     def series(attr):

@@ -281,12 +281,12 @@ def solve_laplace_beltrami(metric: MetricField, rhs: np.ndarray, name: str,
                                 name, tol, max_iter)
 
 
-def covariant_derivative(grid, T, nup, nlow, metric=None, A=None):
+def covariant_derivative(grid, T, nup, nlow, metric, A=None):
     """Covariant derivative, optionally gauged: nabla^A_c T = nabla_c T + i A_c T.
 
     The new lower (derivative) index is inserted at position ``nup``,
-    so the result is again laid out uppers-first.  ``metric=None``
-    means the flat connection (plain gradient).
+    so the result is again laid out uppers-first.  The flat connection
+    is ``MetricField.identity``'s.
     """
     T = np.asarray(T)
     if T.ndim != nup + nlow + grid.d:
@@ -311,14 +311,13 @@ def _add_connection(grid, T, out, nup, nlow, metric, A):
     """``covariant_derivative`` from the plain gradient ``out`` of T
     (derivative index leading, updated in place): adds the Christoffel
     and gauge terms and moves the derivative index to position ``nup``."""
-    if metric is not None:
-        Gam = metric.christoffel
-        for i in range(nup):
-            _accumulate(np.add, np.moveaxis(out, i + 1, 1), "ags...,s...->ga...",
-                        Gam, np.moveaxis(T, i, 0))
-        for j in range(nlow):
-            _accumulate(np.subtract, np.moveaxis(out, nup + j + 1, 1),
-                        "sgb...,s...->gb...", Gam, np.moveaxis(T, nup + j, 0))
+    Gam = metric.christoffel
+    for i in range(nup):
+        _accumulate(np.add, np.moveaxis(out, i + 1, 1), "ags...,s...->ga...",
+                    Gam, np.moveaxis(T, i, 0))
+    for j in range(nlow):
+        _accumulate(np.subtract, np.moveaxis(out, nup + j + 1, 1),
+                    "sgb...,s...->gb...", Gam, np.moveaxis(T, nup + j, 0))
     if A is not None:
         A_exp = A.reshape((grid.d,) + (1,) * (nup + nlow) + grid.shape)
         out = out + 1j * A_exp * T[np.newaxis]
@@ -327,11 +326,16 @@ def _add_connection(grid, T, out, nup, nlow, metric, A):
 
 def _connection_curl(metric, A, lam):
     """The flat curl d_c lam_{ab} - d_a lam_{cb} of lam minus its gauged
-    covariant curl, (pair, b) + grid on the pairs c < a of ``np.triu_indices``."""
-    c, a = np.triu_indices(metric.grid.d, 1)
-    G, A = metric.christoffel, A[:, np.newaxis]
-    return (np.einsum("spb...,ps...->pb...", G[:, c], lam[a]) - 1j * A[c] * lam[a]) \
-        - (np.einsum("spb...,ps...->pb...", G[:, a], lam[c]) - 1j * A[a] * lam[c])
+    covariant curl, (pair, b) + grid on the pairs c < a of ``np.triu_indices``,
+    pair by pair from views of the Christoffel symbols and lam."""
+    grid, G = metric.grid, metric.christoffel
+    c, a = np.triu_indices(grid.d, 1)
+    out = np.empty((len(c), grid.d) + grid.shape, dtype=complex)
+    for p, (i, j) in enumerate(zip(c, a)):
+        np.einsum("sb...,s...->b...", G[:, i], lam[j], out=out[p])
+        out[p] -= 1j * A[i] * lam[j]
+        out[p] -= np.einsum("sb...,s...->b...", G[:, j], lam[i]) - 1j * A[j] * lam[i]
+    return out
 
 
 def _lambda_divergence_data(metric, A, lam, dlam, dpsi, lam_up):
@@ -394,21 +398,20 @@ def curvature(metric: MetricField):
     return riemann, np.einsum("sm...,mgsb...->gb...", metric.inv, riemann)
 
 
-def tensor_norm_sq_field(grid, T, nup, nlow, metric=None):
-    """Pointwise |T|^2_g (flat contraction when metric is None): the parts
-    Re T and Im T go into the frames of ``MetricField.frames`` index by
-    index (upper by F, lower by E), so it is a flat sum of squares, >= 0."""
+def tensor_norm_sq_field(grid, T, nup, nlow, metric):
+    """Pointwise |T|^2_g: the parts Re T and Im T go into the frames of
+    ``MetricField.frames`` index by index (upper by F, lower by E), so it
+    is a flat sum of squares, >= 0."""
     T = np.asarray(T)
     parts = [T.real, T.imag] if np.iscomplexobj(T) else [T]
-    if metric is not None:
-        F, E = metric.frames
-        for i, M in enumerate([F] * nup + [E] * nlow):
-            parts = [np.moveaxis(np.einsum("ia...,a...->i...", M, np.moveaxis(P, i, 0)),
-                                 0, i) for P in parts]
+    F, E = metric.frames
+    for i, M in enumerate([F] * nup + [E] * nlow):
+        parts = [np.moveaxis(np.einsum("ia...,a...->i...", M, np.moveaxis(P, i, 0)),
+                             0, i) for P in parts]
     return sum(sp._abs2(P, grid) for P in parts)
 
 
-def intrinsic_norm(grid, T, nup, nlow, metric=None, A=None, k=0):
+def intrinsic_norm(grid, T, nup, nlow, metric, A=None, k=0):
     """Intrinsic Sobolev norm: sqrt(sum_{l<=k} int |nabla^{A,l} T|^2_g dmu).
 
     Derivative indices count as lower indices; dmu = sqrt(det g) dx.
@@ -417,19 +420,18 @@ def intrinsic_norm(grid, T, nup, nlow, metric=None, A=None, k=0):
     return intrinsic_norms(grid, T, nup, nlow, metric, A, (k,))[k]
 
 
-def intrinsic_norms(grid, T, nup, nlow, metric=None, A=None, ks=(0,)):
+def intrinsic_norms(grid, T, nup, nlow, metric, A=None, ks=(0,)):
     """``intrinsic_norm`` for every order in ``ks``, keyed by order, from
     one pass over the derivative levels (bit-identical to per-k calls)."""
     if any(k < 0 for k in ks):
         raise ValueError("negative intrinsic norms are not a runtime operation")
-    sqrt_det = 1.0 if metric is None else metric.sqrt_det
     top = max(ks, default=-1)
     norms = {}
     total = 0.0
     cur, up, low = np.asarray(T), nup, nlow
     for level in range(top + 1):
         dens = tensor_norm_sq_field(grid, cur, up, low, metric)
-        total += float(np.sum(dens * sqrt_det) * grid.cell_volume)
+        total += float(np.sum(dens * metric.sqrt_det) * grid.cell_volume)
         if level in ks:
             norms[level] = float(np.sqrt(total))
         if level < top:
@@ -478,7 +480,7 @@ class ConstraintReport:
         return max(r.linf for r in self.as_dict().values())
 
 
-def constraint_residuals(grid, psi, metric, lam, A, mean_project=True):
+def constraint_residuals(grid, psi, metric, lam, A):
     """Residual norms of the compatibility conditions for psi (complex
     scalar mean curvature), the metric, the complex second fundamental
     form lam (both indices lower) and the connection covector A.
@@ -504,8 +506,7 @@ def constraint_residuals(grid, psi, metric, lam, A, mean_project=True):
         mean = sp.field_mean(grid, field)
         w = np.broadcast_to(weight, np.shape(mean))
         nondecay[name] = float(np.sqrt(np.sum(w * np.abs(mean) ** 2)))
-        if mean_project:
-            field = field - mean[(...,) + (np.newaxis,) * grid.d]
+        field = field - mean[(...,) + (np.newaxis,) * grid.d]
         a2 = field.real ** 2 + field.imag ** 2 if np.iscomplexobj(field) else field * field
         a2 = np.tensordot(w, a2, w.ndim)
         results[name] = Residual(float(np.sqrt(np.sum(a2) * grid.cell_volume)),

@@ -535,6 +535,48 @@ class TestRun:
             del full[key], res[key]
         assert res == full
 
+    def test_interrupted_resume_writes_each_row_once(self, tmp_path, monkeypatch):
+        # the run stops at t = 0.175, two steps past its step-5 checkpoint;
+        # the resumed CSV drops those rows and matches the uninterrupted one
+        args = [*BASE, "--time.dt=0.025", "--time.t_end=0.25",
+                "--output.checkpoint_every=5", "--output.json=/dev/null"]
+        full_csv, res_csv = tmp_path / "full.csv", tmp_path / "res.csv"
+        ck = tmp_path / "run.ckpt"
+        assert run_cli("run", *args, f"--output.csv={full_csv}") == 0
+        step = ev.step
+
+        def interrupted(state, cfg, dt=None, t=0.0):
+            if math.isclose(t, 0.175):
+                raise RuntimeError("interrupted")
+            return step(state, cfg, dt=dt, t=t)
+
+        monkeypatch.setattr(ev, "step", interrupted)
+        assert run_cli("run", *args, f"--output.csv={res_csv}",
+                       f"--output.checkpoint={ck}") == 3
+        monkeypatch.undo()
+        assert cli.load_checkpoint(str(ck))["step"] == 5
+        assert len(res_csv.read_text().splitlines()) == 2 + 8
+        assert run_cli("run", *args, f"--output.csv={res_csv}",
+                       f"--output.checkpoint={ck}", f"--resume={ck}") == 0
+        assert res_csv.read_bytes() == full_csv.read_bytes()
+
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_resume_without_the_checkpoint_rows_exits_2(self, tmp_path, capsys,
+                                                       rows):
+        # a checkpoint at step 5 needs the rows of steps 0..5: 6 rows
+        args = [*BASE, "--time.dt=0.025", "--output.json=/dev/null"]
+        csv, ck = tmp_path / "run.csv", tmp_path / "run.ckpt"
+        assert run_cli("run", *args, "--time.t_end=0.125", f"--output.csv={csv}",
+                       f"--output.checkpoint={ck}") == 0
+        lines = csv.read_text().splitlines(keepends=True)
+        if rows is None:
+            csv.unlink()
+        else:
+            csv.write_text("".join(lines[:2 + rows]))
+        assert run_cli("run", *args, "--time.t_end=0.25", f"--output.csv={csv}",
+                       f"--resume={ck}") == 2
+        assert str(csv) in capsys.readouterr().err
+
     def test_resume_with_other_dt_exits_2(self, tmp_path):
         ck = tmp_path / "h.ckpt"
         assert run_cli("run", *BASE, "--time.t_end=0.2",

@@ -83,19 +83,14 @@ class TestConfig:
 class TestRhs:
     def test_zero(self, grid2):
         st = ev.trivial_state(grid2, np.zeros(grid2.shape, complex))
-        rhs = ev.schrodinger_rhs(grid2, st.psi, st)
+        rhs = ev.schrodinger_rhs(st)
         assert np.max(np.abs(rhs)) == 0.0
 
     def test_trivial_gauge_is_free(self, grid2):
         psi = gaussian_psi(grid2)
         st = ev.trivial_state(grid2, psi)
-        rhs = ev.schrodinger_rhs(grid2, psi, st)
+        rhs = ev.schrodinger_rhs(st)
         assert np.max(np.abs(rhs - 1j * sp.laplacian(grid2, psi))) <= 1e-12
-
-    def test_shape_mismatch(self, grid2):
-        st = ev.trivial_state(grid2, np.zeros(grid2.shape, complex))
-        with pytest.raises(ValueError):
-            ev.schrodinger_rhs(grid2, np.zeros((3, 3), complex), st)
 
     def test_single_mode_residual_vanishes(self, grid2):
         # a pure mode is degenerate: its quadratic gauge sources are
@@ -104,7 +99,7 @@ class TestRhs:
         x = grid2.coords()
         psi = 1e-2 * np.exp(1j * x[0])
         st = ge.solve_elliptic_system(grid2, psi, ECFG)
-        res = ev.schrodinger_rhs(grid2, psi, st) - 1j * sp.laplacian(grid2, psi)
+        res = ev.schrodinger_rhs(st) - 1j * sp.laplacian(grid2, psi)
         assert sp.l2_norm(grid2, res) <= 1e-12
 
     def test_cubic_residual_scaling(self, grid2):
@@ -114,7 +109,7 @@ class TestRhs:
         for eps in (1e-2, 1e-3):
             psi = gaussian_psi(grid2, amp=eps)
             st = ge.solve_elliptic_system(grid2, psi, ECFG)
-            res = ev.schrodinger_rhs(grid2, psi, st) - 1j * sp.laplacian(grid2, psi)
+            res = ev.schrodinger_rhs(st) - 1j * sp.laplacian(grid2, psi)
             sizes[eps] = sp.l2_norm(grid2, res)
         slope = np.log10(sizes[1e-2] / sizes[1e-3])
         assert 2.7 <= slope <= 3.3
@@ -125,7 +120,7 @@ class TestStep:
         psi = gaussian_psi(grid2)
         cfg = make_cfg(trivial_gauge=True, dt=0.05, t_end=1.0)
         st = ev.trivial_state(grid2, psi)
-        psi1, _ = ev.step(grid2, psi, st, cfg, dt=0.05)
+        psi1 = ev.step(st, cfg, dt=0.05).psi
         exact = grid2.ifft(np.exp(-1j * grid2.full.k2 * 0.05) * grid2.fft(psi))
         assert np.max(np.abs(psi1 - exact)) <= 1e-12
 
@@ -133,8 +128,8 @@ class TestStep:
         psi = gaussian_psi(grid2)
         cfg = make_cfg(trivial_gauge=True, dt=0.05, t_end=1.0)
         st = ev.trivial_state(grid2, psi)
-        fwd, st1 = ev.step(grid2, psi, st, cfg, dt=0.05)
-        back, _ = ev.step(grid2, fwd, st1, cfg, dt=-0.05)
+        st1 = ev.step(st, cfg, dt=0.05)
+        back = ev.step(st1, cfg, dt=-0.05).psi
         assert np.max(np.abs(back - psi)) <= 1e-12
 
     def test_lawson_trivial_gauge_exact_free(self, grid2):
@@ -142,7 +137,7 @@ class TestStep:
         cfg = make_cfg(trivial_gauge=True, dt=0.05, t_end=1.0,
                        scheme="lawson_rk4")
         st = ev.trivial_state(grid2, psi)
-        psi1, _ = ev.step(grid2, psi, st, cfg, dt=0.05)
+        psi1 = ev.step(st, cfg, dt=0.05).psi
         exact = grid2.ifft(np.exp(-1j * grid2.full.k2 * 0.05) * grid2.fft(psi))
         assert np.max(np.abs(psi1 - exact)) <= 1e-12
 
@@ -151,8 +146,8 @@ class TestStep:
         cfg = make_cfg(trivial_gauge=True, dt=0.05, t_end=1.0,
                        scheme="lawson_rk4")
         st = ev.trivial_state(grid2, psi)
-        fwd, st1 = ev.step(grid2, psi, st, cfg, dt=0.05)
-        back, _ = ev.step(grid2, fwd, st1, cfg, dt=-0.05)
+        st1 = ev.step(st, cfg, dt=0.05)
+        back = ev.step(st1, cfg, dt=-0.05).psi
         assert np.max(np.abs(back - psi)) <= 1e-12
 
     def test_lawson_four_solves_per_step(self, grid2, monkeypatch):
@@ -184,14 +179,14 @@ class TestStep:
 
         def N(u, warm):
             st_u = ge.solve_elliptic_system(grid2, u, ECFG, warm=warm)
-            return ev._residual_rhs(grid2, u, st_u), st_u
+            return ev._residual_rhs(st_u), st_u
 
-        k1 = ev._residual_rhs(grid2, psi, st)
+        k1 = ev._residual_rhs(st)
         k2, st2 = N(E(psi + h / 2 * k1, h / 2), st)
         k3, st3 = N(E(psi, h / 2) + h / 2 * k2, st2)
         k4, _ = N(E(psi, h) + h * E(k3, h / 2), st3)
         written = E(psi, h) + h / 6 * (E(k1, h) + 2 * E(k2 + k3, h / 2) + k4)
-        got, _ = ev.step(grid2, psi, st, cfg, dt=h)
+        got = ev.step(st, cfg, dt=h).psi
         assert np.max(np.abs(got - written)) <= 1e-14
 
     def test_lawson_fourth_order(self, grid2):
@@ -233,7 +228,7 @@ class TestStep:
         cfg = make_cfg(trivial_gauge=True, dt=0.05, t_end=1.0)
         st = ev.trivial_state(grid2, psi)
         with pytest.raises(RuntimeError):
-            ev.step(grid2, psi, st, cfg, dt=0.05)
+            ev.step(st, cfg, dt=0.05)
 
 
 class TestEvolve:
@@ -294,7 +289,7 @@ class TestEvolve:
         assert np.array_equal(traj2.hs_norms, reference_run.hs_norms)
 
     def test_g_tensor_symmetric(self, grid2, reference_run):
-        G = ev.g_tensor(grid2, reference_run.final_state)
+        G = ev.g_tensor(reference_run.final_state)
         assert np.max(np.abs(G - np.einsum("ab...->ba...", G))) <= 1e-12
 
 
@@ -304,7 +299,7 @@ class TestMonitor:
         st = ge.solve_elliptic_system(grid2, gaussian_psi(grid2, amp=3e-2), ECFG)
         m, A = st.metric, st.A
         assert np.max(np.abs(m.h)) > 0 and np.max(np.abs(A)) > 0
-        smp = ev.Monitor(grid2, make_cfg(monitor_ks=ks)).record(st.psi, st)
+        smp = ev.Monitor(grid2, make_cfg(monitor_ks=ks)).record(st)
         assert sorted(smp.energies) == sorted(smp.lam_norms) == sorted(ks)
         for k in ks:
             assert smp.energies[k] == geo.energy(grid2, st.psi, m, A, k)
@@ -338,7 +333,7 @@ class TestLazyReport:
         monitor = ev.Monitor(grid2, cfg)
         for _, _, psi, state in ev.stepper(grid2, gaussian_psi(grid2), cfg):
             if monitored:
-                monitor.record(psi, state)
+                monitor.record(state)
         assert len(calls) == reports
 
     def test_lazy_report_is_the_eager_one(self, grid2, monkeypatch):
@@ -353,7 +348,7 @@ class TestLazyReport:
         cfg = make_cfg(dt=0.05, t_end=0.15)
         psi = gaussian_psi(grid2, amp=3e-2)
         st0 = ev.resolve_gauge(grid2, psi, cfg)
-        _, st1 = ev.step(grid2, psi, st0, cfg)
+        st1 = ev.step(st0, cfg)
         assert "residuals" not in st1.diagnostics
         (grid, psi1, ecfg), kwargs = solves[-1]
         assert psi1 is st1.psi and kwargs.pop("report") is False

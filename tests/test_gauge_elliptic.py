@@ -338,7 +338,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(ge, "solve_elliptic_system", counted)
         cfg = ev.EvolutionConfig(dt=0.025, t_end=1.0, scheme=scheme, elliptic=CFG)
-        ev.step(grid2, converged.psi, converged, cfg)
+        ev.step(converged, cfg)
         assert counts == sweeps
 
     def test_reaches_the_cold_fixed_point(self, grid2, converged):
@@ -402,7 +402,7 @@ class TestErrorBound:
 
         monkeypatch.setattr(ge, "solve_elliptic_system", kept)
         for scheme in ("split_step", "lawson_rk4"):
-            ev.step(grid, cold.psi, cold, ev.EvolutionConfig(
+            ev.step(cold, ev.EvolutionConfig(
                 dt=0.025 if d == 2 else 0.02, t_end=1.0, scheme=scheme,
                 elliptic=cfg))
         monkeypatch.undo()

@@ -459,18 +459,12 @@ class TestNormsAndEnergy:
         assert np.min(dens) >= -1e-14
 
     def test_flat_reduction(self, grid2, flat_sobolev_norm):
+        m = geo.MetricField.identity(grid2)
         f = smooth_scalar(grid2, seed=25, complex_valued=True)
         for k in range(4):
-            a = geo.intrinsic_norm(grid2, f, 0, 0, None, None, k)
+            a = geo.intrinsic_norm(grid2, f, 0, 0, m, None, k)
             b = flat_sobolev_norm(grid2, f, k)
             assert abs(a - b) / b <= 1e-10
-
-    def test_identity_metric_matches_flat(self, grid2, flat_sobolev_norm):
-        m = geo.MetricField.identity(grid2)
-        f = smooth_scalar(grid2, seed=26, complex_valued=True)
-        a = geo.intrinsic_norm(grid2, f, 0, 0, m, None, 3)
-        b = flat_sobolev_norm(grid2, f, 3)
-        assert abs(a - b) / b <= 1e-10
 
     def test_monotone_in_k(self, grid2):
         m = small_metric(grid2, seed=27)
@@ -488,7 +482,8 @@ class TestNormsAndEnergy:
 
     def test_negative_order_rejected(self, grid2):
         with pytest.raises(ValueError):
-            geo.intrinsic_norm(grid2, np.zeros(grid2.shape), 0, 0, None, None, -1)
+            geo.intrinsic_norm(grid2, np.zeros(grid2.shape), 0, 0,
+                               geo.MetricField.identity(grid2), None, -1)
 
 
 class TestConstraintResiduals:
@@ -520,7 +515,7 @@ class TestConstraintResiduals:
         psi = np.full(grid2.shape, 0.5 + 0j)  # constant psi breaks the trace
         lam = np.zeros((2, 2) + grid2.shape, dtype=complex)
         A = np.zeros((2,) + grid2.shape)
-        rep = geo.constraint_residuals(grid2, psi, m, lam, A, mean_project=True)
+        rep = geo.constraint_residuals(grid2, psi, m, lam, A)
         assert rep.trace.l2 <= 1e-13  # constant residual was projected out...
         assert abs(rep.nondecay["trace"] - 0.5) <= 1e-12  # ...and reported
 

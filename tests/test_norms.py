@@ -113,7 +113,7 @@ class TestStrichartz:
         monitor = ev.Monitor(grid2, ev.EvolutionConfig(dt=0.5, t_end=T))
         state = ev.trivial_state(grid2, f)
         for _ in range(9):
-            acc = monitor.record(f, state).strichartz
+            acc = monitor.record(state).strichartz
         spatial = norms.wsp_norm(grid2, f, t.sigma_d, float(t.r_d))
         assert abs(acc - np.sqrt(T) * spatial) <= 1e-10 * max(spatial, 1.0)
 
