@@ -466,6 +466,13 @@ class TestNormsAndEnergy:
             b = flat_sobolev_norm(grid2, f, k)
             assert abs(a - b) / b <= 1e-10
 
+    def test_identity_metric_matches_flat(self, grid2, flat_sobolev_norm):
+        m = geo.MetricField.identity(grid2)
+        f = smooth_scalar(grid2, seed=26, complex_valued=True)
+        a = geo.intrinsic_norm(grid2, f, 0, 0, m, None, 3)
+        b = flat_sobolev_norm(grid2, f, 3)
+        assert abs(a - b) / b <= 1e-10
+
     def test_monotone_in_k(self, grid2):
         m = small_metric(grid2, seed=27)
         f = smooth_scalar(grid2, seed=28, complex_valued=True)
