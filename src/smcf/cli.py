@@ -315,6 +315,8 @@ class RunConfig:
                 raise ConfigError(f"bad {name} settings: {exc}") from exc
         for key in ("output.csv", "output.checkpoint", "output.json"):
             path = v[key]
+            if path == "-" and key != "output.json":  # only the JSON goes to stdout
+                raise ConfigError(f"{key} cannot be '-' (stdout)")
             if path and path != "-":
                 parent = os.path.dirname(os.path.abspath(path))
                 if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
@@ -465,8 +467,7 @@ def load_checkpoint(path: str) -> dict:
     if offset != len(body):
         raise CheckpointError("trailing bytes in checkpoint payload")
     state = None if fields is None else ge.GaugeState(
-        grid=grid, psi=psi, metric=MetricField(grid, fields.pop("g")),
-        **fields)
+        psi=psi, metric=MetricField(grid, fields.pop("g")), **fields)
     return {"grid": grid, "t": t, "step": step, "psi": psi, "state": state,
             "extras": extras}
 
@@ -530,13 +531,13 @@ def _cmd_run(args, extras) -> int:
     ckpt_path = cfg["output.checkpoint"] or None
     ckpt_every = cfg["output.checkpoint_every"]
 
-    start, state, carry = 0, None, None
+    start, carry = 0, None
     if args.resume:
         loaded = _on_grid(load_checkpoint(args.resume), grid,
                           "resume checkpoint")
         if loaded["state"] is None:
             raise ConfigError("resume checkpoint has no gauge/accumulator blob")
-        psi, state, carry = loaded["psi"], loaded["state"], loaded["extras"]
+        state, carry = loaded["state"], loaded["extras"]
         start = int(loaded["step"])
         if start > n_steps:
             raise ConfigError("resume checkpoint is past time.t_end")
@@ -555,17 +556,20 @@ def _cmd_run(args, extras) -> int:
                 raise ConfigError(f"output.csv {csv_path} ends before the checkpoint")
             _write_atomic(csv_path, rows)
     else:
-        psi = cfg.initial_data(grid)
+        state = ev.resolve_gauge(grid, cfg.initial_data(grid), ecfg)
+    steps = ev.stepper(state, ecfg, start)
+    if args.resume:
+        next(steps)  # step ``start``, which the checkpoint recorded
     monitor = ev.Monitor(grid, ecfg, carry)
     csv_file = None
     try:
-        for i, t, psi, state in ev.stepper(grid, psi, ecfg, state, start):
+        if csv_path:  # after the first solve, so that a failing one leaves no file
+            csv_file = open(csv_path, "a" if args.resume else "w", newline="")
+            if not args.resume:
+                csv_file.write(f"# schema={CSV_SCHEMA}\n")
+                csv_file.write(",".join(csv_columns(ks)) + "\n")
+        for i, t, state in steps:
             sample = monitor.record(state)
-            if csv_path and csv_file is None:  # no file if the first solve fails
-                csv_file = open(csv_path, "a" if args.resume else "w", newline="")
-                if not args.resume:
-                    csv_file.write(f"# schema={CSV_SCHEMA}\n")
-                    csv_file.write(",".join(csv_columns(ks)) + "\n")
             if csv_file:
                 row = spatial_row(sample, ks)
                 row.update(t=t, strichartz_acc=sample.strichartz,
@@ -576,7 +580,7 @@ def _cmd_run(args, extras) -> int:
                               or i == n_steps):
                 if csv_file:  # a resume from this checkpoint reads these rows
                     csv_file.flush()
-                save_checkpoint(ckpt_path, grid, t, i, psi, state,
+                save_checkpoint(ckpt_path, grid, t, i, state.psi, state,
                                 monitor.carry)
     finally:
         if csv_file:

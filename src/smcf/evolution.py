@@ -13,8 +13,8 @@ midpoint stage (second order) or by Lawson's integrating-factor RK4
 (fourth order).
 
 A ``GaugeState`` is psi with its gauge: ``step`` maps one to the next.
-Every run goes through one generator, ``stepper``, which yields (step
-index, t, psi, gauge state) for the initial data and after each step.
+Every run goes through one generator, ``stepper``, which steps from one
+gauge state and yields (step index, t, gauge state) for it and after each step.
 Everything that accumulates along a run (energies E^k, constraint
 residuals, the dispersive space-time accumulator, the integrated metric
 law d_t g = 2G, the energy-growth ratios rho and the running maxima)
@@ -153,7 +153,6 @@ def trivial_state(grid: Grid, psi: np.ndarray) -> GaugeState:
     """The frozen flat gauge: g = I, lam = 0, V = A = 0, B = 0."""
     d = grid.d
     return GaugeState(
-        grid=grid,
         psi=psi,
         metric=MetricField.identity(grid),
         lam=np.zeros((d, d) + grid.shape, dtype=complex),
@@ -198,9 +197,10 @@ def _residual_rhs(state: GaugeState) -> np.ndarray:
 
 def resolve_gauge(grid: Grid, psi: np.ndarray, cfg: EvolutionConfig,
                   warm: GaugeState | None = None) -> GaugeState:
-    """Gauge state of psi: the elliptic solve, or the flat gauge under
-    ``trivial_gauge``.  Its constraint report is built on the first
-    ``constraint_report()``, so a stage state builds none."""
+    """Gauge state of psi, taken as complex: the elliptic solve, or the
+    flat gauge under ``trivial_gauge``.  Its constraint report is built
+    on the first ``constraint_report()``, so a stage state builds none."""
+    psi = np.asarray(psi, dtype=complex)
     if cfg.trivial_gauge:
         return trivial_state(grid, psi)
     return ge.solve_elliptic_system(grid, psi, cfg.elliptic, warm=warm,
@@ -293,21 +293,17 @@ def step_count(grid: Grid, cfg: EvolutionConfig) -> tuple:
     return equal_steps(cfg.t_end, cfg.effective_dt(grid))
 
 
-def stepper(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig,
-            state: GaugeState | None = None, start: int = 0):
-    """Yield (i, t_i, psi_i, state_i) along a run to t_end.
-
-    Without ``state`` the gauge of psi0 is solved and yielded as step 0;
-    with psi0's state at step ``start`` (from a checkpoint) the first
-    yield is step start + 1, and psi is read from the state.  Steps
-    follow ``step_count``.  A failing step raises with its time in the
-    message: typed solver errors keep their type, others become
-    ``RuntimeError``.
+def stepper(state: GaugeState, cfg: EvolutionConfig, start: int = 0):
+    """Yield (i, t_i, state_i) along a run to t_end, from the gauge state
+    of step ``start``: first that state itself, then the state after
+    each step.  A run starts from ``resolve_gauge`` of its data; a
+    resume from a checkpoint's state skips the first yield, the step the
+    checkpoint recorded.  Steps follow ``step_count``.  A failing step
+    raises with its time in the message: typed solver errors keep their
+    type, others become ``RuntimeError``.
     """
-    n_steps, dt = step_count(grid, cfg)
-    if state is None:
-        state = resolve_gauge(grid, psi0.astype(complex), cfg)
-        yield 0, 0.0, state.psi, state
+    n_steps, dt = step_count(state.grid, cfg)
+    yield start, start * dt, state
     for i in range(start, n_steps):
         t = i * dt
         try:
@@ -318,7 +314,7 @@ def stepper(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig,
             raise typed from exc
         except Exception as exc:
             raise RuntimeError(f"step failed at t = {t:.6g}: {exc}") from exc
-        yield i + 1, (i + 1) * dt, state.psi, state
+        yield i + 1, (i + 1) * dt, state
 
 
 @dataclass
@@ -435,9 +431,9 @@ def evolve(grid: Grid, psi0: np.ndarray, cfg: EvolutionConfig) -> TrajectoryRepo
     failures are as in ``stepper``."""
     monitor = Monitor(grid, cfg)
     samples, psis = [], []
-    for _, _, psi, state in stepper(grid, psi0, cfg):
+    for _, _, state in stepper(resolve_gauge(grid, psi0, cfg), cfg):
         samples.append(monitor.record(state))
-        psis.append(psi.copy())
+        psis.append(state.psi.copy())
 
     def series(attr):
         return np.array([getattr(s, attr) for s in samples])
@@ -474,11 +470,10 @@ def difference_stability(grid: Grid, psi0: np.ndarray, dpsi0: np.ndarray,
     exceeds the stability budget.
     """
     base = sp.hs_norm(grid, dpsi0, -1.0)
-    diffs = np.array([
-        sp.hs_norm(grid, b - a, -1.0)
-        for (_, _, a, _), (_, _, b, _) in zip(stepper(grid, psi0, cfg),
-                                              stepper(grid, psi0 + dpsi0, cfg))
-    ])
+    runs = (stepper(resolve_gauge(grid, psi, cfg), cfg)
+            for psi in (psi0, psi0 + dpsi0))
+    diffs = np.array([sp.hs_norm(grid, b.psi - a.psi, -1.0)
+                      for (_, _, a), (_, _, b) in zip(*runs)])
     if base == 0.0:
         if np.max(diffs) != 0.0:
             raise RuntimeError("identical data produced distinct trajectories")

@@ -73,9 +73,8 @@ class EllipticConfig:
 
 @dataclass(frozen=True)
 class GaugeState:
-    """Converged gauge variables for one psi at one time."""
+    """Converged gauge variables for one psi at one time, on the metric's grid."""
 
-    grid: Grid
     psi: np.ndarray
     metric: MetricField
     lam: np.ndarray
@@ -83,6 +82,10 @@ class GaugeState:
     A: np.ndarray
     B: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def grid(self) -> Grid:
+        return self.metric.grid
 
     def constraint_report(self) -> geo.ConstraintReport:
         """The mean-projected constraint residuals of this state, computed
@@ -144,14 +147,17 @@ def recover_lambda(grid, psi, metric, A, cfg: EllipticConfig) -> np.ndarray:
                      sp.riesz_pairs(grid, psi), cfg, "lambda recovery")
 
 
-def _metric_rhs(grid, m, lam, psi, dg):
-    """Right-hand side of the harmonic-coordinate metric equation;
-    ``dg`` is ``sp.gradient`` of m.g, (c, a, b) = d_c g_ab."""
-    dginv = sp.gradient_sym(grid, m.inv)  # (c, a, b) = d_c g^{ab}
-    t = np.einsum("gab...,bas...->gs...", dginv, dg)
-    rhs = -t - np.einsum("gs...->sg...", t)
-    rhs += np.einsum("gab...,sab...->gs...", dg, dginv)
+def _metric_rhs(grid, m, lam, psi):
+    """Right-hand side of the harmonic-coordinate metric equation.  The
+    first derivatives of g are read from the lowered Christoffel symbols,
+    d_c g_ab = Gamma_{a,bc} + Gamma_{b,ac}."""
     gam_low = np.einsum("nm...,msa...->nsa...", m.g, m.christoffel)
+    dg = gam_low + np.swapaxes(gam_low, 0, 1)  # (a, b, c) = d_c g_ab
+    dginv = sp.gradient_sym(grid, m.inv)  # (c, a, b) = d_c g^{ab}
+    t = np.einsum("gab...,asb...->gs...", dginv, dg)
+    rhs = -t - np.einsum("gs...->sg...", t)
+    rhs += np.einsum("abg...,sab...->gs...", dg, dginv)
+    del dg  # freed before the terms below, which set the solve's memory peak
     rhs += 2.0 * np.einsum("ab...,nsa...,nbg...->gs...",
                            m.inv, gam_low, m.christoffel)
     lam_up = _raise1(m, lam)
@@ -175,20 +181,19 @@ def _weighted_second_sym(grid, coeff, g):
 def metric_equation_residual(grid, metric, lam, psi):
     """Literal left-minus-right of the metric equation (mean-projected)."""
     lhs = _weighted_second_sym(grid, metric.inv, metric.g)
-    res = lhs - _metric_rhs(grid, metric, lam, psi, sp.gradient_sym(grid, metric.g))
+    res = lhs - _metric_rhs(grid, metric, lam, psi)
     return sp.mean_zero(grid, res)
 
 
-def _metric_update(grid, m, dg, lam, psi):
+def _metric_update(grid, m, lam, psi):
     """One Picard update of the harmonic-coordinate metric equation from
-    the metric m, with dg = ``sp.gradient`` of m.g: the new h = g - I,
-    symmetric and mean-zero.
+    the metric m: the new h = g - I, symmetric and mean-zero.
 
     g^{ab} d^2_{ab} g_{cs} equals quadratic first-derivative terms plus
     the curvature source -2 Re(lam_{cs} conj(psi) - lam_{ac} conj(lam)^a_s);
     the flat Laplacian is the preconditioner.
     """
-    rhs = _metric_rhs(grid, m, lam, psi, dg)
+    rhs = _metric_rhs(grid, m, lam, psi)
     # move the variable-coefficient part of the principal term over
     acc = _weighted_second_sym(grid, m.inv - _eye(grid), m.g)
     h_new = sp.inverse_laplacian(grid, rhs - acc)
@@ -197,14 +202,10 @@ def _metric_update(grid, m, dg, lam, psi):
 
 
 def _metric_of_h(grid, h):
-    """(metric, dg) of g = I + h for a symmetric h; g is differentiated
-    once, and its gradient serves the Christoffel symbols and the next
-    ``_metric_update``.  A g that is not positive definite is a
-    ``LostPositivityError``."""
-    g = h + _eye(grid)
-    dg = sp.gradient_sym(grid, g)
+    """The metric g = I + h of a symmetric h.  A g that is not positive
+    definite is a ``LostPositivityError``."""
     try:
-        return MetricField(grid, g, dg), dg
+        return MetricField.from_h(grid, h)
     except geo.SingularMetricError as exc:
         raise LostPositivityError(str(exc)) from exc
 
@@ -214,9 +215,9 @@ def solve_metric(grid, lam, psi, cfg: EllipticConfig, g0: MetricField | None = N
     at fixed lambda: ``_metric_update`` to a fixed point from g0 (the
     flat metric by default)."""
     h0 = g0.h if g0 is not None else np.zeros((grid.d, grid.d) + grid.shape)
-    h = _contract(lambda h: _metric_update(grid, *_metric_of_h(grid, h), lam, psi),
+    h = _contract(lambda h: _metric_update(grid, _metric_of_h(grid, h), lam, psi),
                   h0, cfg, "metric equation")
-    return _metric_of_h(grid, h)[0]
+    return _metric_of_h(grid, h)
 
 
 def _vector_laplacian(grid, metric, V, dV):
@@ -369,31 +370,31 @@ def solve_VAB(grid, lam, psi, metric, cfg: EllipticConfig, warm=None):
 
 
 def _outer_start(grid, psi, warm):
-    """The (lambda, metric, dg, A) the outer sweep starts from, with
-    dg = ``sp.gradient`` of the metric's g.  At g = I, A = 0 lambda
-    solves to ``sp.riesz_pairs`` of psi, and the rest of the system is
-    at least quadratic in psi.  A cold start is therefore that flat
-    closed form: lambda = R_a R_b psi on the flat metric, and A its
-    Coulomb update at g = I.  (A sweep from lambda = 0 would update g
-    from a zero right-hand side, then reach this same iterate.)  A warm
-    start is the warm state's, with lambda moved by its linear response
-    to the change in psi, exact to first order in the change, and A
-    moved to its Coulomb update at that lambda, so that no block starts
-    a sweep behind and the first sweep contracts as a later one does
-    (the Banach stop of a warm solve borrows the warm state's factor).
-    Built in the solver's call, so that no frame keeps the start alive
-    through the sweeps."""
+    """The (lambda, metric, A) the outer sweep starts from.  At g = I,
+    A = 0 lambda solves to ``sp.riesz_pairs`` of psi, and the rest of
+    the system is at least quadratic in psi.  A cold start is therefore
+    that flat closed form: lambda = R_a R_b psi on
+    ``MetricField.identity``, and A its Coulomb update at g = I.  (A
+    sweep from lambda = 0 would update g from a zero right-hand side,
+    then reach this same iterate.)  A warm start is the warm state's,
+    its metric as it is, with lambda moved by its linear response to the
+    change in psi, exact to first order in the change, and A moved to
+    its Coulomb update at that lambda, so that no block starts a sweep
+    behind and the first sweep contracts as a later one does (the Banach
+    stop of a warm solve borrows the warm state's factor).  Built in the
+    solver's call, so that no frame keeps the start alive through the
+    sweeps."""
     if warm is not None:
         lam = warm.lam + sp.riesz_pairs(grid, psi - warm.psi)
         metric = warm.metric
         A = _A_update(grid, metric, lam, warm.A)
-        return lam, metric, sp.gradient_sym(grid, metric.g), A
+        return lam, metric, A
     lam = sp.riesz_pairs(grid, psi)
-    metric, dg = _metric_of_h(grid, np.zeros((grid.d, grid.d) + grid.shape))
+    metric = MetricField.identity(grid)
     # _A_update at A = 0 and g = I, where its divergence data is zero
     A = sp.hodge_solve(grid, geo._coulomb_curl(lam, _raise1(metric, lam)),
                        np.zeros(grid.shape))
-    return lam, metric, dg, A
+    return lam, metric, A
 
 
 def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
@@ -407,9 +408,11 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
     (new g, A) and one ``_A_update`` at the new (lambda, g).  g reads
     lambda, lambda reads (g, A) and A reads (lambda, g); none of them
     reads V or B, so the sweep is triangular in them, and the returned
-    A is the one computed from the returned (lambda, g).  The gradient
-    of g rides in the iterate, so g is differentiated once per sweep,
-    and the superseded metric is freed before the lambda update.  The
+    A is the one computed from the returned (lambda, g).  The iterate
+    is the state's own (lambda, metric, A): g is differentiated once per
+    sweep, by its ``MetricField``, whose Christoffel symbols give the
+    next metric update the first derivatives of g, and the superseded
+    metric is freed before the lambda update.  The
     loop, and the V loop after it, stop on ``geo.fixed_point``'s Banach
     bound, so the returned (lambda, g, A) is within tol of the fixed
     point while ``final_update``, the last sweep's largest change of
@@ -451,21 +454,20 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
     changes = {}  # the last sweep's largest change, by subsystem
 
     def sweep(x):
-        lam, metric, dg, A = x
+        lam, metric, A = x
         del x  # fixed_point keeps no other reference, so the old metric can go
-        metric_new, dg_new = _metric_of_h(
-            grid, _metric_update(grid, metric, dg, lam, psi))
+        metric_new = _metric_of_h(grid, _metric_update(grid, metric, lam, psi))
         changes["metric equation"] = float(np.max(np.abs(metric_new.g - metric.g)))
-        del metric, dg
+        del metric
         lam_new = _lambda_update(grid, dpsi + 1j * A * psi, metric_new, A, lam)
         A_new = _A_update(grid, metric_new, lam_new, A)
         changes["lambda recovery"] = float(np.max(np.abs(lam_new - lam)))
         changes["Coulomb connection"] = float(np.max(np.abs(A_new - A)))
         size = float(np.max(list(changes.values())))  # NaN-propagating
-        return (lam_new, metric_new, dg_new, A_new), size
+        return (lam_new, metric_new, A_new), size
 
     try:
-        (lam, metric, dg, A), sweeps, final_update, q = geo.fixed_point(
+        (lam, metric, A), sweeps, final_update, q = geo.fixed_point(
             sweep, _outer_start(grid, psi, warm), "outer elliptic sweep",
             cfg.tol, cfg.max_iter, recorded.get("q", np.nan))
     except geo.NotContractingError as exc:
@@ -473,12 +475,11 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
         raise geo.NotContractingError(
             f"{exc}; largest change in the {worst} ({changes[worst]:.3e})",
             residual=exc.residual) from exc
-    del dg  # the sweep's alone; not kept through the V and B solves
     record = {"outer_iterations": sweeps, "final_update": final_update,
               "q": q, "q_V": recorded.get("q_V", np.nan)}
     V, B = _solve_VB(grid, lam, psi, metric, A, cfg, V0, record)
 
-    state = GaugeState(grid=grid, psi=psi, metric=metric, lam=lam, V=V, A=A, B=B,
+    state = GaugeState(psi=psi, metric=metric, lam=lam, V=V, A=A, B=B,
                        diagnostics=record)
     if report:
         state.constraint_report()

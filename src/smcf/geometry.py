@@ -178,14 +178,13 @@ class MetricField:
 
     The inverse (C-contiguous, from one field-wise LDL^T pass),
     Christoffel symbols and volume density are computed once at
-    construction; instances are treated as immutable.
+    construction; g is differentiated once, for the Christoffel symbols,
+    and its gradient is not kept (d_c g_ab = Gamma_{a,bc} + Gamma_{b,ac}
+    gives it back).  Instances are treated as immutable.
     ``min_eigenvalue`` is computed on first access.
     """
 
-    def __init__(self, grid: Grid, g: np.ndarray, dg: np.ndarray | None = None):
-        """``dg``, if given, is ``spectral.gradient`` of the symmetric g,
-        for a caller that needs it too; it is used for the Christoffel
-        symbols and not kept."""
+    def __init__(self, grid: Grid, g: np.ndarray):
         g = np.asarray(g, dtype=float)
         if g.shape != (grid.d, grid.d) + grid.shape:
             raise ValueError(f"metric shape {g.shape} does not match grid")
@@ -196,8 +195,7 @@ class MetricField:
         self.g = 0.5 * (g + np.swapaxes(g, 0, 1))  # exact symmetry by storage
         self.inv, det = _ldl_inverse(self.g)
         self.sqrt_det = np.sqrt(det)
-        self.christoffel = self._christoffel(
-            sp.gradient_sym(grid, self.g) if dg is None else dg)
+        self.christoffel = self._christoffel(sp.gradient_sym(grid, self.g))
 
     @functools.cached_property
     def min_eigenvalue(self) -> float:

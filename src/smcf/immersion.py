@@ -445,8 +445,8 @@ def oracle_compare(grid: Grid, psi0: np.ndarray, cfg: OracleConfig) -> OracleRep
         ecfg = ev.EvolutionConfig(dt=cfg.dt_gauge, t_end=cfg.t_end,
                                   scheme="lawson_rk4", elliptic=cfg.elliptic)
         try:
-            for _, _, psi_g, _ in ev.stepper(grid, psi0, ecfg):
-                pass
+            for _, _, st in ev.stepper(ev.resolve_gauge(grid, psi0, ecfg), ecfg):
+                psi_g = st.psi
         except geo.NotContractingError as exc:
             raise GaugeEvolutionError(f"gauge evolution: {exc}",
                                       residual=exc.residual) from exc

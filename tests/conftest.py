@@ -3,6 +3,24 @@
 import numpy as np
 import pytest
 
+from smcf.spectral import Grid
+
+
+@pytest.fixture(scope="module")
+def grid2():
+    """The 32^2 grid most tests run on; a ``Grid`` is a frozen value, so
+    one per module is shared."""
+    return Grid(d=2, n=32)
+
+
+def gaussian_psi(grid, amp=1e-2, width=0.6, wave=1):
+    """Modulated Gaussian bump, mean-projected for torus compatibility."""
+    x = grid.coords()
+    c = grid.length / 2.0
+    r2 = sum((x[a] - c) ** 2 for a in range(grid.d))
+    psi = amp * np.exp(-r2 / (2 * width**2)) * np.exp(1j * wave * (x[0] - c))
+    return psi - np.mean(psi)
+
 
 def _flat_sobolev_norm(grid, T, k):
     """Flat counterpart of the intrinsic norm: sqrt(sum_{l<=k} ||d^l T||^2_{L2}).

@@ -23,22 +23,11 @@ from smcf import norms as nrm
 from smcf import spectral as sp
 from smcf.spectral import Grid
 
-
-def gaussian_psi(grid, amp=1e-2, width=0.6, wave=1):
-    x = grid.coords()
-    c = grid.length / 2.0
-    r2 = sum((x[a] - c) ** 2 for a in range(grid.d))
-    psi = amp * np.exp(-r2 / (2 * width**2)) * np.exp(1j * wave * (x[0] - c))
-    return psi - np.mean(psi)
+from conftest import gaussian_psi
 
 
 ECFG = ge.EllipticConfig(smallness_threshold=0.25)
 ECFG_WIDE = ge.EllipticConfig(smallness_threshold=0.5)
-
-
-@pytest.fixture(scope="module")
-def grid2():
-    return Grid(d=2, n=32)
 
 
 @pytest.fixture(scope="module")

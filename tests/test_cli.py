@@ -113,6 +113,15 @@ class TestConfigParsing:
         assert run_cli("run", "--config", "/dev/null",
                        "--time.resolve_every=2") == 2
 
+    @pytest.mark.parametrize("key", ["output.csv", "output.checkpoint"])
+    def test_dash_is_stdout_for_the_json_only(self, key, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", *BASE, "--time.t_end=0.1", f"--{key}=-",
+                       "--output.json=-") == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "-").exists()
+
     def test_t_end_below_one_step_exits_2(self):
         assert run_cli("run", "--config", "/dev/null", "--time.dt=0.5",
                        "--time.t_end=0.1") == 2
@@ -185,7 +194,7 @@ def random_gauge_state(grid, rng, nk=3, ncomp=2):
     g = np.eye(d).reshape((d, d) + (1,) * d) + 0.05 * real(d, d)
     g = 0.5 * (g + np.swapaxes(g, 0, 1))
     psi = real() + 1j * real()
-    state = ge.GaugeState(grid=grid, psi=psi, metric=geo.MetricField(grid, g),
+    state = ge.GaugeState(psi=psi, metric=geo.MetricField(grid, g),
                           lam=real(d, d) + 1j * real(d, d), V=real(d),
                           A=real(d), B=real())
     shapes = {"ks": (nk,), "metric_integral": (d, d) + grid.shape,

@@ -5,20 +5,8 @@ from smcf import evolution as ev
 from smcf import gauge_elliptic as ge
 from smcf import geometry as geo
 from smcf import spectral as sp
-from smcf.spectral import Grid
 
-
-@pytest.fixture(scope="module")
-def grid2():
-    return Grid(d=2, n=32)
-
-
-def gaussian_psi(grid, amp=1e-2, width=0.6, wave=1):
-    x = grid.coords()
-    c = grid.length / 2.0
-    r2 = sum((x[a] - c) ** 2 for a in range(grid.d))
-    psi = amp * np.exp(-r2 / (2 * width**2)) * np.exp(1j * wave * (x[0] - c))
-    return psi - np.mean(psi)
+from conftest import gaussian_psi
 
 
 ECFG = ge.EllipticConfig(smallness_threshold=0.5)
@@ -162,7 +150,8 @@ class TestStep:
 
         monkeypatch.setattr(ge, "solve_elliptic_system", counting)
         cfg = make_cfg(dt=0.05, t_end=0.15, scheme="lawson_rk4")
-        for _ in ev.stepper(grid2, gaussian_psi(grid2), cfg):
+        state = ev.resolve_gauge(grid2, gaussian_psi(grid2), cfg)
+        for _ in ev.stepper(state, cfg):
             pass
         assert len(calls) == 1 + 4 * 3
 
@@ -200,9 +189,10 @@ class TestStep:
         sols = {}
         for dt in (0.1, 0.05, 0.025, 0.0125):
             cfg = make_cfg(dt=dt, t_end=0.2, scheme="lawson_rk4", elliptic=ecfg)
-            for _, _, psi, _ in ev.stepper(grid2, psi0, cfg):
+            state = ev.resolve_gauge(grid2, psi0, cfg)
+            for _, _, state in ev.stepper(state, cfg):
                 pass
-            sols[dt] = psi
+            sols[dt] = state.psi
         errs = [sp.l2_norm(grid2, sols[dt] - sols[0.0125])
                 for dt in (0.1, 0.05, 0.025)]
         assert 12.0 <= errs[0] / errs[1] <= 40.0
@@ -229,6 +219,20 @@ class TestStep:
         st = ev.trivial_state(grid2, psi)
         with pytest.raises(RuntimeError):
             ev.step(st, cfg, dt=0.05)
+
+
+class TestStepper:
+    def test_steps_from_the_given_state(self, grid2):
+        cfg = make_cfg(dt=0.05, t_end=0.15, trivial_gauge=True)
+        _, dt = ev.step_count(grid2, cfg)
+        state = ev.resolve_gauge(grid2, gaussian_psi(grid2), cfg)
+        steps = ev.stepper(state, cfg, start=1)
+        i, t, first = next(steps)
+        assert (i, t) == (1, dt) and first is state
+        i, t, after = next(steps)
+        assert (i, t) == (2, 2 * dt)
+        np.testing.assert_array_equal(after.psi, ev.step(state, cfg, dt=dt).psi)
+        assert [i for i, _, _ in steps] == [3]
 
 
 class TestEvolve:
@@ -331,7 +335,8 @@ class TestLazyReport:
         monkeypatch.setattr(geo, "constraint_residuals", counting)
         cfg = make_cfg(dt=0.05, t_end=0.15, scheme=scheme)
         monitor = ev.Monitor(grid2, cfg)
-        for _, _, psi, state in ev.stepper(grid2, gaussian_psi(grid2), cfg):
+        state = ev.resolve_gauge(grid2, gaussian_psi(grid2), cfg)
+        for _, _, state in ev.stepper(state, cfg):
             if monitored:
                 monitor.record(state)
         assert len(calls) == reports

@@ -13,19 +13,7 @@ from smcf import spectral as sp
 from smcf.geometry import MetricField
 from smcf.spectral import Grid
 
-
-@pytest.fixture(scope="module")
-def grid2():
-    return Grid(d=2, n=32)
-
-
-def gaussian_psi(grid, amp=1e-2, width=0.6, wave=1):
-    """Modulated Gaussian bump, mean-projected for torus compatibility."""
-    x = grid.coords()
-    c = grid.length / 2.0
-    r2 = sum((x[a] - c) ** 2 for a in range(grid.d))
-    psi = amp * np.exp(-r2 / (2 * width**2)) * np.exp(1j * wave * (x[0] - c))
-    return psi - np.mean(psi)
+from conftest import gaussian_psi
 
 
 CFG = ge.EllipticConfig(smallness_threshold=0.25)
@@ -305,10 +293,10 @@ class TestColdStart:
 
     def test_start_is_the_flat_closed_form(self, grid2):
         psi = gaussian_psi(grid2)
-        lam, metric, dg, A = ge._outer_start(grid2, psi, None)
+        lam, metric, A = ge._outer_start(grid2, psi, None)
         assert np.array_equal(lam, sp.riesz_pairs(grid2, psi))
         assert np.array_equal(metric.g, np.broadcast_to(ge._eye(grid2), metric.g.shape))
-        assert not np.any(dg)
+        assert not np.any(metric.christoffel)
         # the flat Coulomb system: curl Im(lam_ga conj(lam)_bg) on the pairs
         # a < b, divergence 0
         curl = np.einsum("ga...,bg...->ab...", lam, np.conj(lam)).imag
@@ -533,11 +521,20 @@ class TestRealPath:
 
         assert_real_part(vector_laplacian(V), vector_laplacian(V.astype(complex)))
 
-    def test_metric_gradient_handed_over(self, grid2):
-        rng = np.random.default_rng(5)
-        m = rough_metric(grid2, rng)
-        handed = MetricField(grid2, m.g, sp.gradient(grid2, m.g))
-        assert np.array_equal(handed.christoffel, m.christoffel)
+
+class TestMetricGradient:
+    """The metric equation reads the first derivatives of g off the
+    lowered Christoffel symbols, d_c g_ab = Gamma_{a,bc} + Gamma_{b,ac},
+    instead of differentiating g a second time."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_lowered_christoffel_gives_the_gradient(self, d):
+        grid = Grid(d=d, n=8)
+        m = rough_metric(grid, np.random.default_rng(d))
+        low = np.einsum("nm...,mbc...->nbc...", m.g, m.christoffel)  # Gamma_{n,bc}
+        got = np.einsum("abc...->cab...", low + np.swapaxes(low, 0, 1))
+        want = sp.gradient_sym(grid, m.g)  # (c, a, b) = d_c g_ab
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # The forms below build the whole (gauged) covariant derivative and then
@@ -684,7 +681,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 160 * 16 * grid.n**grid.d
+        assert peak <= 146 * 16 * grid.n**grid.d  # 116.2 measured
 
     def test_constraint_report_traced_peak(self):
         # the report's traced numpy peak, in real scalar fields of the grid;

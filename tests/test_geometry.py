@@ -14,11 +14,6 @@ from smcf.geometry import fixed_point
 from smcf.spectral import Grid
 
 
-@pytest.fixture
-def grid2():
-    return Grid(d=2, n=32)
-
-
 def smooth_scalar(grid, seed=0, amp=1.0, complex_valued=False):
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(grid.shape)

@@ -10,11 +10,6 @@ from smcf import spectral as sp
 from smcf.spectral import Grid
 
 
-@pytest.fixture
-def grid2():
-    return Grid(d=2, n=32)
-
-
 def gaussian(grid, width=0.6, amp=1.0):
     x = grid.coords()
     c = grid.length / 2.0

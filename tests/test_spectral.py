@@ -12,11 +12,6 @@ from smcf import spectral as sp
 from smcf.spectral import Grid
 
 
-@pytest.fixture
-def grid2():
-    return Grid(d=2, n=32)
-
-
 def coords(grid):
     return grid.coords()
 
