@@ -390,23 +390,26 @@ def _pack(arr, dtype: str) -> bytes:
     return np.ascontiguousarray(arr, dtype=dtype).tobytes()
 
 
-def save_checkpoint(path: str, grid: Grid, t: float, step: int,
-                    psi: np.ndarray, state=None, carry: dict | None = None):
-    """Binary snapshot, format 4, all little-endian: the 41-byte
-    ``_HEADER`` (magic, version, d, n, length, t, step, blob flag), psi
-    as ``<c16``, then with ``state`` the gauge blob in ``_GAUGE_FIELDS``
-    order, the state's ``_FACTORS`` (so that a resumed run stops its
-    solves where the uninterrupted one does) and the monitor carry in
-    ``evolution.CARRY_KEYS`` order (each entry its rank and shape as
-    ``<u4``, then its ``<f8`` values), and last a 64-bit digest of every
-    byte before it.
+def save_checkpoint(path: str, t: float, step: int, state,
+                    carry: dict | None = None):
+    """Binary snapshot, format 4, of a run's ``GaugeState`` with its
+    monitor ``carry``, or of a (grid, psi) pair as a psi-only data file.
+    All little-endian: the 41-byte ``_HEADER`` (magic, version, d, n,
+    length, t, step, blob flag), psi as ``<c16``, then for a gauge state
+    the gauge blob in ``_GAUGE_FIELDS`` order, the state's ``_FACTORS``
+    (so that a resumed run stops its solves where the uninterrupted one
+    does) and the carry in ``evolution.CARRY_KEYS`` order (each entry
+    its rank and shape as ``<u4``, then its ``<f8`` values), and last a
+    64-bit digest of every byte before it.
 
     Written by ``_write_atomic``, so an interrupted write leaves the
     previous checkpoint intact."""
+    psi_only = isinstance(state, tuple)
+    grid, psi = state if psi_only else (state.grid, state.psi)
     parts = [_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, grid.d, grid.n,
-                          grid.length, t, step, state is not None),
+                          grid.length, t, step, not psi_only),
              _pack(psi, "<c16")]
-    if state is not None:
+    if not psi_only:
         parts += [_pack(state.metric.g if name == "g" else getattr(state, name),
                         dtype) for name, _, dtype in _GAUGE_FIELDS]
         parts.append(_pack([state.diagnostics.get(k, np.nan) for k in _FACTORS],
@@ -580,8 +583,7 @@ def _cmd_run(args, extras) -> int:
                               or i == n_steps):
                 if csv_file:  # a resume from this checkpoint reads these rows
                     csv_file.flush()
-                save_checkpoint(ckpt_path, grid, t, i, state.psi, state,
-                                monitor.carry)
+                save_checkpoint(ckpt_path, t, i, state, monitor.carry)
     finally:
         if csv_file:
             csv_file.close()

@@ -217,7 +217,8 @@ def _nan_guard(psi: np.ndarray, t: float) -> None:
 
 def step(state: GaugeState, cfg: EvolutionConfig, dt: float | None = None,
          t: float = 0.0) -> GaugeState:
-    """Advance one step of size dt; returns the gauge state of the new psi.
+    """Advance one step of size dt, by default the run's equal step
+    (``step_count``); returns the gauge state of the new psi.
 
     With E(s) the exact flat flow and N the residual terms at the gauge
     of their argument:
@@ -237,7 +238,7 @@ def step(state: GaugeState, cfg: EvolutionConfig, dt: float | None = None,
     the gauge state of u, warm-started from the previous stage's.
     """
     grid, psi = state.grid, state.psi
-    dt = cfg.effective_dt(grid) if dt is None else dt
+    dt = step_count(grid, cfg)[1] if dt is None else dt
 
     def stage(u, warm):
         st = resolve_gauge(grid, u, cfg, warm)

@@ -13,7 +13,9 @@ elliptic system:
 
 g, lambda and A are found together by block Gauss-Seidel sweeps, one
 update of each per sweep in that order; V and B once from the converged
-three.
+three.  The g, V and B equations each have one residual, right-hand
+side minus left-hand side, which ``geo.preconditioned_sweep`` drives to
+zero and which their public ``*_equation_residual`` reads.
 
 All torus zero modes are projected out (the compatibility integrals
 that vanish on decaying data need not vanish on the torus); discarded
@@ -29,7 +31,7 @@ import numpy as np
 from smcf import geometry as geo
 from smcf import norms as nrm
 from smcf import spectral as sp
-from smcf.geometry import MetricField, _eye, _raise1
+from smcf.geometry import MetricField, _raise1
 from smcf.spectral import Grid
 
 __all__ = [
@@ -147,25 +149,6 @@ def recover_lambda(grid, psi, metric, A, cfg: EllipticConfig) -> np.ndarray:
                      sp.riesz_pairs(grid, psi), cfg, "lambda recovery")
 
 
-def _metric_rhs(grid, m, lam, psi):
-    """Right-hand side of the harmonic-coordinate metric equation.  The
-    first derivatives of g are read from the lowered Christoffel symbols,
-    d_c g_ab = Gamma_{a,bc} + Gamma_{b,ac}."""
-    gam_low = np.einsum("nm...,msa...->nsa...", m.g, m.christoffel)
-    dg = gam_low + np.swapaxes(gam_low, 0, 1)  # (a, b, c) = d_c g_ab
-    dginv = sp.gradient_sym(grid, m.inv)  # (c, a, b) = d_c g^{ab}
-    t = np.einsum("gab...,asb...->gs...", dginv, dg)
-    rhs = -t - np.einsum("gs...->sg...", t)
-    rhs += np.einsum("abg...,sab...->gs...", dg, dginv)
-    del dg  # freed before the terms below, which set the solve's memory peak
-    rhs += 2.0 * np.einsum("ab...,nsa...,nbg...->gs...",
-                           m.inv, gam_low, m.christoffel)
-    lam_up = _raise1(m, lam)
-    rhs -= 2.0 * ((lam * np.conj(psi)).real
-                  - np.einsum("ag...,as...->gs...", lam, np.conj(lam_up)).real)
-    return rhs
-
-
 def _weighted_second_sym(grid, coeff, g):
     """``sp.hessian_trace`` of an exactly symmetric, real (d, d) stack g:
     each entry g_cs with c <= s is transformed once, and mirrored.  Entry
@@ -178,27 +161,38 @@ def _weighted_second_sym(grid, coeff, g):
     return out
 
 
-def metric_equation_residual(grid, metric, lam, psi):
-    """Literal left-minus-right of the metric equation (mean-projected)."""
-    lhs = _weighted_second_sym(grid, metric.inv, metric.g)
-    res = lhs - _metric_rhs(grid, metric, lam, psi)
-    return sp.mean_zero(grid, res)
-
-
-def _metric_update(grid, m, lam, psi):
-    """One Picard update of the harmonic-coordinate metric equation from
-    the metric m: the new h = g - I, symmetric and mean-zero.
+def _metric_residual(grid, m, lam, psi):
+    """Right-hand side minus left-hand side of the harmonic-coordinate
+    metric equation at the metric m, exactly symmetric.
 
     g^{ab} d^2_{ab} g_{cs} equals quadratic first-derivative terms plus
-    the curvature source -2 Re(lam_{cs} conj(psi) - lam_{ac} conj(lam)^a_s);
-    the flat Laplacian is the preconditioner.
+    the curvature source -2 Re(lam_{cs} conj(psi) - lam_{ac} conj(lam)^a_s).
+    The first derivatives of g are read from the lowered Christoffel
+    symbols, d_c g_ab = Gamma_{a,bc} + Gamma_{b,ac}.
     """
-    rhs = _metric_rhs(grid, m, lam, psi)
-    # move the variable-coefficient part of the principal term over
-    acc = _weighted_second_sym(grid, m.inv - _eye(grid), m.g)
-    h_new = sp.inverse_laplacian(grid, rhs - acc)
-    h_new = 0.5 * (h_new + np.einsum("ab...->ba...", h_new))
-    return sp.mean_zero(grid, h_new)
+    gam_low = np.einsum("nm...,msa...->nsa...", m.g, m.christoffel)
+    dg = gam_low + np.swapaxes(gam_low, 0, 1)  # (a, b, c) = d_c g_ab
+    dginv = sp.gradient_sym(grid, m.inv)  # (c, a, b) = d_c g^{ab}
+    t = np.einsum("gab...,asb...->gs...", dginv, dg)
+    r = -t - np.einsum("gs...->sg...", t)
+    r += np.einsum("abg...,sab...->gs...", dg, dginv)
+    del dg  # freed before the terms below, which set the solve's memory peak
+    r += 2.0 * np.einsum("ab...,nsa...,nbg...->gs...",
+                         m.inv, gam_low, m.christoffel)
+    lam_up = _raise1(m, lam)
+    r -= 2.0 * ((lam * np.conj(psi)).real
+                - np.einsum("ag...,as...->gs...", lam, np.conj(lam_up)).real)
+    r -= _weighted_second_sym(grid, m.inv, m.g)
+    for c in range(grid.d):
+        for s in range(c + 1, grid.d):
+            r[c, s] = r[s, c] = 0.5 * (r[c, s] + r[s, c])
+    return r
+
+
+def metric_equation_residual(grid, metric, lam, psi):
+    """Left minus right of the metric equation (mean-projected): minus
+    the residual that the metric solve drives to zero."""
+    return -sp.mean_zero(grid, _metric_residual(grid, metric, lam, psi))
 
 
 def _metric_of_h(grid, h):
@@ -212,11 +206,12 @@ def _metric_of_h(grid, h):
 
 def solve_metric(grid, lam, psi, cfg: EllipticConfig, g0: MetricField | None = None):
     """Solve the harmonic-coordinate quasilinear equation for the metric
-    at fixed lambda: ``_metric_update`` to a fixed point from g0 (the
-    flat metric by default)."""
+    at fixed lambda: ``geo.solve_preconditioned`` on h = g - I and
+    ``_metric_residual``, from g0 (the flat metric by default)."""
     h0 = g0.h if g0 is not None else np.zeros((grid.d, grid.d) + grid.shape)
-    h = _contract(lambda h: _metric_update(grid, _metric_of_h(grid, h), lam, psi),
-                  h0, cfg, "metric equation")
+    h = geo.solve_preconditioned(
+        grid, lambda h: _metric_residual(grid, _metric_of_h(grid, h), lam, psi),
+        h0, "metric equation", cfg.tol, cfg.max_iter)[0]
     return _metric_of_h(grid, h)
 
 
@@ -262,23 +257,23 @@ def _advection_source(grid, metric, lam, lam_up, psi):
     return rhs0, W
 
 
-def _advection_rhs(metric, source, V, dV):
-    """Right-hand side of the advection-field equation at V (with
-    dV = nabla V), from ``_advection_source``."""
+def _advection_residual(grid, metric, source, V):
+    """Right-hand side minus left-hand side of the advection-field
+    equation at V, from ``_advection_source``."""
     rhs0, W = source
-    rhs = rhs0 - np.einsum("gs...,s...->g...", W, V)
-    rhs += 2.0 * np.einsum("ab...,gab...->g...", _grad_up(metric, dV),
-                           metric.christoffel)
-    return rhs
+    dV = geo.covariant_derivative(grid, V, 1, 0, metric)
+    r = rhs0 - np.einsum("gs...,s...->g...", W, V)
+    r += 2.0 * np.einsum("ab...,gab...->g...", _grad_up(metric, dV),
+                         metric.christoffel)
+    r -= _vector_laplacian(grid, metric, V, dV)
+    return r
 
 
 def advection_equation_residual(grid, metric, lam, psi, V):
-    """Literal left-minus-right of the advection equation (mean-projected)."""
-    dV = geo.covariant_derivative(grid, V, 1, 0, metric)
-    res = _vector_laplacian(grid, metric, V, dV).real \
-        - _advection_rhs(metric, _advection_source(
-            grid, metric, lam, _raised(metric, lam), psi), V, dV)
-    return sp.mean_zero(grid, res)
+    """Left minus right of the advection equation (mean-projected): minus
+    the residual that the V solve drives to zero."""
+    source = _advection_source(grid, metric, lam, _raised(metric, lam), psi)
+    return -sp.mean_zero(grid, _advection_residual(grid, metric, source, V))
 
 
 def _temporal_rhs(grid, metric, lam, lam_up, psi, V, A):
@@ -305,10 +300,9 @@ def _temporal_rhs(grid, metric, lam, lam_up, psi, V, A):
 
 
 def temporal_equation_residual(grid, metric, lam, psi, V, A, B):
-    """Literal left-minus-right of the temporal equation (mean-projected)."""
-    res = metric.laplace_beltrami(B).real \
-        - _temporal_rhs(grid, metric, lam, _raised(metric, lam), psi, V, A)
-    return sp.mean_zero(grid, res)
+    """Left minus right of the temporal equation (mean-projected)."""
+    return sp.mean_zero(grid, metric.laplace_beltrami(B).real - _temporal_rhs(
+        grid, metric, lam, _raised(metric, lam), psi, V, A))
 
 
 def _A_update(grid, metric, lam, A):
@@ -340,17 +334,11 @@ def _solve_VB(grid, lam, psi, metric, A, cfg, V0, record=None):
     record = {} if record is None else record
     lam_up = _raised(metric, lam)
     source = _advection_source(grid, metric, lam, lam_up, psi)
-
-    def residual_V(V):
-        dV = geo.covariant_derivative(grid, V, 1, 0, metric)
-        return _advection_rhs(metric, source, V, dV) \
-            - _vector_laplacian(grid, metric, V, dV)
-
     if V0 is None:  # the residual at V = 0 is source[0]
         V0 = sp.mean_zero(grid, sp.inverse_laplacian(grid, source[0]))
     V, record["V_iterations"], _, record["q_V"] = geo.solve_preconditioned(
-        grid, residual_V, V0, "advection field", cfg.tol, cfg.max_iter,
-        record.get("q_V", np.nan))
+        grid, lambda V: _advection_residual(grid, metric, source, V), V0,
+        "advection field", cfg.tol, cfg.max_iter, record.get("q_V", np.nan))
     rhs_B = _temporal_rhs(grid, metric, lam, lam_up, psi, V, A)
     B, record["B_iterations"], _ = geo.solve_laplace_beltrami(
         metric, rhs_B, "temporal connection", cfg.tol, cfg.max_iter)
@@ -403,17 +391,19 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
     """Block Gauss-Seidel sweeps over (g, lambda, A) to a joint fixed
     point, then V and B once on the converged (lambda, g, A).
 
-    Each sweep makes one ``_metric_update`` of g at the iterate's
-    lambda, one ``MetricField`` of the new g, one ``_lambda_update`` at
-    (new g, A) and one ``_A_update`` at the new (lambda, g).  g reads
-    lambda, lambda reads (g, A) and A reads (lambda, g); none of them
-    reads V or B, so the sweep is triangular in them, and the returned
-    A is the one computed from the returned (lambda, g).  The iterate
-    is the state's own (lambda, metric, A): g is differentiated once per
-    sweep, by its ``MetricField``, whose Christoffel symbols give the
-    next metric update the first derivatives of g, and the superseded
-    metric is freed before the lambda update.  The
-    loop, and the V loop after it, stop on ``geo.fixed_point``'s Banach
+    Each sweep makes one ``geo.preconditioned_sweep`` of h = g - I on
+    ``_metric_residual`` at the iterate's lambda (its largest change is
+    the metric's), one ``MetricField`` of the new g, one
+    ``_lambda_update`` at (new g, A) and one ``_A_update`` at the new
+    (lambda, g).  g reads lambda, lambda reads (g, A) and A reads
+    (lambda, g); none of them reads V or B, so the sweep is triangular
+    in them, and the returned A is the one computed from the returned
+    (lambda, g).  The iterate is the state's own (lambda, metric, A): g
+    is differentiated once per sweep, by its ``MetricField``, whose
+    Christoffel symbols give the next metric residual the first
+    derivatives of g, and the superseded metric is freed before the
+    lambda update.  The loop, and the V loop after it, stop on
+    ``geo.fixed_point``'s Banach
     bound, so the returned (lambda, g, A) is within tol of the fixed
     point while ``final_update``, the last sweep's largest change of
     (lambda, g, A), may exceed tol.  A sweep that fails to contract
@@ -456,9 +446,10 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
     def sweep(x):
         lam, metric, A = x
         del x  # fixed_point keeps no other reference, so the old metric can go
-        metric_new = _metric_of_h(grid, _metric_update(grid, metric, lam, psi))
-        changes["metric equation"] = float(np.max(np.abs(metric_new.g - metric.g)))
-        del metric
+        r = _metric_residual(grid, metric, lam, psi)  # before metric.h: the peak
+        h, changes["metric equation"] = geo.preconditioned_sweep(grid, metric.h, r)
+        del metric, r
+        metric_new = _metric_of_h(grid, h)
         lam_new = _lambda_update(grid, dpsi + 1j * A * psi, metric_new, A, lam)
         A_new = _A_update(grid, metric_new, lam_new, A)
         changes["lambda recovery"] = float(np.max(np.abs(lam_new - lam)))

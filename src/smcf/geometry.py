@@ -6,9 +6,10 @@ functionals, the data of each gauge condition (defined once, and read
 by the solver's updates, the constraint-residual report and the
 oracle's Coulomb angle), that report, the harmonic-coordinate fixing
 map, ``fixed_point`` (the driver of every contraction loop) and
-``solve_preconditioned`` (the one Picard sweep preconditioned by the
-flat Laplacian, which every Delta_g solve and the advection-field solve
-run).
+``preconditioned_sweep`` (the one Picard sweep preconditioned by the
+flat Laplacian, which the metric block of the gauge solve and, through
+``solve_preconditioned``, every Delta_g solve and the advection-field
+solve run).
 
 Tensor fields are numpy arrays with index axes leading and the spatial
 grid trailing, upper indices first.  A rank-(r, s) tensor has shape
@@ -30,6 +31,7 @@ __all__ = [
     "SingularMetricError",
     "NotContractingError",
     "fixed_point",
+    "preconditioned_sweep",
     "solve_preconditioned",
     "solve_laplace_beltrami",
     "covariant_derivative",
@@ -250,21 +252,22 @@ class MetricField:
         return np.einsum("ab...,cab...->c...", self.inv, self.christoffel)
 
 
+def preconditioned_sweep(grid: Grid, u: np.ndarray, r: np.ndarray):
+    """One Picard sweep preconditioned by the flat Laplacian from u, with
+    r the residual (right-hand side minus left-hand side) at u:
+    (mean_zero(u + Delta^{-1} r), its largest change of an entry)."""
+    u_new = sp.mean_zero(grid, u + sp.inverse_laplacian(grid, r))
+    return u_new, float(np.max(np.abs(u_new - u)))
+
+
 def solve_preconditioned(grid: Grid, residual, u0: np.ndarray, name: str,
                          tol: float, max_iter: int, q=None):
     """The mean-zero u with residual(u) = 0, for an equation whose
-    principal part g^{ab} d_a d_b is close to the flat Laplacian.
-
-    Picard sweeps u <- mean_zero(u + Delta^{-1} residual(u)) from u0, run
-    through ``fixed_point`` (with its stop rule for ``q``); each update
-    is sized by its largest change.  Returns ``fixed_point``'s result,
-    u first.
-    """
-    def sweep(u):
-        u_new = sp.mean_zero(grid, u + sp.inverse_laplacian(grid, residual(u)))
-        return u_new, float(np.max(np.abs(u_new - u)))
-
-    return fixed_point(sweep, u0, name, tol, max_iter, q)
+    principal part g^{ab} d_a d_b is close to the flat Laplacian:
+    ``preconditioned_sweep`` from u0, run through ``fixed_point`` (with
+    its stop rule for ``q``), whose result it returns, u first."""
+    return fixed_point(lambda u: preconditioned_sweep(grid, u, residual(u)),
+                       u0, name, tol, max_iter, q)
 
 
 def solve_laplace_beltrami(metric: MetricField, rhs: np.ndarray, name: str,

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from smcf import evolution as ev
-from smcf import gauge_elliptic as ge
 from smcf import geometry as geo
 from smcf import norms as nrm
 from smcf import spectral as sp

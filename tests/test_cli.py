@@ -218,7 +218,7 @@ class TestCheckpoint:
         psi, state, carry = random_gauge_state(grid, np.random.default_rng(11))
         state.diagnostics["q"] = 3.5e-6
         path = tmp_path / "layout.ckpt"
-        cli.save_checkpoint(str(path), grid, 0.5, 4, psi, state, carry)
+        cli.save_checkpoint(str(path), 0.5, 4, state, carry)
         expected = [psi.astype("<c16"), state.metric.g.astype("<f8"),
                     state.lam.astype("<c16"), state.V.astype("<f8"),
                     state.A.astype("<f8"), state.B.astype("<f8"),
@@ -239,7 +239,7 @@ class TestCheckpoint:
     def test_digest_covers_header(self, tmp_path, offset, fmt, value):
         grid = Grid(d=2, n=16)
         path = tmp_path / "h.ckpt"
-        cli.save_checkpoint(str(path), grid, 0.5, 10, np.ones(grid.shape, complex))
+        cli.save_checkpoint(str(path), 0.5, 10, (grid, np.ones(grid.shape, complex)))
         raw = bytearray(path.read_bytes())
         struct.pack_into(fmt, raw, offset, value)
         path.write_bytes(bytes(raw))
@@ -249,7 +249,7 @@ class TestCheckpoint:
     def test_norms_on_header_not_matching_payload_exits_4(self, tmp_path, capsys):
         grid = Grid(d=2, n=16)
         path = tmp_path / "n32.ckpt"
-        cli.save_checkpoint(str(path), grid, 0.0, 0, np.zeros(grid.shape, complex))
+        cli.save_checkpoint(str(path), 0.0, 0, (grid, np.zeros(grid.shape, complex)))
         raw = bytearray(path.read_bytes())
         raw[12:16] = (32).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
@@ -267,7 +267,7 @@ class TestCheckpoint:
         grid = Grid(d=2, n=16)
         psi, state, carry = random_gauge_state(grid, np.random.default_rng(2))
         path = tmp_path / "m.ckpt"
-        cli.save_checkpoint(str(path), grid, 0.0, 0, psi, state, carry)
+        cli.save_checkpoint(str(path), 0.0, 0, state, carry)
         if offset is None:  # past psi (16 bytes a point), the gauge blob, q and q_V
             offset = (self.HEADER_SIZE + grid.n**2 * (16 + 8 * (4 + 8 + 2 + 2 + 1))
                       + 2 * 8)
@@ -283,7 +283,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(3)
         psi = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         path = str(tmp_path / "a.ckpt")
-        cli.save_checkpoint(path, grid, 0.375, 7, psi)
+        cli.save_checkpoint(path, 0.375, 7, (grid, psi))
         loaded = cli.load_checkpoint(path)
         assert loaded["t"] == 0.375
         assert loaded["step"] == 7
@@ -293,7 +293,7 @@ class TestCheckpoint:
     def test_corruption_detected(self, tmp_path):
         grid = Grid(d=2, n=16)
         path = tmp_path / "b.ckpt"
-        cli.save_checkpoint(str(path), grid, 0.0, 0, np.zeros(grid.shape, complex))
+        cli.save_checkpoint(str(path), 0.0, 0, (grid, np.zeros(grid.shape, complex)))
         raw = bytearray(path.read_bytes())
         raw[60] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -304,14 +304,14 @@ class TestCheckpoint:
         grid = Grid(d=2, n=16)
         path = str(tmp_path / "e.ckpt")
         psi = np.full(grid.shape, 0.5 + 0.25j)
-        cli.save_checkpoint(path, grid, 0.25, 5, psi)
+        cli.save_checkpoint(path, 0.25, 5, (grid, psi))
 
         def broken_digest(payload):
             raise OSError("disk full")
 
         monkeypatch.setattr(cli, "_digest", broken_digest)
         with pytest.raises(OSError):
-            cli.save_checkpoint(path, grid, 0.5, 10, 2.0 * psi)
+            cli.save_checkpoint(path, 0.5, 10, (grid, 2.0 * psi))
         monkeypatch.undo()
         loaded = cli.load_checkpoint(path)  # checks the digest
         assert (loaded["t"], loaded["step"]) == (0.25, 5)
@@ -321,7 +321,7 @@ class TestCheckpoint:
     def test_version_1_rejected(self, tmp_path):
         grid = Grid(d=2, n=16)
         path = tmp_path / "v1.ckpt"
-        cli.save_checkpoint(str(path), grid, 0.0, 0, np.zeros(grid.shape, complex))
+        cli.save_checkpoint(str(path), 0.0, 0, (grid, np.zeros(grid.shape, complex)))
         raw = bytearray(path.read_bytes())
         raw[4:8] = (1).to_bytes(4, "little")  # the version is checked before the digest
         path.write_bytes(bytes(raw))
@@ -333,7 +333,7 @@ class TestCheckpoint:
         grid = Grid(d=2, n=16)
         psi, state, carry = random_gauge_state(grid, np.random.default_rng(5))
         path = tmp_path / "v3.ckpt"
-        cli.save_checkpoint(str(path), grid, 0.0, 0, psi, state, carry)
+        cli.save_checkpoint(str(path), 0.0, 0, state, carry)
         raw = bytearray(path.read_bytes())
         raw[4:8] = (3).to_bytes(4, "little")
         raw[-8:] = cli._digest(bytes(raw[:-8]))
@@ -351,7 +351,7 @@ class TestCheckpoint:
         psi, state, carry = random_gauge_state(grid, np.random.default_rng(7))
         state.diagnostics.update(zip(("q", "q_V"), factors))
         path = str(tmp_path / "q.ckpt")
-        cli.save_checkpoint(path, grid, 0.0, 0, psi, state, carry)
+        cli.save_checkpoint(path, 0.0, 0, state, carry)
         got = cli.load_checkpoint(path)["state"].diagnostics
         assert np.array([got["q"], got["q_V"]]).tobytes() == \
             np.array(factors).tobytes()
@@ -368,7 +368,7 @@ class TestCheckpoint:
         g = state.metric.g
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/p.ckpt"
-            cli.save_checkpoint(path, grid, t, step, psi, state, carry)
+            cli.save_checkpoint(path, t, step, state, carry)
             loaded = cli.load_checkpoint(path)
         assert (loaded["t"], loaded["step"]) == (t, step)
         got = loaded["state"]
@@ -407,7 +407,7 @@ class TestAtomicWrite:
             if kind == "json":
                 cli._emit(cli.dump_json({"step": step}), path)
             else:
-                cli.save_checkpoint(path, grid, 0.25 * step, step, step * psi)
+                cli.save_checkpoint(path, 0.25 * step, step, (grid, step * psi))
 
         write(1)
         before = (tmp_path / f"out.{kind}").read_bytes()
@@ -597,13 +597,13 @@ class TestRun:
     def test_resume_grid_mismatch(self, tmp_path):
         ck = tmp_path / "m.ckpt"
         grid = Grid(d=2, n=24)
-        cli.save_checkpoint(str(ck), grid, 0.0, 0, np.zeros(grid.shape, complex))
+        cli.save_checkpoint(str(ck), 0.0, 0, (grid, np.zeros(grid.shape, complex)))
         assert run_cli("run", *BASE, f"--resume={ck}") == 2
 
     def test_data_file_on_another_length_exits_2(self, tmp_path, capsys):
         ck = tmp_path / "len.ckpt"
         grid = Grid(d=2, n=16)
-        cli.save_checkpoint(str(ck), grid, 0.0, 0, np.zeros(grid.shape, complex))
+        cli.save_checkpoint(str(ck), 0.0, 0, (grid, np.zeros(grid.shape, complex)))
         assert run_cli("elliptic", *BASE, "--data.kind=file",
                        f"--data.file={ck}", "--grid.length=6.0") == 2
         assert "data.file grid does not match" in capsys.readouterr().err
@@ -642,7 +642,7 @@ class TestNorms:
         ck = tmp_path / "n.ckpt"
         grid = Grid(d=2, n=16)
         psi = 1e-3 * np.exp(1j * grid.coords()[0])
-        cli.save_checkpoint(str(ck), grid, 0.0, 0, psi)
+        cli.save_checkpoint(str(ck), 0.0, 0, (grid, psi))
         return str(ck)
 
     @pytest.mark.parametrize("override", ["--grid.n=32", "--dimension=3",

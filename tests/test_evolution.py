@@ -234,6 +234,14 @@ class TestStepper:
         np.testing.assert_array_equal(after.psi, ev.step(state, cfg, dt=dt).psi)
         assert [i for i, _, _ in steps] == [3]
 
+    def test_bare_step_takes_the_runs_step(self, grid2):
+        # t_end / dt = 10 / 3 is not whole: a run steps 0.1 / 4 = 0.025
+        cfg = make_cfg(dt=0.03, t_end=0.1)
+        assert ev.step_count(grid2, cfg)[1] == 0.025
+        state = ev.resolve_gauge(grid2, gaussian_psi(grid2), cfg)
+        np.testing.assert_array_equal(ev.step(state, cfg).psi,
+                                      ev.step(state, cfg, dt=0.025).psi)
+
 
 class TestEvolve:
     def test_typed_step_error_keeps_type_and_time(self, grid2, monkeypatch):

@@ -295,7 +295,7 @@ class TestColdStart:
         psi = gaussian_psi(grid2)
         lam, metric, A = ge._outer_start(grid2, psi, None)
         assert np.array_equal(lam, sp.riesz_pairs(grid2, psi))
-        assert np.array_equal(metric.g, np.broadcast_to(ge._eye(grid2), metric.g.shape))
+        assert np.array_equal(metric.g, np.broadcast_to(geo._eye(grid2), metric.g.shape))
         assert not np.any(metric.christoffel)
         # the flat Coulomb system: curl Im(lam_ga conj(lam)_bg) on the pairs
         # a < b, divergence 0
@@ -585,29 +585,52 @@ def temporal_rhs_full(grid, metric, lam, psi, V, A):
     return rhs + np.einsum("bg...,bg...->...", sym, sp.gradient(grid, A))
 
 
+def metric_update_full(grid, m, lam, psi):
+    """The metric update as it was before the shared sweep: the
+    right-hand side with (g^{ab} - delta^{ab}) d^2 g moved over, then
+    Delta^{-1}, symmetrized and mean-projected."""
+    dg = sp.gradient_sym(grid, m.g)  # (c, a, b) = d_c g_ab
+    dg = np.einsum("cab...->abc...", dg)
+    dginv = sp.gradient_sym(grid, m.inv)
+    gam_low = np.einsum("nm...,msa...->nsa...", m.g, m.christoffel)
+    t = np.einsum("gab...,asb...->gs...", dginv, dg)
+    rhs = -t - np.einsum("gs...->sg...", t)
+    rhs += np.einsum("abg...,sab...->gs...", dg, dginv)
+    rhs += 2.0 * np.einsum("ab...,nsa...,nbg...->gs...",
+                           m.inv, gam_low, m.christoffel)
+    lam_up = np.einsum("am...,mb...->ab...", m.inv, lam)
+    rhs -= 2.0 * ((lam * np.conj(psi)).real
+                  - np.einsum("ag...,as...->gs...", lam, np.conj(lam_up)).real)
+    acc = sp.hessian_trace(grid, m.inv - geo._eye(grid), m.g)
+    h_new = sp.inverse_laplacian(grid, rhs - acc)
+    return sp.mean_zero(grid, 0.5 * (h_new + np.einsum("ab...->ba...", h_new)))
+
+
 def assert_close(got, want, rtol=1e-13):
     assert got.dtype == want.dtype
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
+@pytest.fixture(params=[(2, 10), (3, 8), (4, 8)], ids=["2d", "3d", "4d"])
+def data(request):
+    """A rough metric and Nyquist-rich lambda (symmetric), psi, A and V."""
+    d, n = request.param
+    grid, rng = Grid(d=d, n=n), np.random.default_rng(d)
+    lam = nyquist_rich_field(grid, (d, d), rng) \
+        + 1j * nyquist_rich_field(grid, (d, d), rng)
+    return dict(grid=grid, metric=rough_metric(grid, rng),
+                lam=lam + np.einsum("ab...->ba...", lam),
+                psi=nyquist_rich_field(grid, (), rng)
+                + 1j * nyquist_rich_field(grid, (), rng),
+                A=nyquist_rich_field(grid, (d,), rng),
+                V=nyquist_rich_field(grid, (d,), rng))
+
+
 class TestContractFirst:
     """The solver contracts covariant divergences before it adds the
     connection; on rough metrics and data the result must be the full
     covariant derivative's trace."""
-
-    @pytest.fixture(params=[(2, 10), (3, 8), (4, 8)], ids=["2d", "3d", "4d"])
-    def data(self, request):
-        d, n = request.param
-        grid, rng = Grid(d=d, n=n), np.random.default_rng(d)
-        lam = nyquist_rich_field(grid, (d, d), rng) \
-            + 1j * nyquist_rich_field(grid, (d, d), rng)
-        return dict(grid=grid, metric=rough_metric(grid, rng),
-                    lam=lam + np.einsum("ab...->ba...", lam),
-                    psi=nyquist_rich_field(grid, (), rng)
-                    + 1j * nyquist_rich_field(grid, (), rng),
-                    A=nyquist_rich_field(grid, (d,), rng),
-                    V=nyquist_rich_field(grid, (d,), rng))
 
     def test_lambda_update(self, data):
         grid, psi, A = data["grid"], data["psi"], data["A"]
@@ -631,6 +654,56 @@ class TestContractFirst:
         args = (data["psi"], data["V"], data["A"])
         got = ge._temporal_rhs(grid, metric, lam, ge._raised(metric, lam), *args)
         assert_close(got, temporal_rhs_full(grid, metric, lam, *args))
+
+
+class TestOneResidual:
+    """The metric and V equations each have one residual, right-hand side
+    minus left-hand side: their solves run ``geo.preconditioned_sweep`` on
+    it, and their public ``*_equation_residual`` is minus its mean-zero
+    part."""
+
+    def test_metric_sweep_is_the_moved_over_update(self, data):
+        # Delta^{-1}(rhs - (g^{ab} - delta^{ab}) d^2 g) = mean_zero(h + Delta^{-1} r)
+        grid, metric, lam, psi = (data[k] for k in ("grid", "metric", "lam", "psi"))
+        r = ge._metric_residual(grid, metric, lam, psi)
+        h = geo.preconditioned_sweep(grid, metric.h, r)[0]
+        assert_close(h, metric_update_full(grid, metric, lam, psi), rtol=1e-14)
+
+    def test_metric_sweep_is_exactly_symmetric(self, data):
+        grid, metric, lam, psi = (data[k] for k in ("grid", "metric", "lam", "psi"))
+        r = ge._metric_residual(grid, metric, lam, psi)
+        h = geo.preconditioned_sweep(grid, metric.h, r)[0]
+        assert np.array_equal(r, np.swapaxes(r, 0, 1))
+        assert np.array_equal(h, np.swapaxes(h, 0, 1))
+
+    def test_solve_hands_on_exactly_symmetric_metrics(self, monkeypatch):
+        # the large-amplitude case, where an unsymmetrized residual leaves a
+        # defect above MetricField's 1e-12 check
+        grid, seen, of_h = Grid(d=2, n=32), [], ge._metric_of_h
+
+        def checked(grid, h):
+            seen.append(np.array_equal(h, np.swapaxes(h, 0, 1)))
+            return of_h(grid, h)
+
+        monkeypatch.setattr(ge, "_metric_of_h", checked)
+        ge.solve_elliptic_system(grid, gaussian_psi(grid, 2.0),
+                                 ge.EllipticConfig(smallness_threshold=100.0),
+                                 report=False)
+        assert len(seen) >= 2 and all(seen)
+
+    def test_metric_equation_residual(self, data):
+        grid, metric, lam, psi = (data[k] for k in ("grid", "metric", "lam", "psi"))
+        assert np.array_equal(
+            ge.metric_equation_residual(grid, metric, lam, psi),
+            -sp.mean_zero(grid, ge._metric_residual(grid, metric, lam, psi)))
+
+    def test_advection_equation_residual(self, data):
+        grid, metric, lam, psi, V = (data[k] for k in ("grid", "metric", "lam",
+                                                       "psi", "V"))
+        source = ge._advection_source(grid, metric, lam, ge._raised(metric, lam), psi)
+        assert np.array_equal(
+            ge.advection_equation_residual(grid, metric, lam, psi, V),
+            -sp.mean_zero(grid, ge._advection_residual(grid, metric, source, V)))
 
 
 class TestFirstIterate:
