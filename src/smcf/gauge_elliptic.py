@@ -31,7 +31,7 @@ import numpy as np
 from smcf import geometry as geo
 from smcf import norms as nrm
 from smcf import spectral as sp
-from smcf.geometry import MetricField, _raise1
+from smcf.geometry import MetricField
 from smcf.spectral import Grid
 
 __all__ = [
@@ -101,16 +101,6 @@ class GaugeState:
         return report
 
 
-def _raise2(metric, T):
-    """T^{ab} = g^{am} g^{bn} T_{mn}."""
-    return np.einsum("am...,bn...,mn...->ab...", metric.inv, metric.inv, T)
-
-
-def _raised(metric, lam):
-    """(lam^a_b, lam^{ab}): the raised pair that the V and B sources read."""
-    return _raise1(metric, lam), _raise2(metric, lam)
-
-
 def _contract(update, x0, cfg, name):
     """``geo.fixed_point`` on x <- update(x) at the config's tolerance and
     iteration limit, sized by the largest change of an entry."""
@@ -127,17 +117,27 @@ def _lambda_update(grid, dpsi, metric, A, lam):
 
     Covariant curl-freeness and the gauged divergence identity are
     rewritten as a flat Hodge system per column, with the metric and
-    connection corrections taken at ``lam``; the result is symmetrized.
-    The curl data is ``geo._connection_curl`` and the divergence data
-    ``geo._lambda_divergence_data``, which the constraint report reads
-    too.
+    connection corrections taken at ``lam``; the result is symmetrized
+    pair by pair in place.  The curl data is ``geo._connection_curl`` and
+    the divergence data ``geo._lambda_divergence_data``, which the
+    constraint report reads too; the latter takes d lam one axis at a
+    time (``sp.derivatives_sym``).
     """
     # flat curl data (pair, g), its pairs in ``sp.hodge_solve``'s order
     C = geo._connection_curl(metric, A, lam)
-    D = geo._lambda_divergence_data(metric, A, lam, sp.gradient_sym(grid, lam), dpsi,
-                                    _raise1(metric, lam))
+    D = geo._lambda_divergence_data(metric, A, lam, sp.derivatives_sym(grid, lam), dpsi)
     lam_new = sp.hodge_solve(grid, C, D)  # every column g at once
-    return 0.5 * (lam_new + np.einsum("ab...->ba...", lam_new))
+    del C, D
+    _symmetrize(lam_new)
+    return lam_new
+
+
+def _symmetrize(T):
+    """T <- (T + T^T) / 2 in place, pair by pair over the two leading
+    axes; the diagonal is left as it is, which (x + x) / 2 equals."""
+    for a in range(len(T)):
+        for b in range(a + 1, len(T)):
+            T[a, b] = T[b, a] = 0.5 * (T[a, b] + T[b, a])
 
 
 def recover_lambda(grid, psi, metric, A, cfg: EllipticConfig) -> np.ndarray:
@@ -168,24 +168,28 @@ def _metric_residual(grid, m, lam, psi):
     g^{ab} d^2_{ab} g_{cs} equals quadratic first-derivative terms plus
     the curvature source -2 Re(lam_{cs} conj(psi) - lam_{ac} conj(lam)^a_s).
     The first derivatives of g are read from the lowered Christoffel
-    symbols, d_c g_ab = Gamma_{a,bc} + Gamma_{b,ac}.
+    symbols, d_c g_ab = Gamma_{a,bc} + Gamma_{b,ac}, and those of g^{-1}
+    are taken one axis at a time; both are freed before the source,
+    which is formed on the real and imaginary parts of lambda.
     """
-    gam_low = np.einsum("nm...,msa...->nsa...", m.g, m.christoffel)
-    dg = gam_low + np.swapaxes(gam_low, 0, 1)  # (a, b, c) = d_c g_ab
-    dginv = sp.gradient_sym(grid, m.inv)  # (c, a, b) = d_c g^{ab}
-    t = np.einsum("gab...,asb...->gs...", dginv, dg)
-    r = -t - np.einsum("gs...->sg...", t)
-    r += np.einsum("abg...,sab...->gs...", dg, dginv)
-    del dg  # freed before the terms below, which set the solve's memory peak
-    r += 2.0 * np.einsum("ab...,nsa...,nbg...->gs...",
-                         m.inv, gam_low, m.christoffel)
-    lam_up = _raise1(m, lam)
-    r -= 2.0 * ((lam * np.conj(psi)).real
-                - np.einsum("ag...,as...->gs...", lam, np.conj(lam_up)).real)
+    gam_low = np.einsum("nm...,msa...->nsa...", m.g, m.christoffel)  # Gamma_{n,sa}
+    r = 2.0 * np.einsum("ab...,nsa...,nbg...->gs...", m.inv, gam_low, m.christoffel)
+    for c, dginv in enumerate(sp.derivatives_sym(grid, m.inv)):  # d_c g^{ab}
+        # t_s = d_c g^{ab} d_b g_{as}, which enters as -t_{cs} - t_{sc}
+        t = np.einsum("ab...,asb...->s...", dginv, gam_low)
+        t += np.einsum("ab...,sab...->s...", dginv, gam_low)
+        r[c] -= t
+        r[:, c] -= t
+        # d_g g_ab d_c g^{ab} = 2 Gamma_{a,bg} d_c g^{ab}, g^{ab} symmetric
+        r[:, c] += 2.0 * np.einsum("ab...,abg...->g...", dginv, gam_low)
+    del gam_low, dginv, t
+    src = lam.real * psi.real + lam.imag * psi.imag  # Re(lam conj(psi))
+    for part, up in zip((lam.real, lam.imag), geo._raise_parts(m, lam)):
+        src -= np.einsum("ag...,as...->gs...", part, up)
+    r -= 2.0 * src
+    del src
     r -= _weighted_second_sym(grid, m.inv, m.g)
-    for c in range(grid.d):
-        for s in range(c + 1, grid.d):
-            r[c, s] = r[s, c] = 0.5 * (r[c, s] + r[s, c])
+    _symmetrize(r)
     return r
 
 
@@ -225,8 +229,9 @@ def _vector_laplacian(grid, metric, V, dV):
     of a real V)."""
     Gam = metric.christoffel
     out = sp.hessian_trace(grid, metric.inv, V)
-    out += np.einsum("bc...,bgc...->g...", metric.inv,
-                     sp.gradient(grid, np.einsum("gcs...,s...->gc...", Gam, V)))
+    GV = np.einsum("gcs...,s...->gc...", Gam, V)
+    for b in range(grid.d):  # one axis at a time, no (d, d, d) stack
+        out += np.einsum("c...,gc...->g...", metric.inv[b], sp._derivative(grid, GV, b))
     out += np.einsum("gbs...,bs...->g...", Gam,
                      np.einsum("bc...,sc...->bs...", metric.inv, dV))
     out -= np.einsum("s...,gs...->g...", metric.harmonic_defect, dV)
@@ -238,22 +243,34 @@ def _grad_up(metric, dV):
     return np.einsum("ac...,bc...->ab...", metric.inv, dV.real)
 
 
-def _advection_source(grid, metric, lam, lam_up, psi):
+def _vb_tensors(metric, lam, psi):
+    """(M, W, N, K), the real (d, d) tensors of lambda and psi that the V
+    and B equations read: M^{ab} = Im(lam^{ab} conj(psi)),
+    N^a_b = Re(lam^a_b conj(psi)), W_g^s = N^g_s - Re(lam_as conj(lam)^{ag})
+    and K_ab = Im(lam^s_a conj(lam_sb)) (``geo._normal_curvature``).
+    lambda is raised once, part by part (``geo._raise_parts``), and
+    lam^{ab} is lam^a_n g^{nb}."""
+    up = list(geo._raise_parts(metric, lam))  # (Re, Im) lam^a_b
+    N = up[0] * psi.real + up[1] * psi.imag
+    K = geo._normal_curvature(lam, up)
+    for i in range(2):
+        up[i] = np.einsum("an...,nb...->ab...", up[i], metric.inv)  # (Re, Im) lam^{ab}
+    M = up[1] * psi.real - up[0] * psi.imag
+    W = N - np.einsum("as...,ag...->gs...", lam.real, up[0])
+    W -= np.einsum("as...,ag...->gs...", lam.imag, up[1])
+    return M, W, N, K
+
+
+def _advection_source(grid, metric, M, W):
     """The V-independent parts of the advection right-hand side:
-    (rhs at V = 0, W with rhs linear in V through -W V); lam_up is
-    ``_raised(metric, lam)``."""
-    lam_up1, lam_up2 = lam_up
-    Gam = metric.christoffel
-    M = (lam_up2 * np.conj(psi)).imag                     # Im(lam^{ag} psi-bar)
-    # 2 nabla_a M^{ag} = 2 (d_a M^{ag} + Gamma^a_{as} M^{sg} + Gamma^g_{as} M^{as})
-    div = sp.divergence(grid, M)
-    div += np.einsum("s...,sg...->g...", np.einsum("aas...->s...", Gam), M)
-    div += np.einsum("gas...,as...->g...", Gam, M)
-    rhs0 = 2.0 * div
-    W = (lam_up1 * np.conj(psi)).real \
-        - np.einsum("as...,ag...->gs...", lam, np.conj(lam_up2)).real
-    lam_psi_up = (psi * np.conj(lam_up2)).imag            # Im(psi lam-bar^{ab})
-    rhs0 += 2.0 * np.einsum("ab...,gab...->g...", lam_psi_up, Gam)
+    (rhs at V = 0, W with rhs linear in V through -W V), from
+    ``_vb_tensors``' M and W.  The rhs at V = 0 is 2 nabla_a M^{ag} +
+    2 Im(psi conj(lam)^{ab}) Gamma^g_{ab}, whose two Gamma^g_{ab} M^{ab}
+    terms cancel: 2 (d_a M^{ag} + Gamma^a_{as} M^{sg})."""
+    rhs0 = sp.divergence(grid, M)
+    rhs0 += np.einsum("s...,sg...->g...",
+                      np.einsum("aas...->s...", metric.christoffel), M)
+    rhs0 *= 2.0
     return rhs0, W
 
 
@@ -272,44 +289,56 @@ def _advection_residual(grid, metric, source, V):
 def advection_equation_residual(grid, metric, lam, psi, V):
     """Left minus right of the advection equation (mean-projected): minus
     the residual that the V solve drives to zero."""
-    source = _advection_source(grid, metric, lam, _raised(metric, lam), psi)
+    M, W, _, _ = _vb_tensors(metric, lam, psi)
+    source = _advection_source(grid, metric, M, W)
     return -sp.mean_zero(grid, _advection_residual(grid, metric, source, V))
 
 
-def _temporal_rhs(grid, metric, lam, lam_up, psi, V, A):
-    """Right-hand side of the temporal-connection equation; lam_up is
-    ``_raised(metric, lam)``."""
-    lam_up1, lam_up2 = lam_up
+def _temporal_source(grid, metric, M, N, K, psi, A):
+    """The V-independent parts of the temporal right-hand side, from
+    ``_vb_tensors``' M, N and K: (rhs at V = 0, K), with rhs linear in V
+    through g^{cg} nabla_c (K V)_g and (nabla^b V^g + nabla^g V^b) d_b A_g."""
     Gam = metric.christoffel
-    N = (lam_up1 * np.conj(psi)).real                      # Re(lam^s_g psi-bar)
     # w_g = nabla_s N^s_g = d_s N^s_g + Gamma^s_{sm} N^m_g - Gamma^m_{sg} N^s_m
     w = sp.divergence(grid, N)
     w += np.einsum("m...,mg...->g...", np.einsum("ssm...->m...", Gam), N)
     w -= np.einsum("msg...,sm...->g...", Gam, N)
-    u = np.einsum("sg...,sb...,b...->g...", lam_up1, np.conj(lam), V).imag
-    # g^{cg} nabla_c (u - w)_g = g^{cg} d_c (u - w)_g - H^m (u - w)_m
-    u -= w
-    rhs = np.einsum("cg...,cg...->...", metric.inv, sp.gradient(grid, u))
+    # -g^{cg} nabla_c w_g = -g^{cg} d_c w_g + H^m w_m
+    rhs0 = np.einsum("m...,m...->...", metric.harmonic_defect, w)
+    rhs0 -= np.einsum("cg...,cg...->...", metric.inv, sp.gradient(grid, w))
+    rhs0 += 0.5 * metric.laplace_beltrami((psi * np.conj(psi)).real)
+    # 2 Im(psi conj(lam)^{bg}) d_b A_g = -2 M^{bg} d_b A_g
+    rhs0 -= 2.0 * np.einsum("bg...,bg...->...", M, sp.gradient(grid, A))
+    return rhs0, K
+
+
+def _temporal_rhs(grid, metric, source, V, A):
+    """Right-hand side of the temporal-connection equation at V, from
+    ``_temporal_source``."""
+    rhs0, K = source
+    u = np.einsum("gb...,b...->g...", K, V)  # Im(lam^s_g conj(lam_sb)) V^b
+    # g^{cg} nabla_c u_g = g^{cg} d_c u_g - H^m u_m
+    rhs = rhs0 + np.einsum("cg...,cg...->...", metric.inv, sp.gradient(grid, u))
     rhs -= np.einsum("m...,m...->...", metric.harmonic_defect, u)
-    rhs += 0.5 * metric.laplace_beltrami((psi * np.conj(psi)).real)
     gradV_up = _grad_up(metric, geo.covariant_derivative(grid, V, 1, 0, metric))
-    sym = 2.0 * (psi * np.conj(lam_up2)).imag \
-        + gradV_up + np.einsum("ab...->ba...", gradV_up)
-    rhs += np.einsum("bg...,bg...->...", sym, sp.gradient(grid, A).real)
+    sym = gradV_up + np.einsum("ab...->ba...", gradV_up)
+    rhs += np.einsum("bg...,bg...->...", sym, sp.gradient(grid, A))
     return rhs
 
 
 def temporal_equation_residual(grid, metric, lam, psi, V, A, B):
     """Left minus right of the temporal equation (mean-projected)."""
-    return sp.mean_zero(grid, metric.laplace_beltrami(B).real - _temporal_rhs(
-        grid, metric, lam, _raised(metric, lam), psi, V, A))
+    M, _, N, K = _vb_tensors(metric, lam, psi)
+    source = _temporal_source(grid, metric, M, N, K, psi, A)
+    return sp.mean_zero(grid, metric.laplace_beltrami(B).real
+                        - _temporal_rhs(grid, metric, source, V, A))
 
 
 def _A_update(grid, metric, lam, A):
     """One update of the Coulomb div-curl system at (lambda, g): the
     data ``geo._coulomb_curl`` and ``geo._coulomb_divergence_data``, the
     latter at ``A``."""
-    return sp.hodge_solve(grid, geo._coulomb_curl(lam, _raise1(metric, lam)),
+    return sp.hodge_solve(grid, geo._coulomb_curl(metric, lam),
                           geo._coulomb_divergence_data(metric, A, sp.gradient(grid, A)))
 
 
@@ -327,19 +356,22 @@ def _solve_VB(grid, lam, psi, metric, A, cfg, V0, record=None):
     ``geo.solve_preconditioned``, and the V loop stops on the Banach
     bound.  ``record``, a solve record, gives the V loop its factor
     before it has measured its own (``"q_V"``, NaN for none) and receives
-    the V loop's factor and the V and B sweep counts.  lambda is raised
-    once for both.  V starts at V0, or, for V0 = None (a cold solve), at
-    the first sweep's iterate from V = 0, mean_zero(Delta^{-1} of the
-    residual there)."""
+    the V loop's factor and the V and B sweep counts.  Both read the
+    real tensors of ``_vb_tensors``, so lambda is raised once for both.
+    V starts at V0, or, for V0 = None (a cold solve), at the first
+    sweep's iterate from V = 0, mean_zero(Delta^{-1} of the residual
+    there)."""
     record = {} if record is None else record
-    lam_up = _raised(metric, lam)
-    source = _advection_source(grid, metric, lam, lam_up, psi)
+    M, W, N, K = _vb_tensors(metric, lam, psi)
+    source = _advection_source(grid, metric, M, W)
+    source_B = _temporal_source(grid, metric, M, N, K, psi, A)
+    del M, W, N, K  # the V loop holds only what it reads
     if V0 is None:  # the residual at V = 0 is source[0]
         V0 = sp.mean_zero(grid, sp.inverse_laplacian(grid, source[0]))
     V, record["V_iterations"], _, record["q_V"] = geo.solve_preconditioned(
         grid, lambda V: _advection_residual(grid, metric, source, V), V0,
         "advection field", cfg.tol, cfg.max_iter, record.get("q_V", np.nan))
-    rhs_B = _temporal_rhs(grid, metric, lam, lam_up, psi, V, A)
+    rhs_B = _temporal_rhs(grid, metric, source_B, V, A)
     B, record["B_iterations"], _ = geo.solve_laplace_beltrami(
         metric, rhs_B, "temporal connection", cfg.tol, cfg.max_iter)
     return V, B
@@ -380,8 +412,7 @@ def _outer_start(grid, psi, warm):
     lam = sp.riesz_pairs(grid, psi)
     metric = MetricField.identity(grid)
     # _A_update at A = 0 and g = I, where its divergence data is zero
-    A = sp.hodge_solve(grid, geo._coulomb_curl(lam, _raise1(metric, lam)),
-                       np.zeros(grid.shape))
+    A = sp.hodge_solve(grid, geo._coulomb_curl(metric, lam), np.zeros(grid.shape))
     return lam, metric, A
 
 
@@ -402,8 +433,8 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
     is differentiated once per sweep, by its ``MetricField``, whose
     Christoffel symbols give the next metric residual the first
     derivatives of g, and the superseded metric is freed before the
-    lambda update.  The loop, and the V loop after it, stop on
-    ``geo.fixed_point``'s Banach
+    lambda update, the superseded lambda before the A update.  The loop,
+    and the V loop after it, stop on ``geo.fixed_point``'s Banach
     bound, so the returned (lambda, g, A) is within tol of the fixed
     point while ``final_update``, the last sweep's largest change of
     (lambda, g, A), may exceed tol.  A sweep that fails to contract
@@ -450,9 +481,11 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
         h, changes["metric equation"] = geo.preconditioned_sweep(grid, metric.h, r)
         del metric, r
         metric_new = _metric_of_h(grid, h)
+        del h
         lam_new = _lambda_update(grid, dpsi + 1j * A * psi, metric_new, A, lam)
-        A_new = _A_update(grid, metric_new, lam_new, A)
         changes["lambda recovery"] = float(np.max(np.abs(lam_new - lam)))
+        del lam  # superseded before the A update
+        A_new = _A_update(grid, metric_new, lam_new, A)
         changes["Coulomb connection"] = float(np.max(np.abs(A_new - A)))
         size = float(np.max(list(changes.values())))  # NaN-propagating
         return (lam_new, metric_new, A_new), size
@@ -466,6 +499,7 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
         raise geo.NotContractingError(
             f"{exc}; largest change in the {worst} ({changes[worst]:.3e})",
             residual=exc.residual) from exc
+    del dpsi  # nothing after the sweep reads it
     record = {"outer_iterations": sweeps, "final_update": final_update,
               "q": q, "q_V": recorded.get("q_V", np.nan)}
     V, B = _solve_VB(grid, lam, psi, metric, A, cfg, V0, record)

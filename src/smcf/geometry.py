@@ -197,7 +197,7 @@ class MetricField:
         self.g = 0.5 * (g + np.swapaxes(g, 0, 1))  # exact symmetry by storage
         self.inv, det = _ldl_inverse(self.g)
         self.sqrt_det = np.sqrt(det)
-        self.christoffel = self._christoffel(sp.gradient_sym(grid, self.g))
+        self.christoffel = self._christoffel()
 
     @functools.cached_property
     def min_eigenvalue(self) -> float:
@@ -218,7 +218,17 @@ class MetricField:
 
     @classmethod
     def identity(cls, grid: Grid) -> "MetricField":
-        return cls.from_h(grid, np.zeros((grid.d, grid.d) + grid.shape))
+        """The flat metric in closed form: g = g^{-1} = I, sqrt(det g) = 1
+        and Gamma = 0, equal to ``from_h(grid, 0)``'s without its
+        transforms and LDL^T pass."""
+        m = cls.__new__(cls)
+        m.grid = grid
+        m.g = np.zeros((grid.d, grid.d) + grid.shape)
+        m.g[np.arange(grid.d), np.arange(grid.d)] = 1.0
+        m.inv = m.g.copy()
+        m.sqrt_det = np.ones(grid.shape)
+        m.christoffel = np.zeros((grid.d,) * 3 + grid.shape)
+        return m
 
     @classmethod
     def from_h(cls, grid: Grid, h: np.ndarray) -> "MetricField":
@@ -228,14 +238,14 @@ class MetricField:
     def h(self) -> np.ndarray:
         return self.g - _eye(self.grid)
 
-    def _christoffel(self, dg) -> np.ndarray:
+    def _christoffel(self) -> np.ndarray:
         """Gamma^c_{ab} = 1/2 g^{cs} (d_b g_{as} + d_a g_{bs} - d_s g_{ab}),
-        from dg[s, a, b] = d_s g_{ab}."""
-        low = 0.5 * (
-            np.einsum("bas...->sab...", dg)
-            + np.einsum("abs...->sab...", dg)
-            - np.einsum("sab...->sab...", dg)
-        )  # low[s, a, b] = Gamma_{s,ab}
+        from dg[s, a, b] = d_s g_{ab}, which is freed before the raise."""
+        dg = sp.gradient_sym(self.grid, self.g)
+        low = np.einsum("bas...->sab...", dg) + np.einsum("abs...->sab...", dg)
+        low -= dg
+        low *= 0.5  # low[s, a, b] = Gamma_{s,ab}
+        del dg
         return np.einsum("cs...,sab...->cab...", self.inv, low)
 
     def laplace_beltrami(self, f: np.ndarray) -> np.ndarray:
@@ -339,24 +349,50 @@ def _connection_curl(metric, A, lam):
     return out
 
 
-def _lambda_divergence_data(metric, A, lam, dlam, dpsi, lam_up):
+def _lambda_divergence_data(metric, A, lam, dlam, dpsi):
     """The data D of the gauged divergence g^{ca} nabla^A_c lam_ab = dpsi_b
     as a flat one, d_a lam_ab = D_b = dpsi_b - (g^{ca} - delta^{ca}) d_c lam_ab
     + H^s lam_sb + Gamma^s_{cb} lam^c_s - i A^a lam_ab (contracted first,
-    H = ``harmonic_defect``), from dlam = d_c lam_ab and lam_up = lam^c_b."""
-    D = dpsi - np.einsum("ca...,cab...->b...", metric.inv - _eye(metric.grid), dlam)
+    H = ``harmonic_defect``).  dlam yields d_c lam_ab for c = 0, 1, ...
+    in turn (``sp.derivatives_sym``), each contracted as it comes, and
+    lam^c_s is raised part by part (``_raise_parts``)."""
+    eye = _eye(metric.grid)
+    D = np.array(dpsi, dtype=complex)
+    for c, dlam_c in enumerate(dlam):
+        D -= np.einsum("a...,ab...->b...", metric.inv[c] - eye[c], dlam_c)
+    del dlam_c  # the last d_c lam, before the raise
     D += np.einsum("s...,sb...->b...", metric.harmonic_defect, lam)
-    D += np.einsum("scb...,cs...->b...", metric.christoffel, lam_up)
+    for dst, up in zip((D.real, D.imag), _raise_parts(metric, lam)):
+        dst += np.einsum("scb...,cs...->b...", metric.christoffel, up)
     A_up = np.einsum("ac...,c...->a...", metric.inv, A)
     D -= 1j * np.einsum("a...,ab...->b...", A_up, lam)
     return D
 
 
-def _coulomb_curl(lam, lam_up):
+def _raise_parts(metric, T):
+    """(Re T^a_b, Im T^a_b) = g^{am} (Re T_mb, Im T_mb), one part at a
+    time, so g^{-1} is never cast to complex."""
+    for part in (T.real, T.imag):
+        yield _raise1(metric, part)
+
+
+def _normal_curvature(lam, up):
+    """K_ab = Im(lam^s_a conj(lam_sb)) = Im lam^s_a Re lam_sb - Re lam^s_a
+    Im lam_sb, the curvature of the normal bundle (the curl of A in the
+    Ricci equation), antisymmetric for a symmetric lam; up is
+    (Re lam^s_a, Im lam^s_a)."""
+    up_re, up_im = up
+    K = np.einsum("sa...,sb...->ab...", up_im, lam.real)
+    K -= np.einsum("sa...,sb...->ab...", up_re, lam.imag)
+    return K
+
+
+def _coulomb_curl(metric, lam):
     """The data of A's curl condition d_a A_b - d_b A_a = Im(lam^g_a
-    conj(lam_bg)), lam_up = lam^g_a, on ``sp.hodge_solve``'s pairs a < b."""
-    a, b = np.triu_indices(lam.shape[0], 1)
-    return np.einsum("gp...,pg...->p...", lam_up[:, a], np.conj(lam[b])).imag
+    conj(lam_bg)), on ``sp.hodge_solve``'s pairs a < b:
+    ``_normal_curvature`` there."""
+    K = _normal_curvature(lam, tuple(_raise_parts(metric, lam)))
+    return K[np.triu_indices(len(lam), 1)]
 
 
 def _coulomb_divergence_data(metric, A, dA):
@@ -497,7 +533,9 @@ def constraint_residuals(grid, psi, metric, lam, A):
     norms each entry counts as often as it stands in the full tensor: a
     Gauss entry 4 or 8 times, a Codazzi or curl_a entry twice.  These
     forms use the symmetry of lam, which the ``symmetry`` entry measures;
-    every lam the program builds is exactly symmetric.
+    every lam the program builds is exactly symmetric.  d lam is taken one
+    axis at a time, and each d_e lam goes into Codazzi, the flat
+    divergence and the divergence data before the next is formed.
     """
     results, nondecay = {}, {}
 
@@ -523,19 +561,32 @@ def constraint_residuals(grid, psi, metric, lam, A):
 
     c, a = np.triu_indices(grid.d, 1)
     codazzi = _connection_curl(metric, A, lam)
-    dlam = sp.gradient_sym(grid, lam)  # (c, a, b) = d_c lam_ab
-    for p in range(len(c)):  # pair by pair, from views of dlam, not copies
-        codazzi[p] -= dlam[c[p], a[p]]
-        codazzi[p] += dlam[a[p], c[p]]
+    flat = np.zeros(lam.shape[1:], dtype=complex)  # d_a lam_ab
+
+    def read(dlam):
+        """Each d_e lam_ab, on its way to the divergence data, also into
+        Codazzi's flat curl and the flat divergence."""
+        for e, dlam_e in enumerate(dlam):
+            for p in range(len(c)):
+                if c[p] == e:
+                    codazzi[p] -= dlam_e[a[p]]
+                if a[p] == e:
+                    codazzi[p] += dlam_e[c[p]]
+            np.add(flat, dlam_e[e], out=flat)
+            yield dlam_e
+
+    divergence = _lambda_divergence_data(
+        metric, A, lam, read(sp.derivatives_sym(grid, lam)),
+        sp.gradient(grid, psi) + 1j * A * psi)
     report("codazzi", codazzi, 2.0)
-    lam_up = _raise1(metric, lam)  # lam^c_b
-    report("divergence", _lambda_divergence_data(
-        metric, A, lam, dlam, sp.gradient(grid, psi) + 1j * A * psi, lam_up)
-        - np.einsum("aab...->b...", dlam))
-    del dlam
+    del codazzi
+    divergence -= flat
+    del flat
+    report("divergence", divergence)
+    del divergence
 
     dA = sp.gradient(grid, A)  # (a, b) = d_a A_b
-    report("curl_a", _coulomb_curl(lam, lam_up) - (dA[c, a] - dA[a, c]), 2.0)
+    report("curl_a", _coulomb_curl(metric, lam) - (dA[c, a] - dA[a, c]), 2.0)
     report("coulomb", _coulomb_divergence_data(metric, A, dA) - np.einsum("aa...->...", dA))
     report("harmonic", metric.harmonic_defect)
     report("symmetry", lam - np.einsum("ba...->ab...", lam))

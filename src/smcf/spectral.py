@@ -22,7 +22,8 @@ transform pair along axis a only (``gradient``): ``numpy.fft.rfft`` and
 for a complex one.  ``divergence`` forms sum_a d_a T[a] from one such
 pair per a, and ``gradient_sym`` differentiates a stack symmetric in
 its first two index axes (a metric, its inverse, lambda, the lower pair
-of the Christoffel symbols) from its d(d+1)/2 entries a <= b.  The
+of the Christoffel symbols) from its d(d+1)/2 entries a <= b, and
+``derivatives_sym`` yields the same one axis at a time.  The
 operators on ``spectrum`` (``hessian``, ``hessian_trace``,
 ``hodge_solve``, ``inverse_laplacian``) use the full d-dimensional
 spectrum (``Grid.fft``, multipliers on ``Grid.full``) for a complex
@@ -60,6 +61,7 @@ __all__ = [
     "smooth_bump",
     "gradient",
     "gradient_sym",
+    "derivatives_sym",
     "divergence",
     "hessian",
     "hessian_sums",
@@ -262,16 +264,33 @@ def _broadcast(grid: Grid, mult: np.ndarray, fh: np.ndarray) -> np.ndarray:
     return mult.reshape(index + lead + mult.shape[len(index):])
 
 
+def _derivative(grid: Grid, f: np.ndarray, a: int, out=None) -> np.ndarray:
+    """d_a f: one 1-D transform pair along spatial axis a, into ``out``
+    if given."""
+    real = not np.iscomplexobj(f)
+    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    fh = fwd(f, axis=a - grid.d)
+    fh *= (grid.half if real else grid.full).axis_ik[a]
+    return inv(fh, grid.n, axis=a - grid.d, out=out)
+
+
 def gradient(grid: Grid, f: np.ndarray) -> np.ndarray:
     """All partial derivatives, stacked on a new leading axis: d_a f is
     one 1-D transform pair along axis a, written into row a."""
-    real = not np.iscomplexobj(f)
-    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    out = np.empty((grid.d,) + np.shape(f), dtype=float if real else complex)
-    for a, ik in enumerate((grid.half if real else grid.full).axis_ik):
-        fh = fwd(f, axis=a - grid.d)
-        fh *= ik
-        inv(fh, grid.n, axis=a - grid.d, out=out[a])
+    out = np.empty((grid.d,) + np.shape(f), dtype=complex if np.iscomplexobj(f) else float)
+    for a in range(grid.d):
+        _derivative(grid, f, a, out[a])
+    return out
+
+
+def _derivative_sym(grid: Grid, f: np.ndarray, c: int, out: np.ndarray) -> np.ndarray:
+    """d_c f of a stack symmetric in its two leading index axes, into
+    ``out``: the entries a <= b one at a time, each mirrored into (b, a)."""
+    for a in range(len(f)):
+        for b in range(a, len(f)):
+            _derivative(grid, f[a, b], c, out[a, b])
+            if b > a:
+                out[b, a] = out[a, b]
     return out
 
 
@@ -279,25 +298,28 @@ def gradient_sym(grid: Grid, f: np.ndarray) -> np.ndarray:
     """``gradient`` of a stack symmetric in its two leading index axes,
     f[a, b] = f[b, a]: only the d(d+1)/2 entries a <= b are transformed,
     and each result is mirrored into (b, a)."""
-    a, b = np.triu_indices(grid.d)
-    upper = gradient(grid, f[a, b])  # (c, pair) + the rest
-    out = np.empty((grid.d,) + np.shape(f), dtype=upper.dtype)
-    out[:, a, b] = upper
-    out[:, b, a] = upper
+    out = np.empty((grid.d,) + np.shape(f), dtype=complex if np.iscomplexobj(f) else float)
+    for c in range(grid.d):
+        _derivative_sym(grid, f, c, out[c])
     return out
+
+
+def derivatives_sym(grid: Grid, f: np.ndarray):
+    """``gradient_sym`` one axis at a time: yields d_0 f, ..., d_{d-1} f,
+    each written over the last in one buffer of f's shape, so no
+    (d,) + f.shape stack is formed."""
+    out = np.empty(np.shape(f), dtype=complex if np.iscomplexobj(f) else float)
+    for c in range(grid.d):
+        yield _derivative_sym(grid, f, c, out)
 
 
 def divergence(grid: Grid, T: np.ndarray) -> np.ndarray:
     """sum_a d_a T[a]: one 1-D transform pair of T[a] along axis a per a,
     under ``gradient``'s Nyquist rule; the axes of T after the first one
     are kept."""
-    real = not np.iscomplexobj(T)
-    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    out = np.zeros(np.shape(T)[1:], dtype=float if real else complex)
-    for a, ik in enumerate((grid.half if real else grid.full).axis_ik):
-        fh = fwd(T[a], axis=a - grid.d)
-        fh *= ik
-        out += inv(fh, grid.n, axis=a - grid.d)
+    out = np.zeros(np.shape(T)[1:], dtype=complex if np.iscomplexobj(T) else float)
+    for a in range(grid.d):
+        out += _derivative(grid, T[a], a)
     return out
 
 
@@ -347,16 +369,19 @@ def hodge_solve(grid: Grid, curl: np.ndarray, div: np.ndarray) -> np.ndarray:
     Frequency-wise u_b = -(i xi_b div + sum_a i xi_a curl_ab) / |xi|^2,
     curl_ba = -curl_ab, the zero mode dropped (torus kernel).  Axes of
     curl after the pair axis, and the matching leading axes of div, are
-    solved side by side; real data on the half spectrum."""
-    if np.iscomplexobj(curl) or np.iscomplexobj(div):
-        curl, div = curl.astype(complex, copy=False), div.astype(complex, copy=False)
-    Ch, spec, inverse = spectrum(grid, curl)
-    Dh = spectrum(grid, div)[0]
+    solved side by side; real data on the half spectrum.  The curl is
+    transformed pair by pair into the numerator, so no spectrum of the
+    whole curl is held."""
+    cast = np.iscomplexobj(curl) or np.iscomplexobj(div)
+    Dh, spec, inverse = spectrum(grid, div.astype(complex, copy=False) if cast else div)
     num = _broadcast(grid, spec.ik, Dh) * Dh
+    del Dh
     for p, (a, b) in enumerate(zip(*np.triu_indices(grid.d, 1))):
-        num[b] += spec.ik[a] * Ch[p]
-        num[a] -= spec.ik[b] * Ch[p]
-    return inverse(spec.inv_lap * num)
+        Ch = spectrum(grid, curl[p].astype(complex, copy=False) if cast else curl[p])[0]
+        num[b] += spec.ik[a] * Ch
+        num[a] -= spec.ik[b] * Ch
+    num *= spec.inv_lap
+    return inverse(num)
 
 
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -419,8 +444,11 @@ def num_bands(grid: Grid) -> int:
     return j + 1
 
 
+_KINDS = ("P", "S", "S_le")
+
+
 def _band_multiplier(grid: Grid, j: int, kind: str) -> np.ndarray:
-    if kind not in ("P", "S", "S_le"):
+    if kind not in _KINDS:
         raise ValueError(f"unknown projection kind {kind!r}")
     if kind != "P" and j < 0:
         raise ValueError(f"band index must be >= 0 for kind {kind!r}, got {j}")
@@ -429,6 +457,19 @@ def _band_multiplier(grid: Grid, j: int, kind: str) -> np.ndarray:
     if kind == "S_le" or (kind == "S" and j == 0):
         return low
     return low - smooth_bump(kabs / 2.0 ** (j - 1))
+
+
+def _band_multipliers(grid: Grid, kind: str):
+    """``_band_multiplier`` of each j = 0..J (J = ``num_bands``) in turn,
+    each bump S_{<=j} evaluated once: m_j is S_{<=j}, or S_{<=j} - S_{<=j-1}."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown projection kind {kind!r}")
+    kabs = grid.full.k_abs
+    prev = smooth_bump(kabs / 0.5) if kind == "P" else None  # S_{<=-1}
+    for j in range(num_bands(grid) + 1):
+        low = smooth_bump(kabs / 2.0**j)
+        yield low if kind == "S_le" or prev is None else low - prev
+        prev = low
 
 
 def lp_project(grid: Grid, f: np.ndarray, j: int, kind: str = "S") -> np.ndarray:
@@ -444,8 +485,8 @@ def lp_bands(grid: Grid, f: np.ndarray):
     """S_0 f, ..., S_J f (J = ``num_bands``), one at a time, from one
     transform of f; each band equals ``lp_project(grid, f, j, "S")``."""
     fh = grid.fft(f)
-    for j in range(num_bands(grid) + 1):
-        yield grid.ifft(_band_multiplier(grid, j, "S") * fh)
+    for m in _band_multipliers(grid, "S"):
+        yield grid.ifft(m * fh)
 
 
 def band_hs_norms(grid: Grid, f: np.ndarray, orders) -> np.ndarray:
@@ -458,8 +499,8 @@ def band_hs_norms(grid: Grid, f: np.ndarray, orders) -> np.ndarray:
     rows = []
     for s, kind in orders:
         weight = (1.0 + grid.full.k2) ** s
-        rows.append([_weighted_l2(grid, fh, weight * _band_multiplier(grid, j, kind) ** 2)
-                     for j in range(num_bands(grid) + 1)])
+        rows.append([_weighted_l2(grid, fh, weight * m**2)
+                     for m in _band_multipliers(grid, kind)])
     return np.array(rows)
 
 

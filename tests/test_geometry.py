@@ -192,6 +192,16 @@ class TestMetricField:
         assert np.max(np.abs(m.sqrt_det - 1.0)) <= 1e-13
         assert abs(m.min_eigenvalue - 1.0) <= 1e-13
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_identity_is_the_flat_from_h(self, d):
+        # built in closed form, equal to the transformed and factored I + 0
+        grid = Grid(d=d, n=8)
+        got = geo.MetricField.identity(grid)
+        want = geo.MetricField.from_h(grid, np.zeros((d, d) + grid.shape))
+        for name in ("g", "inv", "sqrt_det", "christoffel", "harmonic_defect"):
+            assert getattr(got, name).shape == getattr(want, name).shape, name
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_rejects_asymmetric(self, grid2):
         g = geo.MetricField.identity(grid2).g.copy()
         g[0, 1] += 1e-3

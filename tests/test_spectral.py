@@ -130,6 +130,14 @@ class TestLittlewoodPaley:
         total = sum(sp.lp_project(grid2, f, j, "S") for j in range(J + 1))
         assert np.max(np.abs(total - f)) <= 1e-12
 
+    def test_lp_bands_are_the_projections(self, grid2):
+        # each bump is evaluated once per call, with the same values
+        f = random_field(grid2, seed=4)
+        bands = list(sp.lp_bands(grid2, f))
+        assert len(bands) == sp.num_bands(grid2) + 1
+        for j, band in enumerate(bands):
+            assert np.array_equal(band, sp.lp_project(grid2, f, j, "S")), j
+
     def test_band_support(self, grid2):
         x = coords(grid2)
         f = np.exp(16j * x[0])  # frequency 16, outside band of j=2
@@ -282,6 +290,22 @@ class TestDivergenceAndSymmetricGradient:
             got = sp.gradient_sym(grid, field)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+    @SETTINGS
+    @given(**FIELDS)
+    def test_derivatives_sym_are_the_gradient_rows(self, d, n, rank, seed):
+        grid = Grid(d=d, n=n)
+        lead = (d, d) + (d,) * rank
+        f = nyquist_rich_field(grid, lead, seed)
+        for field in (f, f + 1j * nyquist_rich_field(grid, lead, seed + 1)):
+            field = field + np.swapaxes(field, 0, 1)  # exactly symmetric
+            want = sp.gradient_sym(grid, field)
+            rows = [row.copy() for row in sp.derivatives_sym(grid, field)]
+            assert len(rows) == d
+            for c, row in enumerate(rows):
+                assert row.dtype == want.dtype
+                assert np.array_equal(row, want[c])
 
 
 class TestRealPath:
