@@ -121,11 +121,11 @@ def _lambda_update(grid, dpsi, metric, A, lam):
     pair by pair in place.  The curl data is ``geo._connection_curl`` and
     the divergence data ``geo._lambda_divergence_data``, which the
     constraint report reads too; the latter takes d lam one axis at a
-    time (``sp.derivatives_sym``).
+    time (``sp._derivatives_sym``).
     """
     # flat curl data (pair, g), its pairs in ``sp.hodge_solve``'s order
     C = geo._connection_curl(metric, A, lam)
-    D = geo._lambda_divergence_data(metric, A, lam, sp.derivatives_sym(grid, lam), dpsi)
+    D = geo._lambda_divergence_data(metric, A, lam, sp._derivatives_sym(grid, lam), dpsi)
     lam_new = sp.hodge_solve(grid, C, D)  # every column g at once
     del C, D
     _symmetrize(lam_new)
@@ -174,7 +174,7 @@ def _metric_residual(grid, m, lam, psi):
     """
     gam_low = np.einsum("nm...,msa...->nsa...", m.g, m.christoffel)  # Gamma_{n,sa}
     r = 2.0 * np.einsum("ab...,nsa...,nbg...->gs...", m.inv, gam_low, m.christoffel)
-    for c, dginv in enumerate(sp.derivatives_sym(grid, m.inv)):  # d_c g^{ab}
+    for c, dginv in enumerate(sp._derivatives_sym(grid, m.inv)):  # d_c g^{ab}
         # t_s = d_c g^{ab} d_b g_{as}, which enters as -t_{cs} - t_{sc}
         t = np.einsum("ab...,asb...->s...", dginv, gam_low)
         t += np.einsum("ab...,sab...->s...", dginv, gam_low)
@@ -296,9 +296,11 @@ def advection_equation_residual(grid, metric, lam, psi, V):
 
 def _temporal_source(grid, metric, M, N, K, psi, A):
     """The V-independent parts of the temporal right-hand side, from
-    ``_vb_tensors``' M, N and K: (rhs at V = 0, K), with rhs linear in V
-    through g^{cg} nabla_c (K V)_g and (nabla^b V^g + nabla^g V^b) d_b A_g."""
+    ``_vb_tensors``' M, N and K: (rhs at V = 0, K, dA), with rhs linear in
+    V through g^{cg} nabla_c (K V)_g and (nabla^b V^g + nabla^g V^b)
+    d_b A_g; dA[b, g] = d_b A_g is taken once, for both."""
     Gam = metric.christoffel
+    dA = sp.gradient(grid, A)
     # w_g = nabla_s N^s_g = d_s N^s_g + Gamma^s_{sm} N^m_g - Gamma^m_{sg} N^s_m
     w = sp.divergence(grid, N)
     w += np.einsum("m...,mg...->g...", np.einsum("ssm...->m...", Gam), N)
@@ -308,21 +310,21 @@ def _temporal_source(grid, metric, M, N, K, psi, A):
     rhs0 -= np.einsum("cg...,cg...->...", metric.inv, sp.gradient(grid, w))
     rhs0 += 0.5 * metric.laplace_beltrami((psi * np.conj(psi)).real)
     # 2 Im(psi conj(lam)^{bg}) d_b A_g = -2 M^{bg} d_b A_g
-    rhs0 -= 2.0 * np.einsum("bg...,bg...->...", M, sp.gradient(grid, A))
-    return rhs0, K
+    rhs0 -= 2.0 * np.einsum("bg...,bg...->...", M, dA)
+    return rhs0, K, dA
 
 
-def _temporal_rhs(grid, metric, source, V, A):
+def _temporal_rhs(grid, metric, source, V):
     """Right-hand side of the temporal-connection equation at V, from
     ``_temporal_source``."""
-    rhs0, K = source
+    rhs0, K, dA = source
     u = np.einsum("gb...,b...->g...", K, V)  # Im(lam^s_g conj(lam_sb)) V^b
     # g^{cg} nabla_c u_g = g^{cg} d_c u_g - H^m u_m
     rhs = rhs0 + np.einsum("cg...,cg...->...", metric.inv, sp.gradient(grid, u))
     rhs -= np.einsum("m...,m...->...", metric.harmonic_defect, u)
     gradV_up = _grad_up(metric, geo.covariant_derivative(grid, V, 1, 0, metric))
     sym = gradV_up + np.einsum("ab...->ba...", gradV_up)
-    rhs += np.einsum("bg...,bg...->...", sym, sp.gradient(grid, A))
+    rhs += np.einsum("bg...,bg...->...", sym, dA)
     return rhs
 
 
@@ -331,7 +333,7 @@ def temporal_equation_residual(grid, metric, lam, psi, V, A, B):
     M, _, N, K = _vb_tensors(metric, lam, psi)
     source = _temporal_source(grid, metric, M, N, K, psi, A)
     return sp.mean_zero(grid, metric.laplace_beltrami(B).real
-                        - _temporal_rhs(grid, metric, source, V, A))
+                        - _temporal_rhs(grid, metric, source, V))
 
 
 def _A_update(grid, metric, lam, A):
@@ -371,7 +373,7 @@ def _solve_VB(grid, lam, psi, metric, A, cfg, V0, record=None):
     V, record["V_iterations"], _, record["q_V"] = geo.solve_preconditioned(
         grid, lambda V: _advection_residual(grid, metric, source, V), V0,
         "advection field", cfg.tol, cfg.max_iter, record.get("q_V", np.nan))
-    rhs_B = _temporal_rhs(grid, metric, source_B, V, A)
+    rhs_B = _temporal_rhs(grid, metric, source_B, V)
     B, record["B_iterations"], _ = geo.solve_laplace_beltrami(
         metric, rhs_B, "temporal connection", cfg.tol, cfg.max_iter)
     return V, B

@@ -354,7 +354,7 @@ def _lambda_divergence_data(metric, A, lam, dlam, dpsi):
     as a flat one, d_a lam_ab = D_b = dpsi_b - (g^{ca} - delta^{ca}) d_c lam_ab
     + H^s lam_sb + Gamma^s_{cb} lam^c_s - i A^a lam_ab (contracted first,
     H = ``harmonic_defect``).  dlam yields d_c lam_ab for c = 0, 1, ...
-    in turn (``sp.derivatives_sym``), each contracted as it comes, and
+    in turn (``sp._derivatives_sym``), each contracted as it comes, and
     lam^c_s is raised part by part (``_raise_parts``)."""
     eye = _eye(metric.grid)
     D = np.array(dpsi, dtype=complex)
@@ -576,7 +576,7 @@ def constraint_residuals(grid, psi, metric, lam, A):
             yield dlam_e
 
     divergence = _lambda_divergence_data(
-        metric, A, lam, read(sp.derivatives_sym(grid, lam)),
+        metric, A, lam, read(sp._derivatives_sym(grid, lam)),
         sp.gradient(grid, psi) + 1j * A * psi)
     report("codazzi", codazzi, 2.0)
     del codazzi

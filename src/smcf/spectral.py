@@ -23,7 +23,7 @@ for a complex one.  ``divergence`` forms sum_a d_a T[a] from one such
 pair per a, and ``gradient_sym`` differentiates a stack symmetric in
 its first two index axes (a metric, its inverse, lambda, the lower pair
 of the Christoffel symbols) from its d(d+1)/2 entries a <= b, and
-``derivatives_sym`` yields the same one axis at a time.  The
+``_derivatives_sym`` yields the same one axis at a time.  The
 operators on ``spectrum`` (``hessian``, ``hessian_trace``,
 ``hodge_solve``, ``inverse_laplacian``) use the full d-dimensional
 spectrum (``Grid.fft``, multipliers on ``Grid.full``) for a complex
@@ -61,7 +61,6 @@ __all__ = [
     "smooth_bump",
     "gradient",
     "gradient_sym",
-    "derivatives_sym",
     "divergence",
     "hessian",
     "hessian_sums",
@@ -304,10 +303,11 @@ def gradient_sym(grid: Grid, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def derivatives_sym(grid: Grid, f: np.ndarray):
+def _derivatives_sym(grid: Grid, f: np.ndarray):
     """``gradient_sym`` one axis at a time: yields d_0 f, ..., d_{d-1} f,
     each written over the last in one buffer of f's shape, so no
-    (d,) + f.shape stack is formed."""
+    (d,) + f.shape stack is formed.  A row is therefore valid only until
+    the next one is asked for: use it, or copy it, before then."""
     out = np.empty(np.shape(f), dtype=complex if np.iscomplexobj(f) else float)
     for c in range(grid.d):
         yield _derivative_sym(grid, f, c, out)
@@ -444,11 +444,8 @@ def num_bands(grid: Grid) -> int:
     return j + 1
 
 
-_KINDS = ("P", "S", "S_le")
-
-
 def _band_multiplier(grid: Grid, j: int, kind: str) -> np.ndarray:
-    if kind not in _KINDS:
+    if kind not in ("P", "S", "S_le"):
         raise ValueError(f"unknown projection kind {kind!r}")
     if kind != "P" and j < 0:
         raise ValueError(f"band index must be >= 0 for kind {kind!r}, got {j}")
@@ -457,19 +454,6 @@ def _band_multiplier(grid: Grid, j: int, kind: str) -> np.ndarray:
     if kind == "S_le" or (kind == "S" and j == 0):
         return low
     return low - smooth_bump(kabs / 2.0 ** (j - 1))
-
-
-def _band_multipliers(grid: Grid, kind: str):
-    """``_band_multiplier`` of each j = 0..J (J = ``num_bands``) in turn,
-    each bump S_{<=j} evaluated once: m_j is S_{<=j}, or S_{<=j} - S_{<=j-1}."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown projection kind {kind!r}")
-    kabs = grid.full.k_abs
-    prev = smooth_bump(kabs / 0.5) if kind == "P" else None  # S_{<=-1}
-    for j in range(num_bands(grid) + 1):
-        low = smooth_bump(kabs / 2.0**j)
-        yield low if kind == "S_le" or prev is None else low - prev
-        prev = low
 
 
 def lp_project(grid: Grid, f: np.ndarray, j: int, kind: str = "S") -> np.ndarray:
@@ -485,8 +469,8 @@ def lp_bands(grid: Grid, f: np.ndarray):
     """S_0 f, ..., S_J f (J = ``num_bands``), one at a time, from one
     transform of f; each band equals ``lp_project(grid, f, j, "S")``."""
     fh = grid.fft(f)
-    for m in _band_multipliers(grid, "S"):
-        yield grid.ifft(m * fh)
+    for j in range(num_bands(grid) + 1):
+        yield grid.ifft(_band_multiplier(grid, j, "S") * fh)
 
 
 def band_hs_norms(grid: Grid, f: np.ndarray, orders) -> np.ndarray:
@@ -499,8 +483,8 @@ def band_hs_norms(grid: Grid, f: np.ndarray, orders) -> np.ndarray:
     rows = []
     for s, kind in orders:
         weight = (1.0 + grid.full.k2) ** s
-        rows.append([_weighted_l2(grid, fh, weight * m**2)
-                     for m in _band_multipliers(grid, kind)])
+        rows.append([_weighted_l2(grid, fh, weight * _band_multiplier(grid, j, kind) ** 2)
+                     for j in range(num_bands(grid) + 1)])
     return np.array(rows)
 
 

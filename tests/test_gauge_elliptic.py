@@ -708,7 +708,7 @@ class TestContractFirst:
         args = (psi, data["V"], data["A"])
         M, _, N, K = ge._vb_tensors(metric, lam, psi)
         source = ge._temporal_source(grid, metric, M, N, K, psi, data["A"])
-        got = ge._temporal_rhs(grid, metric, source, data["V"], data["A"])
+        got = ge._temporal_rhs(grid, metric, source, data["V"])
         assert_close(got, temporal_rhs_full(grid, metric, lam, *args))
 
 
@@ -722,7 +722,7 @@ class TestOneAxisAtATime:
                                                        "psi", "A"))
         dpsi = sp.gradient(grid, psi) + 1j * A * psi
         got = geo._lambda_divergence_data(metric, A, lam,
-                                          sp.derivatives_sym(grid, lam), dpsi)
+                                          sp._derivatives_sym(grid, lam), dpsi)
         assert_close(got, lambda_divergence_data_full(grid, metric, A, lam, dpsi))
 
     def test_report_codazzi_and_divergence(self, data):

@@ -1,3 +1,4 @@
+import functools
 import warnings
 import weakref
 from unittest import mock
@@ -195,12 +196,17 @@ class TestMetricField:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_identity_is_the_flat_from_h(self, d):
         # built in closed form, equal to the transformed and factored I + 0
+        # in every attribute: those __init__ sets and the cached ones
         grid = Grid(d=d, n=8)
         got = geo.MetricField.identity(grid)
         want = geo.MetricField.from_h(grid, np.zeros((d, d) + grid.shape))
-        for name in ("g", "inv", "sqrt_det", "christoffel", "harmonic_defect"):
-            assert getattr(got, name).shape == getattr(want, name).shape, name
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name, value in vars(geo.MetricField).items():
+            if isinstance(value, functools.cached_property):
+                getattr(got, name), getattr(want, name)
+        assert vars(got).keys() == vars(want).keys()
+        for name, value in vars(want).items():
+            assert np.shape(vars(got)[name]) == np.shape(value), name
+        np.testing.assert_equal(vars(got), vars(want))
 
     def test_rejects_asymmetric(self, grid2):
         g = geo.MetricField.identity(grid2).g.copy()

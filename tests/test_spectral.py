@@ -131,7 +131,7 @@ class TestLittlewoodPaley:
         assert np.max(np.abs(total - f)) <= 1e-12
 
     def test_lp_bands_are_the_projections(self, grid2):
-        # each bump is evaluated once per call, with the same values
+        # one transform of f for all bands, each band exactly lp_project's
         f = random_field(grid2, seed=4)
         bands = list(sp.lp_bands(grid2, f))
         assert len(bands) == sp.num_bands(grid2) + 1
@@ -301,7 +301,7 @@ class TestDivergenceAndSymmetricGradient:
         for field in (f, f + 1j * nyquist_rich_field(grid, lead, seed + 1)):
             field = field + np.swapaxes(field, 0, 1)  # exactly symmetric
             want = sp.gradient_sym(grid, field)
-            rows = [row.copy() for row in sp.derivatives_sym(grid, field)]
+            rows = [row.copy() for row in sp._derivatives_sym(grid, field)]
             assert len(rows) == d
             for c, row in enumerate(rows):
                 assert row.dtype == want.dtype
