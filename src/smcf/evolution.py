@@ -165,7 +165,7 @@ def trivial_state(grid: Grid, psi: np.ndarray) -> GaugeState:
 def g_tensor(state: GaugeState) -> np.ndarray:
     """Metric velocity G_ab = Im(psi conj(lam)_ab) + sym. gradient of V."""
     V_low = np.einsum("ab...,b...->a...", state.metric.g, state.V)
-    dV = geo.covariant_derivative(state.grid, V_low, 0, 1, state.metric).real  # (a, b)
+    dV = geo.covariant_derivative(state.grid, V_low, 0, 1, state.metric)  # (a, b)
     G = (state.psi * np.conj(state.lam)).imag + 0.5 * (
         dV + np.einsum("ab...->ba...", dV)
     )

@@ -240,7 +240,7 @@ def _vector_laplacian(grid, metric, V, dV):
 
 def _grad_up(metric, dV):
     """nabla^a V^b, from dV = nabla V, index order (b, c)."""
-    return np.einsum("ac...,bc...->ab...", metric.inv, dV.real)
+    return np.einsum("ac...,bc...->ab...", metric.inv, dV)
 
 
 def _vb_tensors(metric, lam, psi):

@@ -210,7 +210,7 @@ def extract_gauge(state: ImmersionState) -> ExtractedGauge:
     tau = np.einsum("cai...,i...->ca...", d2F, state.nu2)
     lam = kappa + 1j * tau
     psi = np.einsum("ab...,ab...->...", metric.inv, lam)
-    A = np.einsum("ai...,i...->a...", sp.gradient(grid, state.nu1).real, state.nu2)
+    A = np.einsum("ai...,i...->a...", sp.gradient(grid, state.nu1), state.nu2)
     return ExtractedGauge(metric=metric, lam=lam, psi=psi, A=A)
 
 

@@ -20,15 +20,14 @@ Real and complex fields.  A first derivative d_a f is one 1-D
 transform pair along axis a only (``gradient``): ``numpy.fft.rfft`` and
 ``irfft`` for a real field, which return float64, ``fft`` and ``ifft``
 for a complex one.  ``divergence`` forms sum_a d_a T[a] from one such
-pair per a, and ``gradient_sym`` differentiates a stack symmetric in
-its first two index axes (a metric, its inverse, lambda, the lower pair
-of the Christoffel symbols) from its d(d+1)/2 entries a <= b, and
-``_derivatives_sym`` yields the same one axis at a time.  The
-operators on ``spectrum`` (``hessian``, ``hessian_trace``,
-``hodge_solve``, ``inverse_laplacian``) use the full d-dimensional
-spectrum (``Grid.fft``, multipliers on ``Grid.full``) for a complex
-field and the half one (``Grid.rfft`` and ``Grid.half``), which costs
-roughly half as much, for a real one.  ``hessian_sums`` forms sums of
+pair per a, and ``_derivatives_sym`` differentiates a stack symmetric
+in its first two index axes (a metric, its inverse, lambda) one axis at
+a time, from its d(d+1)/2 entries a <= b.  The operators on
+``spectrum`` (``hessian``, ``hessian_trace``, ``hodge_solve``,
+``inverse_laplacian``) use the full d-dimensional spectrum
+(``Grid.fft``, multipliers on ``Grid.full``) for a complex field and
+the half one (``Grid.rfft`` and ``Grid.half``), which costs roughly
+half as much, for a real one.  ``hessian_sums`` forms sums of
 second derivatives of a real symmetric stack (the metric, for the
 Riemann tensor) on the half spectrum, one inverse transform per sum.
 A real result has to be the real part of the complex one, so each
@@ -60,7 +59,6 @@ __all__ = [
     "Grid",
     "smooth_bump",
     "gradient",
-    "gradient_sym",
     "divergence",
     "hessian",
     "hessian_sums",
@@ -282,35 +280,21 @@ def gradient(grid: Grid, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _derivative_sym(grid: Grid, f: np.ndarray, c: int, out: np.ndarray) -> np.ndarray:
-    """d_c f of a stack symmetric in its two leading index axes, into
-    ``out``: the entries a <= b one at a time, each mirrored into (b, a)."""
-    for a in range(len(f)):
-        for b in range(a, len(f)):
-            _derivative(grid, f[a, b], c, out[a, b])
-            if b > a:
-                out[b, a] = out[a, b]
-    return out
-
-
-def gradient_sym(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """``gradient`` of a stack symmetric in its two leading index axes,
-    f[a, b] = f[b, a]: only the d(d+1)/2 entries a <= b are transformed,
-    and each result is mirrored into (b, a)."""
-    out = np.empty((grid.d,) + np.shape(f), dtype=complex if np.iscomplexobj(f) else float)
-    for c in range(grid.d):
-        _derivative_sym(grid, f, c, out[c])
-    return out
-
-
 def _derivatives_sym(grid: Grid, f: np.ndarray):
-    """``gradient_sym`` one axis at a time: yields d_0 f, ..., d_{d-1} f,
-    each written over the last in one buffer of f's shape, so no
+    """The derivatives of a stack symmetric in its two leading index axes,
+    f[a, b] = f[b, a], one axis at a time: yields d_0 f, ..., d_{d-1} f,
+    each from the d(d+1)/2 entries a <= b, mirrored into (b, a).  Each
+    row is written over the last in one buffer of f's shape, so no
     (d,) + f.shape stack is formed.  A row is therefore valid only until
     the next one is asked for: use it, or copy it, before then."""
     out = np.empty(np.shape(f), dtype=complex if np.iscomplexobj(f) else float)
     for c in range(grid.d):
-        yield _derivative_sym(grid, f, c, out)
+        for a in range(len(f)):
+            for b in range(a, len(f)):
+                _derivative(grid, f[a, b], c, out[a, b])
+                if b > a:
+                    out[b, a] = out[a, b]
+        yield out
 
 
 def divergence(grid: Grid, T: np.ndarray) -> np.ndarray:

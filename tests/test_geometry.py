@@ -14,6 +14,8 @@ from smcf import spectral as sp
 from smcf.geometry import fixed_point
 from smcf.spectral import Grid
 
+from conftest import gaussian_psi
+
 
 def smooth_scalar(grid, seed=0, amp=1.0, complex_valued=False):
     rng = np.random.default_rng(seed)
@@ -185,7 +187,35 @@ class TestFixedPoint:
         assert x.value == 2.0 ** -10
 
 
+def nyquist_rich_metric(grid, seed, amp=0.02):
+    """I plus a symmetric perturbation with every mode, the Nyquist planes
+    included, and explicit (-1)^{j_a} content on each axis."""
+    rng = np.random.default_rng(seed)
+    lead = (grid.d, grid.d)
+    h = rng.standard_normal(lead + grid.shape)
+    sign = (-1.0) ** np.indices(grid.shape)
+    for a in range(grid.d):
+        h += rng.standard_normal(lead + (1,) * grid.d) * sign[a]
+    return geo.MetricField.from_h(grid, amp * (h + np.swapaxes(h, 0, 1)))
+
+
+def christoffel_whole_stack(metric):
+    """Gamma^c_{ab} = 1/2 g^{cs} (d_b g_{as} + d_a g_{bs} - d_s g_{ab}),
+    literally, from the whole gradient dg[s, a, b] = d_s g_{ab}."""
+    dg = sp.gradient(metric.grid, metric.g)
+    low = np.einsum("bas...->sab...", dg) + np.einsum("abs...->sab...", dg) - dg
+    return np.einsum("cs...,sab...->cab...", metric.inv, 0.5 * low)
+
+
 class TestMetricField:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_christoffel_is_the_whole_stack_formula(self, d):
+        # MetricField sums Gamma_{s,ab} one axis of d g at a time
+        m = nyquist_rich_metric(Grid(d=d, n=8), seed=d)
+        want = christoffel_whole_stack(m)
+        assert np.max(np.abs(want)) > 1e-3
+        assert np.max(np.abs(m.christoffel - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_identity(self, grid2):
         m = geo.MetricField.identity(grid2)
         assert np.max(np.abs(m.christoffel)) <= 1e-13
@@ -656,6 +686,33 @@ class TestHarmonicFix:
         m = small_metric(grid2, seed=38, amp=0.5)
         with pytest.raises(ValueError):
             geo.harmonic_coordinate_fix(m)
+
+    def test_smallness_threshold(self, grid2, monkeypatch):
+        # ||d h||_{L2} <= 0.1 |T^d|^{1/2} passes on to the solve, and a
+        # metric just beyond it is rejected before the solve
+        class Solved(Exception):
+            pass
+
+        def solve(*args):
+            raise Solved
+
+        monkeypatch.setattr(geo, "solve_laplace_beltrami", solve)
+        h = small_metric(grid2, seed=39).h
+        scale = 0.1 * np.sqrt(grid2.volume) / sp.l2_norm(grid2, sp.gradient(grid2, h))
+        with pytest.raises(ValueError, match="too large"):
+            geo.harmonic_coordinate_fix(geo.MetricField.from_h(grid2, h * scale * 1.000001))
+        with pytest.raises(Solved):
+            geo.harmonic_coordinate_fix(geo.MetricField.from_h(grid2, h * scale * 0.999999))
+
+    def test_acceptance_metric_passes(self, grid2):
+        st = ge.solve_elliptic_system(grid2, gaussian_psi(grid2),
+                                      ge.EllipticConfig(smallness_threshold=0.25),
+                                      report=False)
+        # the solve's metric is harmonic to its tolerance: the chart is the
+        # identity up to it
+        phi, _, _, fixed = geo.harmonic_coordinate_fix(st.metric)
+        assert np.max(np.abs(phi)) <= 1e-10
+        assert np.max(np.abs(fixed.g - st.metric.g)) <= 1e-10
 
 
 class TestInvertCoordinates:

@@ -1,13 +1,20 @@
 """Import hygiene of the package, checked with the standard library's
 ``ast`` (no linter is a dependency): every imported name is used or
-re-exported, and every ``__all__`` entry is bound."""
+re-exported, and every ``__all__`` entry is bound.  README.md's
+backticked references to the package's modules name what exists."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "smcf").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "smcf").glob("*.py"))
+MODULES = ("spectral", "geometry", "gauge_elliptic", "evolution", "immersion",
+           "norms", "cli")
+README_REFERENCE = re.compile(r"`((?:%s)\.[^`]*)`" % "|".join(MODULES))
 
 
 def imported_names(tree):
@@ -70,3 +77,21 @@ class TestImportHygiene:
         tree = ast.parse(path.read_text(), filename=str(path))
         unbound = set(exported_names(tree)) - bound_names(tree)
         assert not unbound, f"{path.name}: __all__ lists unbound {sorted(unbound)}"
+
+
+def test_readme_references_resolve():
+    """Every backticked ``module.name`` in README.md, for the modules of
+    ``MODULES``, names an attribute of that module (a dotted path is
+    followed attribute by attribute)."""
+    refs = sorted(set(README_REFERENCE.findall((ROOT / "README.md").read_text())))
+    assert refs
+    missing = []
+    for ref in refs:
+        module, *path = ref.split(".")
+        obj = importlib.import_module(f"smcf.{module}")
+        for name in path:
+            if not hasattr(obj, name):
+                missing.append(ref)
+                break
+            obj = getattr(obj, name)
+    assert not missing, f"README.md names what does not exist: {missing}"

@@ -257,9 +257,9 @@ class TestGradientPerAxis:
 
 
 class TestDivergenceAndSymmetricGradient:
-    """``divergence`` and ``gradient_sym`` are ``gradient`` with less work:
-    the trace of the whole gradient, and the gradient of a symmetric stack
-    from its entries a <= b."""
+    """``divergence`` and ``_derivatives_sym`` are ``gradient`` with less
+    work: the trace of the whole gradient, and the rows of the gradient of
+    a symmetric stack from its entries a <= b."""
 
     SETTINGS = settings(max_examples=30, deadline=None)
     FIELDS = dict(d=st.integers(1, 4), n=st.sampled_from([8, 10]),
@@ -280,27 +280,13 @@ class TestDivergenceAndSymmetricGradient:
 
     @SETTINGS
     @given(**FIELDS)
-    def test_gradient_sym_is_gradient_on_symmetric_stacks(self, d, n, rank, seed):
-        grid = Grid(d=d, n=n)
-        lead = (d, d) + (d,) * rank
-        f = nyquist_rich_field(grid, lead, seed)
-        for field in (f, f + 1j * nyquist_rich_field(grid, lead, seed + 1)):
-            field = field + np.swapaxes(field, 0, 1)  # exactly symmetric
-            want = sp.gradient(grid, field)
-            got = sp.gradient_sym(grid, field)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-
-
-    @SETTINGS
-    @given(**FIELDS)
     def test_derivatives_sym_are_the_gradient_rows(self, d, n, rank, seed):
         grid = Grid(d=d, n=n)
         lead = (d, d) + (d,) * rank
         f = nyquist_rich_field(grid, lead, seed)
         for field in (f, f + 1j * nyquist_rich_field(grid, lead, seed + 1)):
             field = field + np.swapaxes(field, 0, 1)  # exactly symmetric
-            want = sp.gradient_sym(grid, field)
+            want = sp.gradient(grid, field)
             rows = [row.copy() for row in sp._derivatives_sym(grid, field)]
             assert len(rows) == d
             for c, row in enumerate(rows):
