@@ -165,7 +165,7 @@ def trivial_state(grid: Grid, psi: np.ndarray) -> GaugeState:
 def g_tensor(state: GaugeState) -> np.ndarray:
     """Metric velocity G_ab = Im(psi conj(lam)_ab) + sym. gradient of V."""
     V_low = np.einsum("ab...,b...->a...", state.metric.g, state.V)
-    dV = geo.covariant_derivative(state.grid, V_low, 0, 1, state.metric)  # (a, b)
+    dV = geo.covariant_derivative(V_low, 0, 1, state.metric)  # (a, b)
     G = (state.psi * np.conj(state.lam)).imag + 0.5 * (
         dV + np.einsum("ab...->ba...", dV)
     )
@@ -178,10 +178,10 @@ def schrodinger_rhs(state: GaugeState) -> np.ndarray:
     At the trivial gauge every correction vanishes and the result is
     exactly i * Delta psi.
     """
-    grid, psi = state.grid, state.psi
+    psi = state.psi
     m, A, V, B, lam = state.metric, state.A, state.V, state.B, state.lam
-    d1 = geo.covariant_derivative(grid, psi, 0, 0, m, A)       # (c,)
-    d2 = geo.covariant_derivative(grid, d1, 0, 1, m, A)        # (c2, c1)
+    d1 = geo.covariant_derivative(psi, 0, 0, m, A)             # (c,)
+    d2 = geo.covariant_derivative(d1, 0, 1, m, A)              # (c2, c1)
     lap = np.einsum("ab...,ab...->...", m.inv, d2)
     adv = np.einsum("g...,g...->...", V, d1)
     lam_ud = np.einsum("gm...,ms...->gs...", m.inv, lam)
@@ -361,10 +361,10 @@ class Monitor:
 
     def record(self, state: GaugeState) -> Sample:
         grid, psi, ks, dt, m = state.grid, state.psi, self.ks, self.dt, state.metric
-        psi_norms = geo.intrinsic_norms(grid, psi, 0, 0, m, state.A, ks)
+        psi_norms = geo.intrinsic_norms(psi, 0, 0, m, state.A, ks)
         smp = Sample(
             energies={k: psi_norms[k] ** 2 for k in ks},
-            lam_norms=geo.intrinsic_norms(grid, state.lam, 0, 2, m, state.A, ks),
+            lam_norms=geo.intrinsic_norms(state.lam, 0, 2, m, state.A, ks),
             hs_norm=sp.hs_norm(grid, psi, self.table.s_d),
             lam_linf=sp.linf_norm(grid, state.lam),
             report=state.constraint_report(),

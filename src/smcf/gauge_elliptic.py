@@ -15,7 +15,9 @@ g, lambda and A are found together by block Gauss-Seidel sweeps, one
 update of each per sweep in that order; V and B once from the converged
 three.  The g, V and B equations each have one residual, right-hand
 side minus left-hand side, which ``geo.preconditioned_sweep`` drives to
-zero and which their public ``*_equation_residual`` reads.
+zero and which their public ``*_equation_residual`` reads at a
+``GaugeState``.  A function given a ``MetricField`` reads the grid from
+it.
 
 All torus zero modes are projected out (the compatibility integrals
 that vanish on decaying data need not vanish on the torus); discarded
@@ -94,9 +96,7 @@ class GaugeState:
         once and kept in ``diagnostics["residuals"]``."""
         report = self.diagnostics.get("residuals")
         if report is None:
-            report = geo.constraint_residuals(
-                self.grid, self.psi, self.metric, self.lam, self.A
-            )
+            report = geo.constraint_residuals(self.psi, self.metric, self.lam, self.A)
             self.diagnostics["residuals"] = report
         return report
 
@@ -111,7 +111,7 @@ def _contract(update, x0, cfg, name):
     return geo.fixed_point(step, x0, name, cfg.tol, cfg.max_iter)[0]
 
 
-def _lambda_update(grid, dpsi, metric, A, lam):
+def _lambda_update(dpsi, metric, A, lam):
     """One update of the lambda div-curl system at (g, A), with dpsi the
     gauged gradient d psi + i A psi.
 
@@ -123,6 +123,7 @@ def _lambda_update(grid, dpsi, metric, A, lam):
     constraint report reads too; the latter takes d lam one axis at a
     time (``sp._derivatives_sym``).
     """
+    grid = metric.grid
     # flat curl data (pair, g), its pairs in ``sp.hodge_solve``'s order
     C = geo._connection_curl(metric, A, lam)
     D = geo._lambda_divergence_data(metric, A, lam, sp._derivatives_sym(grid, lam), dpsi)
@@ -140,12 +141,13 @@ def _symmetrize(T):
             T[a, b] = T[b, a] = 0.5 * (T[a, b] + T[b, a])
 
 
-def recover_lambda(grid, psi, metric, A, cfg: EllipticConfig) -> np.ndarray:
+def recover_lambda(psi, metric, A, cfg: EllipticConfig) -> np.ndarray:
     """Solve the div-curl system for the second fundamental form at
     fixed (g, A): ``_lambda_update`` to a fixed point from the flat
     solution."""
+    grid = metric.grid
     dpsi = sp.gradient(grid, psi) + 1j * A * psi  # gauged gradient of psi
-    return _contract(lambda lam: _lambda_update(grid, dpsi, metric, A, lam),
+    return _contract(lambda lam: _lambda_update(dpsi, metric, A, lam),
                      sp.riesz_pairs(grid, psi), cfg, "lambda recovery")
 
 
@@ -161,7 +163,7 @@ def _weighted_second_sym(grid, coeff, g):
     return out
 
 
-def _metric_residual(grid, m, lam, psi):
+def _metric_residual(m, lam, psi):
     """Right-hand side minus left-hand side of the harmonic-coordinate
     metric equation at the metric m, exactly symmetric.
 
@@ -174,7 +176,7 @@ def _metric_residual(grid, m, lam, psi):
     """
     gam_low = np.einsum("nm...,msa...->nsa...", m.g, m.christoffel)  # Gamma_{n,sa}
     r = 2.0 * np.einsum("ab...,nsa...,nbg...->gs...", m.inv, gam_low, m.christoffel)
-    for c, dginv in enumerate(sp._derivatives_sym(grid, m.inv)):  # d_c g^{ab}
+    for c, dginv in enumerate(sp._derivatives_sym(m.grid, m.inv)):  # d_c g^{ab}
         # t_s = d_c g^{ab} d_b g_{as}, which enters as -t_{cs} - t_{sc}
         t = np.einsum("ab...,asb...->s...", dginv, gam_low)
         t += np.einsum("ab...,sab...->s...", dginv, gam_low)
@@ -188,15 +190,16 @@ def _metric_residual(grid, m, lam, psi):
         src -= np.einsum("ag...,as...->gs...", part, up)
     r -= 2.0 * src
     del src
-    r -= _weighted_second_sym(grid, m.inv, m.g)
+    r -= _weighted_second_sym(m.grid, m.inv, m.g)
     _symmetrize(r)
     return r
 
 
-def metric_equation_residual(grid, metric, lam, psi):
-    """Left minus right of the metric equation (mean-projected): minus
-    the residual that the metric solve drives to zero."""
-    return -sp.mean_zero(grid, _metric_residual(grid, metric, lam, psi))
+def metric_equation_residual(state: GaugeState):
+    """Left minus right of the metric equation at the state
+    (mean-projected): minus the residual that the metric solve drives to
+    zero."""
+    return -sp.mean_zero(state.grid, _metric_residual(state.metric, state.lam, state.psi))
 
 
 def _metric_of_h(grid, h):
@@ -214,12 +217,12 @@ def solve_metric(grid, lam, psi, cfg: EllipticConfig, g0: MetricField | None = N
     ``_metric_residual``, from g0 (the flat metric by default)."""
     h0 = g0.h if g0 is not None else np.zeros((grid.d, grid.d) + grid.shape)
     h = geo.solve_preconditioned(
-        grid, lambda h: _metric_residual(grid, _metric_of_h(grid, h), lam, psi),
+        grid, lambda h: _metric_residual(_metric_of_h(grid, h), lam, psi),
         h0, "metric equation", cfg.tol, cfg.max_iter)[0]
     return _metric_of_h(grid, h)
 
 
-def _vector_laplacian(grid, metric, V, dV):
+def _vector_laplacian(metric, V, dV):
     """Covariant vector Laplacian g^{bc} nabla_b nabla_c V^g, with
     dV = nabla V in index order (g, c), contracted before it is
     connected: g^{bc} d_b d_c V^g + g^{bc} d_b(Gamma^g_{cs} V^s)
@@ -227,7 +230,7 @@ def _vector_laplacian(grid, metric, V, dV):
     The flat second derivatives of V come from ``sp.hessian_trace``, not
     from differentiating dV (which would drop the diagonal Nyquist mode
     of a real V)."""
-    Gam = metric.christoffel
+    grid, Gam = metric.grid, metric.christoffel
     out = sp.hessian_trace(grid, metric.inv, V)
     GV = np.einsum("gcs...,s...->gc...", Gam, V)
     for b in range(grid.d):  # one axis at a time, no (d, d, d) stack
@@ -243,13 +246,19 @@ def _grad_up(metric, dV):
     return np.einsum("ac...,bc...->ab...", metric.inv, dV)
 
 
-def _vb_tensors(metric, lam, psi):
-    """(M, W, N, K), the real (d, d) tensors of lambda and psi that the V
-    and B equations read: M^{ab} = Im(lam^{ab} conj(psi)),
-    N^a_b = Re(lam^a_b conj(psi)), W_g^s = N^g_s - Re(lam_as conj(lam)^{ag})
-    and K_ab = Im(lam^s_a conj(lam_sb)) (``geo._normal_curvature``).
-    lambda is raised once, part by part (``geo._raise_parts``), and
-    lam^{ab} is lam^a_n g^{nb}."""
+def _vb_sources(metric, lam, psi, A):
+    """The V-independent parts of the V and B equations, ((rhs_V, W),
+    (rhs_B, K, dA)): each right-hand side at V = 0, and what it is linear
+    in V through: -W V for V, and g^{cg} nabla_c (K V)_g and (nabla^b V^g
+    + nabla^g V^b) d_b A_g for B, dA[b, g] = d_b A_g.  They read the real
+    (d, d) tensors M^{ab} = Im(lam^{ab} conj(psi)), N^a_b = Re(lam^a_b
+    conj(psi)), W_g^s = N^g_s - Re(lam_as conj(lam)^{ag}) and K_ab =
+    Im(lam^s_a conj(lam_sb)) (``geo._normal_curvature``), with lambda
+    raised once, part by part (``geo._raise_parts``), lam^{ab} = lam^a_n
+    g^{nb}, and Gamma^a_{as} formed once.  rhs_V is 2 nabla_a M^{ag} +
+    2 Im(psi conj(lam)^{ab}) Gamma^g_{ab}, whose two Gamma^g_{ab} M^{ab}
+    terms cancel: 2 (d_a M^{ag} + Gamma^a_{as} M^{sg})."""
+    grid, Gam = metric.grid, metric.christoffel
     up = list(geo._raise_parts(metric, lam))  # (Re, Im) lam^a_b
     N = up[0] * psi.real + up[1] * psi.imag
     K = geo._normal_curvature(lam, up)
@@ -258,136 +267,119 @@ def _vb_tensors(metric, lam, psi):
     M = up[1] * psi.real - up[0] * psi.imag
     W = N - np.einsum("as...,ag...->gs...", lam.real, up[0])
     W -= np.einsum("as...,ag...->gs...", lam.imag, up[1])
-    return M, W, N, K
-
-
-def _advection_source(grid, metric, M, W):
-    """The V-independent parts of the advection right-hand side:
-    (rhs at V = 0, W with rhs linear in V through -W V), from
-    ``_vb_tensors``' M and W.  The rhs at V = 0 is 2 nabla_a M^{ag} +
-    2 Im(psi conj(lam)^{ab}) Gamma^g_{ab}, whose two Gamma^g_{ab} M^{ab}
-    terms cancel: 2 (d_a M^{ag} + Gamma^a_{as} M^{sg})."""
-    rhs0 = sp.divergence(grid, M)
-    rhs0 += np.einsum("s...,sg...->g...",
-                      np.einsum("aas...->s...", metric.christoffel), M)
-    rhs0 *= 2.0
-    return rhs0, W
-
-
-def _advection_residual(grid, metric, source, V):
-    """Right-hand side minus left-hand side of the advection-field
-    equation at V, from ``_advection_source``."""
-    rhs0, W = source
-    dV = geo.covariant_derivative(grid, V, 1, 0, metric)
-    r = rhs0 - np.einsum("gs...,s...->g...", W, V)
-    r += 2.0 * np.einsum("ab...,gab...->g...", _grad_up(metric, dV),
-                         metric.christoffel)
-    r -= _vector_laplacian(grid, metric, V, dV)
-    return r
-
-
-def advection_equation_residual(grid, metric, lam, psi, V):
-    """Left minus right of the advection equation (mean-projected): minus
-    the residual that the V solve drives to zero."""
-    M, W, _, _ = _vb_tensors(metric, lam, psi)
-    source = _advection_source(grid, metric, M, W)
-    return -sp.mean_zero(grid, _advection_residual(grid, metric, source, V))
-
-
-def _temporal_source(grid, metric, M, N, K, psi, A):
-    """The V-independent parts of the temporal right-hand side, from
-    ``_vb_tensors``' M, N and K: (rhs at V = 0, K, dA), with rhs linear in
-    V through g^{cg} nabla_c (K V)_g and (nabla^b V^g + nabla^g V^b)
-    d_b A_g; dA[b, g] = d_b A_g is taken once, for both."""
-    Gam = metric.christoffel
+    del up
+    trace = np.einsum("aas...->s...", Gam)  # Gamma^a_{as}
+    rhs_V = sp.divergence(grid, M)
+    rhs_V += np.einsum("s...,sg...->g...", trace, M)
+    rhs_V *= 2.0
     dA = sp.gradient(grid, A)
     # w_g = nabla_s N^s_g = d_s N^s_g + Gamma^s_{sm} N^m_g - Gamma^m_{sg} N^s_m
     w = sp.divergence(grid, N)
-    w += np.einsum("m...,mg...->g...", np.einsum("ssm...->m...", Gam), N)
+    w += np.einsum("m...,mg...->g...", trace, N)
     w -= np.einsum("msg...,sm...->g...", Gam, N)
     # -g^{cg} nabla_c w_g = -g^{cg} d_c w_g + H^m w_m
-    rhs0 = np.einsum("m...,m...->...", metric.harmonic_defect, w)
-    rhs0 -= np.einsum("cg...,cg...->...", metric.inv, sp.gradient(grid, w))
-    rhs0 += 0.5 * metric.laplace_beltrami((psi * np.conj(psi)).real)
+    rhs_B = np.einsum("m...,m...->...", metric.harmonic_defect, w)
+    rhs_B -= np.einsum("cg...,cg...->...", metric.inv, sp.gradient(grid, w))
+    rhs_B += 0.5 * metric.laplace_beltrami((psi * np.conj(psi)).real)
     # 2 Im(psi conj(lam)^{bg}) d_b A_g = -2 M^{bg} d_b A_g
-    rhs0 -= 2.0 * np.einsum("bg...,bg...->...", M, dA)
-    return rhs0, K, dA
+    rhs_B -= 2.0 * np.einsum("bg...,bg...->...", M, dA)
+    return (rhs_V, W), (rhs_B, K, dA)
 
 
-def _temporal_rhs(grid, metric, source, V):
+def _advection_residual(metric, source, V):
+    """Right-hand side minus left-hand side of the advection-field
+    equation at V, from ``_vb_sources``' (rhs_V, W)."""
+    rhs0, W = source
+    dV = geo.covariant_derivative(V, 1, 0, metric)
+    r = rhs0 - np.einsum("gs...,s...->g...", W, V)
+    r += 2.0 * np.einsum("ab...,gab...->g...", _grad_up(metric, dV),
+                         metric.christoffel)
+    r -= _vector_laplacian(metric, V, dV)
+    return r
+
+
+def advection_equation_residual(state: GaugeState):
+    """Left minus right of the advection equation at the state
+    (mean-projected): minus the residual that the V solve drives to zero."""
+    source = _vb_sources(state.metric, state.lam, state.psi, state.A)[0]
+    return -sp.mean_zero(state.grid, _advection_residual(state.metric, source, state.V))
+
+
+def _temporal_rhs(metric, source, V):
     """Right-hand side of the temporal-connection equation at V, from
-    ``_temporal_source``."""
+    ``_vb_sources``' (rhs_B, K, dA)."""
     rhs0, K, dA = source
     u = np.einsum("gb...,b...->g...", K, V)  # Im(lam^s_g conj(lam_sb)) V^b
     # g^{cg} nabla_c u_g = g^{cg} d_c u_g - H^m u_m
-    rhs = rhs0 + np.einsum("cg...,cg...->...", metric.inv, sp.gradient(grid, u))
+    rhs = rhs0 + np.einsum("cg...,cg...->...", metric.inv, sp.gradient(metric.grid, u))
     rhs -= np.einsum("m...,m...->...", metric.harmonic_defect, u)
-    gradV_up = _grad_up(metric, geo.covariant_derivative(grid, V, 1, 0, metric))
+    gradV_up = _grad_up(metric, geo.covariant_derivative(V, 1, 0, metric))
     sym = gradV_up + np.einsum("ab...->ba...", gradV_up)
     rhs += np.einsum("bg...,bg...->...", sym, dA)
     return rhs
 
 
-def temporal_equation_residual(grid, metric, lam, psi, V, A, B):
-    """Left minus right of the temporal equation (mean-projected)."""
-    M, _, N, K = _vb_tensors(metric, lam, psi)
-    source = _temporal_source(grid, metric, M, N, K, psi, A)
-    return sp.mean_zero(grid, metric.laplace_beltrami(B).real
-                        - _temporal_rhs(grid, metric, source, V))
+def temporal_equation_residual(state: GaugeState):
+    """Left minus right of the temporal equation at the state
+    (mean-projected)."""
+    metric = state.metric
+    source = _vb_sources(metric, state.lam, state.psi, state.A)[1]
+    return sp.mean_zero(state.grid, metric.laplace_beltrami(state.B).real
+                        - _temporal_rhs(metric, source, state.V))
 
 
-def _A_update(grid, metric, lam, A):
+def _A_update(metric, lam, A):
     """One update of the Coulomb div-curl system at (lambda, g): the
     data ``geo._coulomb_curl`` and ``geo._coulomb_divergence_data``, the
     latter at ``A``."""
+    grid = metric.grid
     return sp.hodge_solve(grid, geo._coulomb_curl(metric, lam),
                           geo._coulomb_divergence_data(metric, A, sp.gradient(grid, A)))
 
 
-def _solve_A(grid, lam, metric, cfg, A0):
+def _solve_A(lam, metric, cfg, A0):
     """Coulomb connection A at fixed (lambda, g): ``_A_update`` to a
     fixed point from A0."""
-    return _contract(lambda A: _A_update(grid, metric, lam, A), A0, cfg,
+    return _contract(lambda A: _A_update(metric, lam, A), A0, cfg,
                      "Coulomb connection")
 
 
-def _solve_VB(grid, lam, psi, metric, A, cfg, V0, record=None):
+def _solve_VB(lam, psi, metric, A, cfg, V0, q_V=np.nan):
     """Advection field V (covariant vector Laplace equation), then the
     temporal connection B (Laplace-Beltrami equation); nothing else in
     the system reads either.  Both run the preconditioned sweep
     ``geo.solve_preconditioned``, and the V loop stops on the Banach
-    bound.  ``record``, a solve record, gives the V loop its factor
-    before it has measured its own (``"q_V"``, NaN for none) and receives
-    the V loop's factor and the V and B sweep counts.  Both read the
-    real tensors of ``_vb_tensors``, so lambda is raised once for both.
-    V starts at V0, or, for V0 = None (a cold solve), at the first
+    bound, with ``q_V`` its factor before it has measured its own (NaN
+    for none).  Both read ``_vb_sources``, so lambda is raised once for
+    both.  V starts at V0, or, for V0 = None (a cold solve), at the first
     sweep's iterate from V = 0, mean_zero(Delta^{-1} of the residual
-    there)."""
-    record = {} if record is None else record
-    M, W, N, K = _vb_tensors(metric, lam, psi)
-    source = _advection_source(grid, metric, M, W)
-    source_B = _temporal_source(grid, metric, M, N, K, psi, A)
-    del M, W, N, K  # the V loop holds only what it reads
+    there).  Returns (V, B, record), the record holding the V and B
+    sweep counts ``V_iterations`` and ``B_iterations`` and the V loop's
+    factor ``q_V``."""
+    grid = metric.grid
+    source, source_B = _vb_sources(metric, lam, psi, A)
     if V0 is None:  # the residual at V = 0 is source[0]
         V0 = sp.mean_zero(grid, sp.inverse_laplacian(grid, source[0]))
-    V, record["V_iterations"], _, record["q_V"] = geo.solve_preconditioned(
-        grid, lambda V: _advection_residual(grid, metric, source, V), V0,
-        "advection field", cfg.tol, cfg.max_iter, record.get("q_V", np.nan))
-    rhs_B = _temporal_rhs(grid, metric, source_B, V)
-    B, record["B_iterations"], _ = geo.solve_laplace_beltrami(
+    V, V_iterations, _, q_V = geo.solve_preconditioned(
+        grid, lambda V: _advection_residual(metric, source, V), V0,
+        "advection field", cfg.tol, cfg.max_iter, q_V)
+    rhs_B = _temporal_rhs(metric, source_B, V)
+    B, B_iterations, _ = geo.solve_laplace_beltrami(
         metric, rhs_B, "temporal connection", cfg.tol, cfg.max_iter)
-    return V, B
+    return V, B, {"V_iterations": V_iterations, "q_V": q_V,
+                  "B_iterations": B_iterations}
 
 
-def solve_VAB(grid, lam, psi, metric, cfg: EllipticConfig, warm=None):
+def solve_VAB(lam, psi, metric, cfg: EllipticConfig, warm=None):
     """Solve the three remaining elliptic equations: A, then V and B.
 
     ``warm`` is an optional (V, A, ...) tuple of starting iterates.
     """
+    grid = metric.grid
     V0, A0 = (None, np.zeros((grid.d,) + grid.shape)) if warm is None \
         else (warm[0], warm[1])
-    A = _solve_A(grid, lam, metric, cfg, A0)
-    V, B = _solve_VB(grid, lam, psi, metric, A, cfg, V0)
+    A = _solve_A(lam, metric, cfg, A0)
+    V, B, _ = _solve_VB(lam, psi, metric, A, cfg, V0)
     return V, A, B
 
 
@@ -409,7 +401,7 @@ def _outer_start(grid, psi, warm):
     if warm is not None:
         lam = warm.lam + sp.riesz_pairs(grid, psi - warm.psi)
         metric = warm.metric
-        A = _A_update(grid, metric, lam, warm.A)
+        A = _A_update(metric, lam, warm.A)
         return lam, metric, A
     lam = sp.riesz_pairs(grid, psi)
     metric = MetricField.identity(grid)
@@ -479,15 +471,15 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
     def sweep(x):
         lam, metric, A = x
         del x  # fixed_point keeps no other reference, so the old metric can go
-        r = _metric_residual(grid, metric, lam, psi)  # before metric.h: the peak
+        r = _metric_residual(metric, lam, psi)  # before metric.h: the peak
         h, changes["metric equation"] = geo.preconditioned_sweep(grid, metric.h, r)
         del metric, r
         metric_new = _metric_of_h(grid, h)
         del h
-        lam_new = _lambda_update(grid, dpsi + 1j * A * psi, metric_new, A, lam)
+        lam_new = _lambda_update(dpsi + 1j * A * psi, metric_new, A, lam)
         changes["lambda recovery"] = float(np.max(np.abs(lam_new - lam)))
         del lam  # superseded before the A update
-        A_new = _A_update(grid, metric_new, lam_new, A)
+        A_new = _A_update(metric_new, lam_new, A)
         changes["Coulomb connection"] = float(np.max(np.abs(A_new - A)))
         size = float(np.max(list(changes.values())))  # NaN-propagating
         return (lam_new, metric_new, A_new), size
@@ -502,9 +494,10 @@ def solve_elliptic_system(grid, psi, cfg: EllipticConfig | None = None,
             f"{exc}; largest change in the {worst} ({changes[worst]:.3e})",
             residual=exc.residual) from exc
     del dpsi  # nothing after the sweep reads it
+    V, B, record_VB = _solve_VB(lam, psi, metric, A, cfg, V0,
+                                recorded.get("q_V", np.nan))
     record = {"outer_iterations": sweeps, "final_update": final_update,
-              "q": q, "q_V": recorded.get("q_V", np.nan)}
-    V, B = _solve_VB(grid, lam, psi, metric, A, cfg, V0, record)
+              "q": q, **record_VB}
 
     state = GaugeState(psi=psi, metric=metric, lam=lam, V=V, A=A, B=B,
                        diagnostics=record)

@@ -292,19 +292,20 @@ def solve_laplace_beltrami(metric: MetricField, rhs: np.ndarray, name: str,
                                 name, tol, max_iter)
 
 
-def covariant_derivative(grid, T, nup, nlow, metric, A=None):
+def covariant_derivative(T, nup, nlow, metric, A=None):
     """Covariant derivative, optionally gauged: nabla^A_c T = nabla_c T + i A_c T.
 
     The new lower (derivative) index is inserted at position ``nup``,
     so the result is again laid out uppers-first.  The flat connection
-    is ``MetricField.identity``'s.
+    is ``MetricField.identity``'s; T lives on the metric's grid.
     """
+    grid = metric.grid
     T = np.asarray(T)
     if T.ndim != nup + nlow + grid.d:
         raise ValueError(
             f"tensor rank mismatch: ndim {T.ndim} vs {nup} upper + {nlow} lower indices"
         )
-    return _add_connection(grid, T, sp.gradient(grid, T), nup, nlow, metric, A)
+    return _add_connection(T, sp.gradient(grid, T), nup, nlow, metric, A)
 
 
 def _accumulate(op, dst, spec, R, T):
@@ -318,11 +319,11 @@ def _accumulate(op, dst, spec, R, T):
         op(dst_part, np.einsum(spec, R, np.ascontiguousarray(T_part)), out=dst_part)
 
 
-def _add_connection(grid, T, out, nup, nlow, metric, A):
+def _add_connection(T, out, nup, nlow, metric, A):
     """``covariant_derivative`` from the plain gradient ``out`` of T
     (derivative index leading, updated in place): adds the Christoffel
     and gauge terms and moves the derivative index to position ``nup``."""
-    Gam = metric.christoffel
+    grid, Gam = metric.grid, metric.christoffel
     for i in range(nup):
         _accumulate(np.add, np.moveaxis(out, i + 1, 1), "ags...,s...->ga...",
                     Gam, np.moveaxis(T, i, 0))
@@ -435,7 +436,7 @@ def curvature(metric: MetricField):
     return riemann, np.einsum("sm...,mgsb...->gb...", metric.inv, riemann)
 
 
-def tensor_norm_sq_field(grid, T, nup, nlow, metric):
+def tensor_norm_sq_field(T, nup, nlow, metric):
     """Pointwise |T|^2_g: the parts Re T and Im T go into the frames of
     ``MetricField.frames`` index by index (upper by F, lower by E), so it
     is a flat sum of squares, >= 0."""
@@ -445,19 +446,19 @@ def tensor_norm_sq_field(grid, T, nup, nlow, metric):
     for i, M in enumerate([F] * nup + [E] * nlow):
         parts = [np.moveaxis(np.einsum("ia...,a...->i...", M, np.moveaxis(P, i, 0)),
                              0, i) for P in parts]
-    return sum(sp._abs2(P, grid) for P in parts)
+    return sum(sp._abs2(P, metric.grid) for P in parts)
 
 
-def intrinsic_norm(grid, T, nup, nlow, metric, A=None, k=0):
+def intrinsic_norm(T, nup, nlow, metric, A=None, k=0):
     """Intrinsic Sobolev norm: sqrt(sum_{l<=k} int |nabla^{A,l} T|^2_g dmu).
 
     Derivative indices count as lower indices; dmu = sqrt(det g) dx.
     Negative k is out of scope (the duality definition is test-only).
     """
-    return intrinsic_norms(grid, T, nup, nlow, metric, A, (k,))[k]
+    return intrinsic_norms(T, nup, nlow, metric, A, (k,))[k]
 
 
-def intrinsic_norms(grid, T, nup, nlow, metric, A=None, ks=(0,)):
+def intrinsic_norms(T, nup, nlow, metric, A=None, ks=(0,)):
     """``intrinsic_norm`` for every order in ``ks``, keyed by order, from
     one pass over the derivative levels (bit-identical to per-k calls)."""
     if any(k < 0 for k in ks):
@@ -467,19 +468,19 @@ def intrinsic_norms(grid, T, nup, nlow, metric, A=None, ks=(0,)):
     total = 0.0
     cur, up, low = np.asarray(T), nup, nlow
     for level in range(top + 1):
-        dens = tensor_norm_sq_field(grid, cur, up, low, metric)
-        total += float(np.sum(dens * metric.sqrt_det) * grid.cell_volume)
+        dens = tensor_norm_sq_field(cur, up, low, metric)
+        total += float(np.sum(dens * metric.sqrt_det) * metric.grid.cell_volume)
         if level in ks:
             norms[level] = float(np.sqrt(total))
         if level < top:
-            cur = covariant_derivative(grid, cur, up, low, metric, A)
+            cur = covariant_derivative(cur, up, low, metric, A)
             low += 1
     return norms
 
 
-def energy(grid, psi, metric, A, k):
+def energy(psi, metric, A, k):
     """Energy functional of order k: the squared intrinsic Sobolev norm of psi."""
-    return intrinsic_norm(grid, psi, 0, 0, metric, A, k) ** 2
+    return intrinsic_norm(psi, 0, 0, metric, A, k) ** 2
 
 
 @dataclass(frozen=True)
@@ -517,7 +518,7 @@ class ConstraintReport:
         return max(r.linf for r in self.as_dict().values())
 
 
-def constraint_residuals(grid, psi, metric, lam, A):
+def constraint_residuals(psi, metric, lam, A):
     """Residual norms of the compatibility conditions for psi (complex
     scalar mean curvature), the metric, the complex second fundamental
     form lam (both indices lower) and the connection covector A.
@@ -537,6 +538,7 @@ def constraint_residuals(grid, psi, metric, lam, A):
     axis at a time, and each d_e lam goes into Codazzi, the flat
     divergence and the divergence data before the next is formed.
     """
+    grid = metric.grid
     results, nondecay = {}, {}
 
     def report(name, field, weight=1.0):

@@ -214,10 +214,10 @@ def extract_gauge(state: ImmersionState) -> ExtractedGauge:
     return ExtractedGauge(metric=metric, lam=lam, psi=psi, A=A)
 
 
-def _coulomb_angle(grid: Grid, metric: MetricField, A: np.ndarray) -> np.ndarray:
+def _coulomb_angle(metric: MetricField, A: np.ndarray) -> np.ndarray:
     """Mean-zero theta with Delta_g theta = -div_g A (covariant divergence):
     -div_g A = ``geo._coulomb_divergence_data`` - d_a A_a, contracted first."""
-    dA = sp.gradient(grid, A)  # (c, a) = d_c A_a
+    dA = sp.gradient(metric.grid, A)  # (c, a) = d_c A_a
     rhs = geo._coulomb_divergence_data(metric, A, dA) - np.einsum("aa...->...", dA)
     return geo.solve_laplace_beltrami(metric, rhs, "Coulomb angle solve", 1e-10, 200)[0]
 
@@ -332,7 +332,7 @@ def align_extracted(grid: Grid, ex: ExtractedGauge, psi_ref: np.ndarray):
     A_at_x = sp.trig_interp(grid, ex.A, x).real  # (a, m)
     A_y = np.einsum("mac,am->cm", inv_jac, A_at_x).reshape((grid.d,) + grid.shape)
 
-    theta = _coulomb_angle(grid, metric_y, A_y)
+    theta = _coulomb_angle(metric_y, A_y)
     psi_y = np.exp(-1j * theta) * psi_y
 
     psi_al, theta0, shift, offset = _phase_translation_fit(grid, psi_y, psi_ref)

@@ -101,8 +101,7 @@ class TestNormEquivalence:
                     T[a, b] = grid2.ifft(decay * grid2.fft(noise))
             for k in range(4):
                 ratio = (
-                    geo.intrinsic_norm(grid2, T, 0, 2, converged2.metric,
-                                       converged2.A, k)
+                    geo.intrinsic_norm(T, 0, 2, converged2.metric, converged2.A, k)
                     / flat_sobolev_norm(grid2, T, k)
                 )
                 assert 0.9 <= ratio <= 1.1

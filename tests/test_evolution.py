@@ -314,9 +314,8 @@ class TestMonitor:
         smp = ev.Monitor(grid2, make_cfg(monitor_ks=ks)).record(st)
         assert sorted(smp.energies) == sorted(smp.lam_norms) == sorted(ks)
         for k in ks:
-            assert smp.energies[k] == geo.energy(grid2, st.psi, m, A, k)
-            assert smp.lam_norms[k] == geo.intrinsic_norm(grid2, st.lam, 0, 2,
-                                                          m, A, k)
+            assert smp.energies[k] == geo.energy(st.psi, m, A, k)
+            assert smp.lam_norms[k] == geo.intrinsic_norm(st.lam, 0, 2, m, A, k)
 
 
 def report_bytes(report):

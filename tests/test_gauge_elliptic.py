@@ -40,14 +40,14 @@ class TestRecoverLambda:
     def test_zero_psi(self, grid2):
         m = MetricField.identity(grid2)
         A = np.zeros((2,) + grid2.shape)
-        lam = ge.recover_lambda(grid2, np.zeros(grid2.shape, complex), m, A, CFG)
+        lam = ge.recover_lambda(np.zeros(grid2.shape, complex), m, A, CFG)
         assert np.max(np.abs(lam)) <= 1e-13
 
     def test_flat_closed_form(self, grid2):
         psi = gaussian_psi(grid2)
         m = MetricField.identity(grid2)
         A = np.zeros((2,) + grid2.shape)
-        lam = ge.recover_lambda(grid2, psi, m, A, CFG)
+        lam = ge.recover_lambda(psi, m, A, CFG)
         assert np.max(np.abs(lam - sp.riesz_pairs(grid2, psi))) <= 1e-10
 
     def test_flat_closed_form_satisfies_system(self, grid2):
@@ -86,9 +86,7 @@ class TestSolveMetric:
         assert np.max(np.abs(m.h)) <= 1e-13
 
     def test_equation_residual(self, grid2, converged):
-        res = ge.metric_equation_residual(
-            grid2, converged.metric, converged.lam, converged.psi
-        )
+        res = ge.metric_equation_residual(converged)
         assert sp.l2_norm(grid2, res) <= 1e-9
 
     def test_ricci_cross_check(self, grid2, converged):
@@ -109,16 +107,17 @@ class TestSolveVAB:
             return raise_parts(*args)
 
         monkeypatch.setattr(geo, "_raise_parts", counted)
-        V, B = ge._solve_VB(grid2, converged.lam, converged.psi, converged.metric,
-                            converged.A, CFG, converged.V)
+        V, B, record = ge._solve_VB(converged.lam, converged.psi, converged.metric,
+                                    converged.A, CFG, converged.V)
         assert len(calls) == 1
+        assert set(record) == {"V_iterations", "q_V", "B_iterations"}
         assert np.max(np.abs(V - converged.V)) <= 10 * CFG.tol
         assert np.max(np.abs(B - converged.B)) <= 10 * CFG.tol
 
     def test_trivial(self, grid2):
         lam = np.zeros((2, 2) + grid2.shape, dtype=complex)
         m = MetricField.identity(grid2)
-        V, A, B = ge.solve_VAB(grid2, lam, np.zeros(grid2.shape, complex), m, CFG)
+        V, A, B = ge.solve_VAB(lam, np.zeros(grid2.shape, complex), m, CFG)
         assert np.max(np.abs(V)) <= 1e-13
         assert np.max(np.abs(A)) <= 1e-13
         assert np.max(np.abs(B)) <= 1e-13
@@ -129,13 +128,8 @@ class TestSolveVAB:
         assert rep.coulomb.l2 <= 10 * CFG.tol
 
     def test_equation_residuals(self, grid2, converged):
-        res_v = ge.advection_equation_residual(
-            grid2, converged.metric, converged.lam, converged.psi, converged.V
-        )
-        res_b = ge.temporal_equation_residual(
-            grid2, converged.metric, converged.lam, converged.psi,
-            converged.V, converged.A, converged.B
-        )
+        res_v = ge.advection_equation_residual(converged)
+        res_b = ge.temporal_equation_residual(converged)
         assert sp.l2_norm(grid2, res_v) <= 1e-9
         assert sp.l2_norm(grid2, res_b) <= 1e-9
 
@@ -192,16 +186,14 @@ class TestSolveEllipticSystem:
         assert np.array_equal(st2.B, converged.B)
 
     def test_fixed_point_self_consistency(self, grid2, converged):
-        lam2 = ge.recover_lambda(grid2, converged.psi, converged.metric,
-                                 converged.A, CFG)
+        lam2 = ge.recover_lambda(converged.psi, converged.metric, converged.A, CFG)
         assert np.max(np.abs(lam2 - converged.lam)) <= 10 * CFG.tol
         m2 = ge.solve_metric(grid2, converged.lam, converged.psi, CFG,
                              g0=converged.metric)
         assert np.max(np.abs(m2.g - converged.metric.g)) <= 10 * CFG.tol
 
     def test_vab_self_consistency(self, grid2, converged):
-        V, A, B = ge.solve_VAB(grid2, converged.lam, converged.psi,
-                               converged.metric, CFG,
+        V, A, B = ge.solve_VAB(converged.lam, converged.psi, converged.metric, CFG,
                                warm=(converged.V, converged.A))
         assert np.max(np.abs(V - converged.V)) <= 10 * CFG.tol
         assert np.max(np.abs(A - converged.A)) <= 10 * CFG.tol
@@ -220,16 +212,16 @@ def nested_solve(grid, psi, cfg):
     lam = np.zeros((grid.d, grid.d) + grid.shape, dtype=complex)
     metric, A = MetricField.identity(grid), np.zeros((grid.d,) + grid.shape)
     for _ in range(cfg.max_iter):
-        lam_new = ge.recover_lambda(grid, psi, metric, A, cfg)
+        lam_new = ge.recover_lambda(psi, metric, A, cfg)
         metric_new = ge.solve_metric(grid, lam_new, psi, cfg, g0=metric)
-        A_new = ge._solve_A(grid, lam_new, metric_new, cfg, A)
+        A_new = ge._solve_A(lam_new, metric_new, cfg, A)
         change = max(np.max(np.abs(lam_new - lam)),
                      np.max(np.abs(metric_new.g - metric.g)),
                      np.max(np.abs(A_new - A)))
         lam, metric, A = lam_new, metric_new, A_new
         if change <= cfg.tol:
             break
-    V, _, B = ge.solve_VAB(grid, lam, psi, metric, cfg, warm=(np.zeros_like(A), A))
+    V, _, B = ge.solve_VAB(lam, psi, metric, cfg, warm=(np.zeros_like(A), A))
     return dict(lam=lam, g=metric.g, V=V, A=A, B=B)
 
 
@@ -516,8 +508,8 @@ class TestRealPath:
         V = nyquist_rich_field(grid, (d,), rng)
 
         def vector_laplacian(V):
-            dV = geo.covariant_derivative(grid, V, 1, 0, metric)
-            return ge._vector_laplacian(grid, metric, V, dV)
+            dV = geo.covariant_derivative(V, 1, 0, metric)
+            return ge._vector_laplacian(metric, V, dV)
 
         assert_real_part(vector_laplacian(V), vector_laplacian(V.astype(complex)))
 
@@ -546,7 +538,7 @@ def lambda_update_full(grid, dpsi, metric, A, lam):
     gl = np.einsum("sag...,bs...->abg...", Gam, lam) \
         - 1j * np.einsum("a...,bg...->abg...", A, lam)
     C = gl - np.einsum("abg...->bag...", gl)  # exactly antisymmetric
-    dlam = geo.covariant_derivative(grid, lam, 0, 2, metric, A)
+    dlam = geo.covariant_derivative(lam, 0, 2, metric, A)
     D = dpsi - np.einsum("ca...,cab...->b...", metric.inv, dlam) \
         + np.einsum("aab...->b...", sp.gradient(grid, lam))
     lam_new = sp.hodge_solve(grid, C[np.triu_indices(grid.d, 1)], D)
@@ -556,7 +548,7 @@ def lambda_update_full(grid, dpsi, metric, A, lam):
 def vector_laplacian_full(grid, metric, V, dV):
     flat = np.einsum("bcg...->bgc...", sp.hessian(grid, V)) \
         + sp.gradient(grid, np.einsum("gcs...,s...->gc...", metric.christoffel, V))
-    d2 = geo._add_connection(grid, dV, flat, 1, 1, metric, None)  # (g, c2, c1)
+    d2 = geo._add_connection(dV, flat, 1, 1, metric, None)  # (g, c2, c1)
     return np.einsum("bc...,gbc...->g...", metric.inv, d2)
 
 
@@ -568,7 +560,7 @@ def raise2(metric, T):
 def advection_rhs0_full(grid, metric, lam, psi):
     lam_up2 = raise2(metric, lam)
     M = (lam_up2 * np.conj(psi)).imag
-    dM = geo.covariant_derivative(grid, M, 2, 0, metric)  # (a, g, c)
+    dM = geo.covariant_derivative(M, 2, 0, metric)  # (a, g, c)
     rhs0 = 2.0 * np.einsum("aga...->g...", dM)
     lam_psi_up = (psi * np.conj(lam_up2)).imag
     return rhs0 + 2.0 * np.einsum("ab...,gab...->g...", lam_psi_up, metric.christoffel)
@@ -578,14 +570,14 @@ def temporal_rhs_full(grid, metric, lam, psi, V, A):
     lam_up1 = np.einsum("am...,mb...->ab...", metric.inv, lam)
     lam_up2 = raise2(metric, lam)
     N = (lam_up1 * np.conj(psi)).real
-    dN = geo.covariant_derivative(grid, N, 1, 1, metric)  # (s, c, g)
-    dw = geo.covariant_derivative(grid, np.einsum("ssg...->g...", dN), 0, 1, metric)
+    dN = geo.covariant_derivative(N, 1, 1, metric)  # (s, c, g)
+    dw = geo.covariant_derivative(np.einsum("ssg...->g...", dN), 0, 1, metric)
     rhs = -np.einsum("cg...,cg...->...", metric.inv, dw)
     rhs += 0.5 * metric.laplace_beltrami((psi * np.conj(psi)).real)
     u = np.einsum("sg...,sb...,b...->g...", lam_up1, np.conj(lam), V).imag
-    du = geo.covariant_derivative(grid, u, 0, 1, metric)
+    du = geo.covariant_derivative(u, 0, 1, metric)
     rhs += np.einsum("cg...,cg...->...", metric.inv, du)
-    gradV_up = ge._grad_up(metric, geo.covariant_derivative(grid, V, 1, 0, metric))
+    gradV_up = ge._grad_up(metric, geo.covariant_derivative(V, 1, 0, metric))
     sym = 2.0 * (psi * np.conj(lam_up2)).imag \
         + gradV_up + np.einsum("ab...->ba...", gradV_up)
     return rhs + np.einsum("bg...,bg...->...", sym, sp.gradient(grid, A))
@@ -680,6 +672,12 @@ def data(request):
                 V=nyquist_rich_field(grid, (d,), rng))
 
 
+def data_state(data):
+    """``data`` as a gauge state, with B = 0."""
+    return ge.GaugeState(psi=data["psi"], metric=data["metric"], lam=data["lam"],
+                         V=data["V"], A=data["A"], B=np.zeros(data["grid"].shape))
+
+
 class TestContractFirst:
     """The solver contracts covariant divergences before it adds the
     connection; on rough metrics and data the result must be the full
@@ -688,27 +686,25 @@ class TestContractFirst:
     def test_lambda_update(self, data):
         grid, psi, A = data["grid"], data["psi"], data["A"]
         dpsi = sp.gradient(grid, psi) + 1j * A * psi
-        args = (grid, dpsi, data["metric"], A, data["lam"])
-        assert_close(ge._lambda_update(*args), lambda_update_full(*args))
+        args = (dpsi, data["metric"], A, data["lam"])
+        assert_close(ge._lambda_update(*args), lambda_update_full(grid, *args))
 
     def test_vector_laplacian(self, data):
         grid, metric, V = data["grid"], data["metric"], data["V"]
-        dV = geo.covariant_derivative(grid, V, 1, 0, metric)
-        assert_close(ge._vector_laplacian(grid, metric, V, dV),
+        dV = geo.covariant_derivative(V, 1, 0, metric)
+        assert_close(ge._vector_laplacian(metric, V, dV),
                      vector_laplacian_full(grid, metric, V, dV))
 
     def test_advection_source(self, data):
         grid, metric, lam, psi = (data[k] for k in ("grid", "metric", "lam", "psi"))
-        M, W, _, _ = ge._vb_tensors(metric, lam, psi)
-        got = ge._advection_source(grid, metric, M, W)[0]
+        got = ge._vb_sources(metric, lam, psi, data["A"])[0][0]
         assert_close(got, advection_rhs0_full(grid, metric, lam, psi))
 
     def test_temporal_rhs(self, data):
         grid, metric, lam, psi = (data[k] for k in ("grid", "metric", "lam", "psi"))
         args = (psi, data["V"], data["A"])
-        M, _, N, K = ge._vb_tensors(metric, lam, psi)
-        source = ge._temporal_source(grid, metric, M, N, K, psi, data["A"])
-        got = ge._temporal_rhs(grid, metric, source, data["V"])
+        source = ge._vb_sources(metric, lam, psi, data["A"])[1]
+        got = ge._temporal_rhs(metric, source, data["V"])
         assert_close(got, temporal_rhs_full(grid, metric, lam, *args))
 
 
@@ -728,7 +724,7 @@ class TestOneAxisAtATime:
     def test_report_codazzi_and_divergence(self, data):
         grid, metric, lam, psi, A = (data[k] for k in ("grid", "metric", "lam",
                                                        "psi", "A"))
-        rep = geo.constraint_residuals(grid, psi, metric, lam, A)
+        rep = geo.constraint_residuals(psi, metric, lam, A)
         codazzi, divergence = codazzi_divergence_full(grid, psi, metric, lam, A)
         for name, field, weight in (("codazzi", codazzi, 2.0),
                                     ("divergence", divergence, 1.0)):
@@ -739,10 +735,13 @@ class TestOneAxisAtATime:
             assert abs(rep.nondecay[name] - want[2]) <= 1e-13 * want[0], name
 
     def test_vb_tensors(self, data):
+        # M and N reach the sources only through rhs_V and rhs_B, which
+        # TestContractFirst checks against the full forms
         metric, lam, psi = data["metric"], data["lam"], data["psi"]
-        for got, want in zip(ge._vb_tensors(metric, lam, psi),
-                             vb_tensors_full(metric, lam, psi), strict=True):
-            assert_close(got, want)
+        (_, W), (_, K, _) = ge._vb_sources(metric, lam, psi, data["A"])
+        _, W_full, _, K_full = vb_tensors_full(metric, lam, psi)
+        assert_close(W, W_full)
+        assert_close(K, K_full)
 
     def test_coulomb_curl(self, data):
         metric, lam = data["metric"], data["lam"]
@@ -761,13 +760,13 @@ class TestOneResidual:
     def test_metric_sweep_is_the_moved_over_update(self, data):
         # Delta^{-1}(rhs - (g^{ab} - delta^{ab}) d^2 g) = mean_zero(h + Delta^{-1} r)
         grid, metric, lam, psi = (data[k] for k in ("grid", "metric", "lam", "psi"))
-        r = ge._metric_residual(grid, metric, lam, psi)
+        r = ge._metric_residual(metric, lam, psi)
         h = geo.preconditioned_sweep(grid, metric.h, r)[0]
         assert_close(h, metric_update_full(grid, metric, lam, psi), rtol=1e-14)
 
     def test_metric_sweep_is_exactly_symmetric(self, data):
         grid, metric, lam, psi = (data[k] for k in ("grid", "metric", "lam", "psi"))
-        r = ge._metric_residual(grid, metric, lam, psi)
+        r = ge._metric_residual(metric, lam, psi)
         h = geo.preconditioned_sweep(grid, metric.h, r)[0]
         assert np.array_equal(r, np.swapaxes(r, 0, 1))
         assert np.array_equal(h, np.swapaxes(h, 0, 1))
@@ -790,16 +789,16 @@ class TestOneResidual:
     def test_metric_equation_residual(self, data):
         grid, metric, lam, psi = (data[k] for k in ("grid", "metric", "lam", "psi"))
         assert np.array_equal(
-            ge.metric_equation_residual(grid, metric, lam, psi),
-            -sp.mean_zero(grid, ge._metric_residual(grid, metric, lam, psi)))
+            ge.metric_equation_residual(data_state(data)),
+            -sp.mean_zero(grid, ge._metric_residual(metric, lam, psi)))
 
     def test_advection_equation_residual(self, data):
         grid, metric, lam, psi, V = (data[k] for k in ("grid", "metric", "lam",
                                                        "psi", "V"))
-        source = ge._advection_source(grid, metric, *ge._vb_tensors(metric, lam, psi)[:2])
+        source = ge._vb_sources(metric, lam, psi, data["A"])[0]
         assert np.array_equal(
-            ge.advection_equation_residual(grid, metric, lam, psi, V),
-            -sp.mean_zero(grid, ge._advection_residual(grid, metric, source, V)))
+            ge.advection_equation_residual(data_state(data)),
+            -sp.mean_zero(grid, ge._advection_residual(metric, source, V)))
 
 
 class TestFirstIterate:
@@ -828,7 +827,7 @@ class TestFirstIterate:
             return solve(grid, residual, u0, *args)
 
         monkeypatch.setattr(geo, "solve_preconditioned", recorded)
-        ge._solve_VB(grid2, converged.lam, converged.psi, converged.metric,
+        ge._solve_VB(converged.lam, converged.psi, converged.metric,
                      converged.A, CFG, None)
         assert len(starts) == 2
         for u0, residual in starts:  # the V solve, then the B solve
@@ -880,7 +879,7 @@ class TestMemory:
         st = ge.solve_elliptic_system(grid, gaussian_psi(grid),
                                       ge.EllipticConfig(smallness_threshold=0.5),
                                       report=False)
-        geo.constraint_residuals(grid, st.psi, st.metric, st.lam, st.A)  # spectra built
+        geo.constraint_residuals(st.psi, st.metric, st.lam, st.A)  # spectra built
         tracemalloc.start()
         try:
             st.constraint_report()

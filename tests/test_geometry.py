@@ -365,28 +365,28 @@ class TestCovariantDerivative:
     def test_scalar_is_gradient(self, grid2):
         m = small_metric(grid2, seed=6)
         f = smooth_scalar(grid2, seed=7, complex_valued=True)
-        df = geo.covariant_derivative(grid2, f, 0, 0, m)
+        df = geo.covariant_derivative(f, 0, 0, m)
         assert np.max(np.abs(df - sp.gradient(grid2, f))) <= 1e-12
 
     def test_gauged_scalar(self, grid2):
         m = small_metric(grid2, seed=8)
         f = smooth_scalar(grid2, seed=9, complex_valued=True)
         A = np.stack([smooth_scalar(grid2, seed=10 + a) for a in range(2)])
-        dAf = geo.covariant_derivative(grid2, f, 0, 0, m, A)
+        dAf = geo.covariant_derivative(f, 0, 0, m, A)
         expect = sp.gradient(grid2, f) + 1j * A * f
         assert np.max(np.abs(dAf - expect)) <= 1e-12
 
     def test_metric_compatibility(self, grid2):
         m = small_metric(grid2, seed=12)
-        dg = geo.covariant_derivative(grid2, m.g, 0, 2, m)
+        dg = geo.covariant_derivative(m.g, 0, 2, m)
         assert np.max(np.abs(dg)) <= 1e-10
 
     def test_second_derivative_of_scalar_symmetric(self, grid2):
         # torsion-free connection: Hessians of scalars are symmetric
         m = small_metric(grid2, seed=13)
         f = smooth_scalar(grid2, seed=14, complex_valued=True)
-        df = geo.covariant_derivative(grid2, f, 0, 0, m)
-        d2f = geo.covariant_derivative(grid2, df, 0, 1, m)
+        df = geo.covariant_derivative(f, 0, 0, m)
+        d2f = geo.covariant_derivative(df, 0, 1, m)
         assert np.max(np.abs(d2f - np.einsum("ab...->ba...", d2f))) <= 1e-10
 
 
@@ -461,8 +461,8 @@ class TestCurvature:
         # [nabla_a, nabla_b] w_c = -R^s_{cab} w_s
         m = small_metric(grid2, seed=19, amp=0.05)
         w = np.stack([smooth_scalar(grid2, seed=20 + a, complex_valued=True) for a in range(2)])
-        dw = geo.covariant_derivative(grid2, w, 0, 1, m)
-        d2w = geo.covariant_derivative(grid2, dw, 0, 2, m)  # (a, b, c)
+        dw = geo.covariant_derivative(w, 0, 1, m)
+        d2w = geo.covariant_derivative(dw, 0, 2, m)  # (a, b, c)
         comm = d2w - np.einsum("abc...->bac...", d2w)
         riemann, _ = geo.curvature(m)
         riem_up = np.einsum("sm...,mcab...->scab...", m.inv, riemann)
@@ -490,27 +490,27 @@ class TestNormsAndEnergy:
         T = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for part in (T, T.real):
             want = norm_sq_by_raising(grid, part, nup, nlow, m)
-            got = geo.tensor_norm_sq_field(grid, part, nup, nlow, m)
+            got = geo.tensor_norm_sq_field(part, nup, nlow, m)
             assert np.max(np.abs(got - want) / want) <= 1e-13
 
     def test_pointwise_norm_nonnegative(self, grid2):
         m = small_metric(grid2, seed=22)
         T = np.stack([smooth_scalar(grid2, seed=23 + a, complex_valued=True) for a in range(2)])
-        dens = geo.tensor_norm_sq_field(grid2, T, 0, 1, m)
+        dens = geo.tensor_norm_sq_field(T, 0, 1, m)
         assert np.min(dens) >= -1e-14
 
     def test_flat_reduction(self, grid2, flat_sobolev_norm):
         m = geo.MetricField.identity(grid2)
         f = smooth_scalar(grid2, seed=25, complex_valued=True)
         for k in range(4):
-            a = geo.intrinsic_norm(grid2, f, 0, 0, m, None, k)
+            a = geo.intrinsic_norm(f, 0, 0, m, None, k)
             b = flat_sobolev_norm(grid2, f, k)
             assert abs(a - b) / b <= 1e-10
 
     def test_identity_metric_matches_flat(self, grid2, flat_sobolev_norm):
         m = geo.MetricField.identity(grid2)
         f = smooth_scalar(grid2, seed=26, complex_valued=True)
-        a = geo.intrinsic_norm(grid2, f, 0, 0, m, None, 3)
+        a = geo.intrinsic_norm(f, 0, 0, m, None, 3)
         b = flat_sobolev_norm(grid2, f, 3)
         assert abs(a - b) / b <= 1e-10
 
@@ -518,19 +518,19 @@ class TestNormsAndEnergy:
         m = small_metric(grid2, seed=27)
         f = smooth_scalar(grid2, seed=28, complex_valued=True)
         A = np.stack([smooth_scalar(grid2, seed=29 + a) for a in range(2)])
-        norms = [geo.intrinsic_norm(grid2, f, 0, 0, m, A, k) for k in range(4)]
+        norms = [geo.intrinsic_norm(f, 0, 0, m, A, k) for k in range(4)]
         assert all(norms[i + 1] >= norms[i] for i in range(3))
 
     def test_energy_is_squared_norm(self, grid2):
         m = small_metric(grid2, seed=31)
         f = smooth_scalar(grid2, seed=32, complex_valued=True)
-        e = geo.energy(grid2, f, m, None, 2)
-        n = geo.intrinsic_norm(grid2, f, 0, 0, m, None, 2)
+        e = geo.energy(f, m, None, 2)
+        n = geo.intrinsic_norm(f, 0, 0, m, None, 2)
         assert abs(e - n * n) <= 1e-12 * max(e, 1.0)
 
     def test_negative_order_rejected(self, grid2):
         with pytest.raises(ValueError):
-            geo.intrinsic_norm(grid2, np.zeros(grid2.shape), 0, 0,
+            geo.intrinsic_norm(np.zeros(grid2.shape), 0, 0,
                                geo.MetricField.identity(grid2), None, -1)
 
 
@@ -540,7 +540,7 @@ class TestConstraintResiduals:
         psi = np.zeros(grid2.shape, dtype=complex)
         lam = np.zeros((2, 2) + grid2.shape, dtype=complex)
         A = np.zeros((2,) + grid2.shape)
-        rep = geo.constraint_residuals(grid2, psi, m, lam, A)
+        rep = geo.constraint_residuals(psi, m, lam, A)
         assert rep.max_l2() <= 1e-12
         assert rep.max_linf() <= 1e-12
 
@@ -550,11 +550,11 @@ class TestConstraintResiduals:
         lam = np.zeros((2, 2) + grid2.shape, dtype=complex)
         lam[0, 1] = smooth_scalar(grid2, seed=33, complex_valued=True)
         A = np.zeros((2,) + grid2.shape)
-        rep = geo.constraint_residuals(grid2, psi, m, lam, A)
+        rep = geo.constraint_residuals(psi, m, lam, A)
         assert rep.symmetry.l2 > 1e-3
         lam[1, 0] = lam[0, 1]
         lam[0, 0] = smooth_scalar(grid2, seed=34, complex_valued=True)
-        rep = geo.constraint_residuals(grid2, psi, m, lam, A)
+        rep = geo.constraint_residuals(psi, m, lam, A)
         assert rep.symmetry.l2 <= 1e-12
         assert rep.trace.l2 > 1e-3
 
@@ -563,7 +563,7 @@ class TestConstraintResiduals:
         psi = np.full(grid2.shape, 0.5 + 0j)  # constant psi breaks the trace
         lam = np.zeros((2, 2) + grid2.shape, dtype=complex)
         A = np.zeros((2,) + grid2.shape)
-        rep = geo.constraint_residuals(grid2, psi, m, lam, A)
+        rep = geo.constraint_residuals(psi, m, lam, A)
         assert rep.trace.l2 <= 1e-13  # constant residual was projected out...
         assert abs(rep.nondecay["trace"] - 0.5) <= 1e-12  # ...and reported
 
@@ -585,11 +585,11 @@ def literal_report(grid, psi, metric, lam, A):
         + np.einsum("bg...,as...->sgab...", im, im)
     norms("gauss", curvature_from_christoffel(metric)[0] - half
           + np.einsum("sgab...->sgba...", half))
-    dlam = geo.covariant_derivative(grid, lam, 0, 2, metric, A)  # (c, a, b)
+    dlam = geo.covariant_derivative(lam, 0, 2, metric, A)  # (c, a, b)
     norms("codazzi", dlam - np.einsum("acb...->cab...", dlam))
     norms("divergence", np.einsum("ca...,cab...->b...", metric.inv, dlam)
-          - geo.covariant_derivative(grid, psi, 0, 0, metric, A))
-    dA = geo.covariant_derivative(grid, A, 0, 1, metric)  # (c, a)
+          - geo.covariant_derivative(psi, 0, 0, metric, A))
+    dA = geo.covariant_derivative(A, 0, 1, metric)  # (c, a)
     lam_up = np.einsum("gc...,ca...->ga...", metric.inv, lam)
     norms("curl_a", dA - np.einsum("ac...->ca...", dA)
           - np.einsum("ga...,bg...->ab...", lam_up, np.conj(lam)).imag)

@@ -1,7 +1,8 @@
 """Import hygiene of the package, checked with the standard library's
 ``ast`` (no linter is a dependency): every imported name is used or
-re-exported, and every ``__all__`` entry is bound.  README.md's
-backticked references to the package's modules name what exists."""
+re-exported, and every ``__all__`` entry is bound.  A function given a
+metric reads its grid from it.  README.md's backticked references to
+the package's modules name what exists."""
 
 import ast
 import importlib
@@ -77,6 +78,27 @@ class TestImportHygiene:
         tree = ast.parse(path.read_text(), filename=str(path))
         unbound = set(exported_names(tree)) - bound_names(tree)
         assert not unbound, f"{path.name}: __all__ lists unbound {sorted(unbound)}"
+
+
+def grid_beside_metric(tree):
+    """The names of the functions whose parameters include ``grid`` and
+    ``metric`` or ``m``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if "grid" in params and params & {"metric", "m"}:
+                found.append(node.name)
+    return found
+
+
+def test_no_grid_beside_a_metric():
+    """A ``MetricField`` carries its grid, so no function takes a second
+    one that could name a different box."""
+    found = {path.name: names for path in SOURCES
+             if (names := grid_beside_metric(ast.parse(path.read_text())))}
+    assert not found, f"functions take grid beside a metric: {found}"
 
 
 def test_readme_references_resolve():

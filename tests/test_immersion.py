@@ -46,12 +46,12 @@ def gauge_fix_frame(state):
     mean-zero angle of ``im._coulomb_angle``; a constant pre-rotation of
     the frame is left untouched."""
     ex = im.extract_gauge(state)
-    return frame_rotate(state, im._coulomb_angle(state.grid, ex.metric, ex.A))
+    return frame_rotate(state, im._coulomb_angle(ex.metric, ex.A))
 
 
 def coulomb_residual(state):
     ex = im.extract_gauge(state)
-    dA = geo.covariant_derivative(state.grid, ex.A, 0, 1, ex.metric).real
+    dA = geo.covariant_derivative(ex.A, 0, 1, ex.metric).real
     return float(np.max(np.abs(np.einsum("ab...,ab...->...", ex.metric.inv, dA))))
 
 
@@ -223,8 +223,7 @@ class TestExtractGauge:
         for n in (16, 24):
             state = im.sphere_state(n=n, radius=2.0)
             ex = im.extract_gauge(state)
-            rep = geo.constraint_residuals(state.grid, ex.psi, ex.metric,
-                                           ex.lam, ex.A)
+            rep = geo.constraint_residuals(ex.psi, ex.metric, ex.lam, ex.A)
             # the projected residual plus its mean bounds the unprojected one
             assert rep.codazzi.linf + rep.nondecay["codazzi"] <= 1e-10
 
@@ -287,8 +286,8 @@ class TestCoulombAngle:
             return (np.zeros_like(f),)
 
         monkeypatch.setattr(geo, "solve_laplace_beltrami", recorded)
-        im._coulomb_angle(grid, metric, A)
-        dA = geo.covariant_derivative(grid, A, 0, 1, metric)  # (c, a)
+        im._coulomb_angle(metric, A)
+        dA = geo.covariant_derivative(A, 0, 1, metric)  # (c, a)
         want = -np.einsum("ca...,ca...->...", metric.inv, dA)
         assert len(rhs) == 1
         assert np.max(np.abs(rhs[0] - want)) <= 1e-12 * np.max(np.abs(want))
